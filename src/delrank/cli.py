@@ -266,10 +266,11 @@ def cmd_report(args) -> int:
         warnings.append("empty-sphere check is a bounded-window heuristic, not a proof")
     else:
         warnings.append("no Gram form in input; sphere checks skipped")
+    rk = rank.rank_of(p)
     rr = rank.RankReport(
-        rank=rank.rank_of(p),
+        rank=rk,
         dependency_count=len(dep),
-        extreme=rank.is_extreme(p),
+        extreme=rk == 1,
         face_dimension=hyp.face_dimension(p),
         centrally_symmetric=symmetric,
         basicity=cls,

@@ -3,7 +3,9 @@
 The central object is the linear system S(P) on unordered vertex pairs:
 for every dependency y and every probe vertex u it contains the equation
 sum_v y(v) d(u, v) = 0.  The dimension of its solution space is a second,
-independent route to the rank of the polytope.
+independent route to the rank of the polytope.  face_system builds that one
+row system from the canonical dependency basis, for every vertex count, and
+exact.sparse_rank takes its rank by fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .deps import basis_dependencies, dependency_module
+from .deps import dependency_module
 from .errors import SumNotOne
-from .model import Polytope, affine_basis_indices, circumcenter, distance_matrix, from_coords
+from .model import Polytope, circumcenter, distance_matrix, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -121,57 +123,16 @@ def face_system(p: Polytope) -> FaceSystem:
     return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows))
 
 
-def _structured_rows(p: Polytope) -> list[dict[int, int]]:
-    # Same row space per probe block as face_system: for fixed u the block
-    # rows are the dependency vectors with coordinate u dropped, and any
-    # basis of the dependency space generates that block.  The one-extra-
-    # vertex basis keeps rows short (support <= dim + 2), and ordering the
-    # pair columns outside-outside < mixed < basis-basis makes elimination
-    # fill stay inside the basis-basis block.
-    nv = p.nvertices
-    basis = affine_basis_indices(p)
-    bset = set(basis)
-    vdeps = basis_dependencies(p, basis)
-    klass = {}
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            klass[(i, j)] = (i in bset) + (j in bset)
-    order = sorted(klass, key=lambda pr: (klass[pr], pr))
-    col = {pr: k for k, pr in enumerate(order)}
-    rows: list[tuple[int, dict[int, int]]] = []
-    for vd in vdeps:
-        y = vd.coefficients
-        support = [v for v, c in enumerate(y) if c]
-        for u in range(nv):
-            row = {
-                col[(u, v) if u < v else (v, u)]: y[v] for v in support if v != u
-            }
-            if u in bset:
-                grp = 1
-            elif u == vd.w:
-                grp = 2
-            else:
-                grp = 0
-            rows.append((grp, row))
-    rows.sort(key=lambda t: t[0])
-    return [r for _, r in rows]
-
-
 def face_dimension(p: Polytope) -> int:
     """Dimension of the solution space of the pair system S(P).
 
-    Equals nvertices*(nvertices-1)/2 minus the rank of the system.  For a
-    simplex the system is empty and the value is dim*(dim+1)/2.
+    Equals nvertices*(nvertices-1)/2 minus the exact.sparse_rank of the
+    face_system rows.  For a simplex the system is empty and the value is
+    dim*(dim+1)/2.
     """
     nv = p.nvertices
-    npairs = nv * (nv - 1) // 2
-    if nv == p.dim + 1:
-        return npairs
-    if nv <= 24:
-        rows = [row for _, row in face_system(p).rows]
-    else:
-        rows = _structured_rows(p)
-    return npairs - exact.sparse_rank(rows)
+    rows = [row for _, row in face_system(p).rows]
+    return nv * (nv - 1) // 2 - exact.sparse_rank(rows)
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

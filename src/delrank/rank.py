@@ -37,7 +37,16 @@ class ConstraintSystem:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def rank(self) -> int:
-        return exact.rank([list(r) for r in self.rows]) if self.rows else 0
+        return exact.sparse_rank(_integer_rows(self.rows))
+
+
+def _integer_rows(rows) -> list[dict[int, int]]:
+    """Nonzero rational rows as primitive integer {column: entry} dicts."""
+    return [
+        {c: v for c, v in enumerate(exact.primitivize(r)) if v}
+        for r in rows
+        if any(r)
+    ]
 
 
 @dataclass(frozen=True)
@@ -185,11 +194,8 @@ def nrd(polytopes) -> int:
     n = ps[0].dim
     if any(p.dim != n for p in ps):
         raise WrongSize("all polytopes must share the same dimension")
-    rows: list[list[Fraction]] = []
-    for p in ps:
-        rows.extend(list(r) for r in bspace_constraints(p).rows)
-    rk = exact.rank(rows) if rows else 0
-    return n * (n + 1) // 2 - rk
+    rows = [r for p in ps for r in bspace_constraints(p).rows]
+    return n * (n + 1) // 2 - exact.sparse_rank(_integer_rows(rows))
 
 
 @dataclass(frozen=True)

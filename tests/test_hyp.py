@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from delrank.hyp import _structured_rows
 from tests.helpers import family_corpus, random_polytope
 
 IDENT2 = [[1, 0], [0, 1]]
@@ -72,19 +71,11 @@ def test_face_dimension_known_values(square):
     assert dr.face_dimension(dr.half_cube(4)) == 7
 
 
-def test_structured_rows_match_dense_rank():
-    """The block-ordered sparse rows must have the same rank as the full system."""
+def test_face_dimension_matches_dense_rank():
+    """The sparse rank of the face_system rows agrees with a dense Fraction RREF."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
-        dense_rank = exact.rank(dr.face_system(p).dense())
-        assert exact.sparse_rank(_structured_rows(p)) == dense_rank
-
-
-def test_face_dimension_structured_path_agrees_small():
-    # force comparison across the size threshold with a 32-vertex instance
-    p = dr.half_cube(6)
-    npairs = p.nvertices * (p.nvertices - 1) // 2
-    dense_rank = exact.rank(dr.face_system(p).dense())
-    assert dr.face_dimension(p) == npairs - dense_rank
+        npairs = p.nvertices * (p.nvertices - 1) // 2
+        assert dr.face_dimension(p) == npairs - exact.rank(dr.face_system(p).dense())
 
 
 def test_restricted_face_dimension(square):

@@ -32,6 +32,57 @@ def test_cross_constraint_count():
         assert cs.rank() == n - 1
 
 
+def test_sparse_rank_matches_dense_on_families():
+    for name, p in family_corpus():
+        cs = dr.bspace_constraints(p)
+        assert cs.rank() == exact.rank(cs.rows), name
+
+
+def test_sparse_rank_scales_fractional_rows(p0data):
+    # p0 has half-integral coordinates, so its rows carry denominators
+    cs = dr.bspace_constraints(p0data.polytope)
+    assert any(x.denominator != 1 for row in cs.rows for x in row)
+    assert cs.rank() == exact.rank(cs.rows)
+
+
+def test_sparse_rank_skips_zero_rows(square):
+    cs = dr.bspace_constraints(square, dependencies=[(0, 0, 0, 0), (1, -1, -1, 1), (0, 0, 0, 0)])
+    assert cs.rows[0] == cs.rows[2] == (Fraction(0),) * 3
+    assert cs.rank() == exact.rank(cs.rows) == 1
+    zeros = dr.bspace_constraints(square, dependencies=[(0, 0, 0, 0)])
+    assert zeros.rank() == exact.rank(zeros.rows) == 0
+
+
+def _axis_scaled(p, scales):
+    # a linear image keeps the affine dependencies and the rank; fractional
+    # scales give constraint rows with denominators
+    return dr.from_coords(p.dim, [tuple(s * x for s, x in zip(scales, v)) for v in p.vertices])
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000))
+def test_sparse_rank_matches_dense_on_random_configs(seed):
+    rng = random.Random(seed)
+    p = random_polytope(rng, max_dim=4)
+    scales = [Fraction(1, rng.choice((1, 2, 3, 5))) for _ in range(p.dim)]
+    for q in (p, _axis_scaled(p, scales)):
+        cs = dr.bspace_constraints(q)
+        assert cs.rank() == exact.rank(cs.rows)
+
+
+def test_nrd_matches_dense_on_stacked_rows(p0data):
+    n = 3
+    pairs = [
+        (dr.cross_polytope(n), dr.half_cube(n)),
+        (dr.cube(n), dr.transform_basis(dr.cube(n), [[1, 1, 0], [0, 1, 0], [0, 0, 1]])),
+        (p0data.polytope, _axis_scaled(p0data.polytope, [Fraction(1, 3)] * p0data.polytope.dim)),
+    ]
+    for a, b in pairs:
+        rows = [r for q in (a, b) for r in dr.bspace_constraints(q).rows]
+        m = a.dim * (a.dim + 1) // 2
+        assert dr.nrd([a, b]) == m - exact.rank(rows)
+
+
 def test_rank_of_known(square):
     assert dr.rank_of(square) == 2
     assert dr.rank_of(dr.simplex(4)) == 10
