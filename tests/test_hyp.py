@@ -71,11 +71,22 @@ def test_face_dimension_known_values(square):
     assert dr.face_dimension(dr.half_cube(4)) == 7
 
 
-def test_face_dimension_matches_dense_rank():
-    """The sparse rank of the face_system rows agrees with a dense Fraction RREF."""
+def test_structured_rows_match_dense_rank():
+    """The sparse face_system rows must have the same rank as the dense system."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
+        fs = dr.face_system(p)
+        dense_rank = exact.rank(fs.dense())
+        assert exact.sparse_rank([row for _, row in fs.rows]) == dense_rank
         npairs = p.nvertices * (p.nvertices - 1) // 2
-        assert dr.face_dimension(p) == npairs - exact.rank(dr.face_system(p).dense())
+        assert dr.face_dimension(p) == npairs - dense_rank
+
+
+def test_face_dimension_structured_path_agrees_small():
+    # a 32-vertex instance, larger than the small cases above
+    p = dr.half_cube(6)
+    npairs = p.nvertices * (p.nvertices - 1) // 2
+    dense_rank = exact.rank(dr.face_system(p).dense())
+    assert dr.face_dimension(p) == npairs - dense_rank
 
 
 def test_restricted_face_dimension(square):
