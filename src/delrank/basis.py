@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exact
-from .errors import AffinelyDependent, WrongSize
+from .errors import AffinelyDependent, InternalError, WrongSize
 from .model import Polytope
 
 Z_BASIC = "Z_BASIC"
@@ -64,7 +64,8 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
             continue
         rhs = list(p.vertices[w]) + [Fraction(1)]
         x = exact.solve(a, rhs)
-        assert x is not None
+        if x is None:
+            raise InternalError(f"vertex {w} has no affine coordinates over an affine basis")
         if any(c.denominator != 1 for c in x):
             return False
     return True
@@ -146,5 +147,6 @@ def lattice_index(p: Polytope, subset) -> int:
     d_full = hnf_det(full_vecs)
     d_sub = hnf_det(sub_vecs)
     ratio = d_sub / d_full
-    assert ratio.denominator == 1 and ratio > 0
+    if ratio.denominator != 1 or ratio <= 0:
+        raise InternalError(f"lattice index {ratio} is not a positive integer")
     return int(ratio)

@@ -8,7 +8,8 @@ may accompany vertices.  Reports are JSON with sorted keys, so equal inputs
 produce byte-identical output, and every report echoes the sha256 digest of
 the input bytes.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 inconsistency.
+Exit codes: 0 success, 1 usage error, 2 invalid input, 3 inconsistency,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis, deps, families, hyp, model, rank
-from .errors import DelrankError, InputError, NotCospherical
+from . import basis, deps, exact, families, hyp, model, rank
+from .errors import DelrankError, InputError, InternalError, NotCospherical, NotPositiveDefinite
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -99,10 +100,10 @@ def load_polytope_file(path: str) -> LoadedInput:
             gram = _rational_matrix(doc["gram"], path, "gram")
             if len(gram) != dim or any(len(row) != dim for row in gram):
                 raise InputError(f"{path}: gram must be {dim}x{dim}")
-            for i in range(dim):
-                for j in range(i):
-                    if gram[i][j] != gram[j][i]:
-                        raise InputError(f"{path}: gram must be symmetric")
+            if any(gram[i][j] != gram[j][i] for i in range(dim) for j in range(i)):
+                raise InputError(f"{path}: gram must be symmetric")
+            if not exact.is_positive_definite(gram):
+                raise NotPositiveDefinite(f"{path}: gram must be positive definite")
         return LoadedInput(path=path, digest=digest, polytope=p, gram=gram)
     dm = _rational_matrix(doc["distances"], path, "distances")
     p, gram = model.from_distances(dm)
@@ -134,6 +135,10 @@ def cmd_rank(args) -> int:
     return code
 
 
+_GENERATORS = {"simplex": families.simplex, "cross": families.cross_polytope,
+               "halfcube": families.half_cube, "cube": families.cube}
+
+
 def cmd_family(args) -> int:
     if args.name == "p0":
         if args.n is not None:
@@ -146,7 +151,7 @@ def cmd_family(args) -> int:
         if args.n is None:
             raise UsageError(f"family {args.name} needs a size argument")
         try:
-            p = families.build(families.FamilySpec(args.name, args.n))
+            p = _GENERATORS[args.name](args.n)
         except InputError as e:
             raise UsageError(str(e)) from e
         doc = {
@@ -257,42 +262,31 @@ def cmd_report(args) -> int:
     p = loaded.polytope
     dep = deps.dependency_module(p)
     cls = basis.classify_basicity(p, budget=args.budget)
-    verify = None
-    symmetric = None
-    warnings = []
+    verify = symmetric = None
+    warnings = ["no Gram form in input; sphere checks skipped"]
     if loaded.gram is not None:
         verify = _verify_doc(p, loaded.gram, args.window)
         symmetric = verify.pop("centrally_symmetric")
-        warnings.append("empty-sphere check is a bounded-window heuristic, not a proof")
-    else:
-        warnings.append("no Gram form in input; sphere checks skipped")
+        warnings = ["empty-sphere check is a bounded-window heuristic, not a proof"]
     rk = rank.rank_of(p)
-    rr = rank.RankReport(
-        rank=rk,
-        dependency_count=len(dep),
-        extreme=rk == 1,
-        face_dimension=hyp.face_dimension(p),
-        centrally_symmetric=symmetric,
-        basicity=cls,
-        notes=tuple(warnings),
-    )
+    fd = hyp.face_dimension(p)
     doc = {
         "command": "report",
         "input": loaded.digest,
         "dim": p.dim,
         "nvertices": p.nvertices,
-        "rank": rr.rank,
-        "face_dimension": rr.face_dimension,
-        "methods_agree": rr.rank == rr.face_dimension,
-        "extreme": rr.extreme,
-        "centrally_symmetric": rr.centrally_symmetric,
+        "rank": rk,
+        "face_dimension": fd,
+        "methods_agree": rk == fd,
+        "extreme": rk == 1,
+        "centrally_symmetric": symmetric,
         "dependencies": {
-            "count": rr.dependency_count,
+            "count": len(dep),
             "vectors": [[str(x) for x in v] for v in dep],
         },
         "basicity": _basicity_doc(cls),
         "verify": verify,
-        "warnings": list(rr.notes),
+        "warnings": warnings,
     }
     _emit(doc)
     if not doc["methods_agree"]:
@@ -354,6 +348,9 @@ def main(argv=None) -> int:
     except NotCospherical as e:
         print(f"inconsistency: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except (DelrankError, ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2

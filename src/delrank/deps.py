@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exact
-from .errors import NotAffineBasis, SumNotZero
+from .errors import InternalError, NotAffineBasis, SumNotZero
 from .model import Polytope
 
 
@@ -47,7 +47,8 @@ def dependency_module(p: Polytope) -> DependencyBasis:
         rows.append([int(x * scale) for x in coords])
     rows.append([1] * p.nvertices)
     kernel = exact.integral_kernel(rows)
-    assert len(kernel) == p.nvertices - p.dim - 1
+    if len(kernel) != p.nvertices - p.dim - 1:
+        raise InternalError(f"dependency module has rank {len(kernel)}, expected {p.nvertices - p.dim - 1}")
     return DependencyBasis(vectors=tuple(tuple(v) for v in kernel))
 
 
@@ -74,7 +75,8 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
             continue
         rhs = list(p.vertices[w]) + [Fraction(1)]
         x = exact.solve(a, rhs)
-        assert x is not None
+        if x is None:
+            raise InternalError(f"vertex {w} has no affine coordinates over an affine basis")
         y = [Fraction(0)] * p.nvertices
         y[w] = Fraction(1)
         for i, c in zip(basis, x):

@@ -1,4 +1,8 @@
-"""Exception types raised by the model and computation layers."""
+"""Exception types raised by the model and computation layers.
+
+DelrankError and its subclasses mean the input is invalid.  InternalError
+means an invariant of the computation failed: a bug, never bad input.
+"""
 
 
 class DelrankError(Exception):
@@ -55,3 +59,7 @@ class WrongSize(DelrankError):
 
 class AffinelyDependent(DelrankError):
     """Subset expected to be affinely independent is not."""
+
+
+class InternalError(Exception):
+    """An internal invariant failed; deliberately not a DelrankError."""

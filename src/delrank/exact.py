@@ -30,10 +30,6 @@ def qvec(entries) -> Vec:
     return [Fraction(x) for x in entries]
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def int_identity(n: int) -> IntMat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -42,16 +38,7 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_vec(m, v) -> Vec:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in m]
-
-
-def mat_mul(a, b) -> Mat:
-    bt = transpose(b)
-    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def _rref(m: Mat) -> tuple[Mat, list[int]]:
+def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
 
     Pivot is the first nonzero entry scanning down each column, so the
@@ -82,7 +69,7 @@ def _rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m) -> int:
-    return len(_rref(qmat(m))[1])
+    return len(rref(qmat(m))[1])
 
 
 def nullspace(m) -> list[Vec]:
@@ -93,7 +80,7 @@ def nullspace(m) -> list[Vec]:
     """
     a = qmat(m)
     ncols = len(a[0]) if a else 0
-    red, pivots = _rref(a)
+    red, pivots = rref(a)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -115,7 +102,7 @@ def solve(a, b) -> Vec | None:
         raise ValueError("size mismatch")
     ncols = len(am[0]) if am else 0
     aug = [row + [bv[i]] for i, row in enumerate(am)]
-    red, pivots = _rref(aug)
+    red, pivots = rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols

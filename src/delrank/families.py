@@ -15,27 +15,6 @@ from .model import Polytope, from_coords, from_distances
 FAMILY_NAMES = ("simplex", "cross", "halfcube", "cube", "p0")
 
 
-_MIN_SIZE = {"simplex": 1, "cross": 2, "halfcube": 3, "cube": 1}
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
-            raise InputError(f"unknown family {self.family!r}")
-        if self.family == "p0":
-            if self.n is not None:
-                raise InputError("p0 is a single instance, it takes no size")
-            return
-        if self.n is None or self.n < _MIN_SIZE[self.family]:
-            raise InputError(
-                f"{self.family} needs n >= {_MIN_SIZE[self.family]}"
-            )
-
-
 def simplex(n: int) -> Polytope:
     """Origin and the n unit vectors."""
     if n < 1:
@@ -142,15 +121,3 @@ def p0() -> P0Data:
         distances=tuple(tuple(row) for row in d),
         dependency=P0_DEPENDENCY,
     )
-
-
-def build(spec: FamilySpec) -> Polytope:
-    if spec.family == "simplex":
-        return simplex(spec.n)
-    if spec.family == "cross":
-        return cross_polytope(spec.n)
-    if spec.family == "halfcube":
-        return half_cube(spec.n)
-    if spec.family == "cube":
-        return cube(spec.n)
-    return p0().polytope

@@ -35,15 +35,6 @@ class FaceSystem:
     pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
 
-    def dense(self) -> list[list[Fraction]]:
-        out = []
-        for _, row in self.rows:
-            vec = [Fraction(0)] * len(self.pairs)
-            for c, v in row.items():
-                vec[c] = Fraction(v)
-            out.append(vec)
-        return out
-
 
 def eval_hypermetric(dm, b) -> Fraction:
     """sum over unordered pairs of b(u) b(v) d(u, v).  Requires sum(b) = 1."""

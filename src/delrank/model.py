@@ -278,11 +278,13 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
 def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     """Reconstruct (polytope, Gram form) from an exact squared-distance matrix.
 
-    Vertex 0 becomes the origin.  A greedy scan picks the first vertices
-    whose pairwise form is nonsingular; those become unit coordinate
-    vectors and the form restricted to them is the Gram matrix.  Every
-    other vertex is solved for and the full distance matrix is recomputed
-    and compared entry by entry, so the result is exact or an error.
+    Vertex 0 becomes the origin.  One reduced row echelon form of the
+    vertex Gram matrix gives everything: its pivot columns are the first
+    vertices whose pairwise form is nonsingular, which become unit
+    coordinate vectors, the form restricted to them is the Gram matrix, and
+    column k of the reduced rows holds the coordinates of vertex k + 1.
+    The full distance matrix is recomputed and compared entry by entry, so
+    the result is exact or an error.
     """
     d = validate_distance_matrix(dm)
     m = len(d)
@@ -293,37 +295,14 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
         [(d[i][0] + d[j][0] - d[i][j]) / 2 for j in range(1, m)]
         for i in range(1, m)
     ]
-    n = exact.rank(a)
+    red, chosen = exact.rref(a)
+    n = len(chosen)
     if n == 0:
         raise DimensionDeficient("all vertices coincide with vertex 0")
-    chosen: list[int] = []
-    for i in range(m - 1):
-        trial = chosen + [i]
-        sub = [[a[r][c] for c in trial] for r in trial]
-        if exact.rank(sub) == len(trial):
-            chosen = trial
-        if len(chosen) == n:
-            break
-    if len(chosen) < n:
-        raise NotRealizable("no nonsingular coordinate subset found")
     gram = [[a[r][c] for c in chosen] for r in chosen]
     if not exact.is_positive_definite(gram):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
-    coords: list[list[Fraction]] = []
-    unit = {idx: pos for pos, idx in enumerate(chosen)}
-    for i in range(m):
-        if i == 0:
-            coords.append([Fraction(0)] * n)
-            continue
-        k = i - 1
-        if k in unit:
-            coords.append([Fraction(int(unit[k] == j)) for j in range(n)])
-            continue
-        rhs = [a[r][k] for r in chosen]
-        z = exact.solve(gram, rhs)
-        if z is None:
-            raise NotRealizable(f"vertex {i} has no coordinates over the chosen basis")
-        coords.append(z)
+    coords = [[Fraction(0)] * n] + [[red[r][k] for r in range(n)] for k in range(m - 1)]
     try:
         p = from_coords(n, coords)
     except DuplicateVertex as e:

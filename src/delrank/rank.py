@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import exact
 from .deps import dependency_module
-from .errors import DelrankError, NotUnimodular, WrongSize
+from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
 from .model import (
     Polytope,
     affine_basis_indices,
@@ -47,20 +47,6 @@ def _integer_rows(rows) -> list[dict[int, int]]:
         for r in rows
         if any(r)
     ]
-
-
-@dataclass(frozen=True)
-class FullSystem:
-    """Per-vertex sphere equations in form coefficients plus center terms.
-
-    Columns: symmetric form coordinates b_ij followed by n auxiliary
-    center coordinates (the pairings of the center with each basis vector).
-    One row per vertex other than the base vertex.
-    """
-
-    dim: int
-    columns: tuple[object, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
 
 
 def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
@@ -116,43 +102,6 @@ def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:
     return out
 
 
-def full_system(p: Polytope) -> FullSystem:
-    """Sphere equations for all vertices against the base vertex.
-
-    Row for vertex v: sum_{i<=j} z_i z_j b_ij (doubled off diagonal)
-    minus 2 sum_i z_i gamma_i = 0, where z is v relative to the base and
-    gamma_i stands for the pairing of the center with basis vector i.
-    """
-    n = p.dim
-    cols: list[object] = list(sym_columns(n)) + [("c", i) for i in range(n)]
-    base = p.vertices[p.base_index]
-    rows = []
-    for k, v in enumerate(p.vertices):
-        if k == p.base_index:
-            continue
-        z = [a - b for a, b in zip(v, base)]
-        row = []
-        for (i, j) in sym_columns(n):
-            row.append(z[i] * z[j] if i == j else 2 * z[i] * z[j])
-        for i in range(n):
-            row.append(-2 * z[i])
-        rows.append(tuple(row))
-    return FullSystem(dim=n, columns=tuple(cols), rows=tuple(rows))
-
-
-def full_system_form_dimension(p: Polytope) -> int:
-    """Dimension of the form part of the full-system solution space.
-
-    Projects the solution space onto the b coordinates; the auxiliary
-    center coordinates are eliminated.  Always equals rank_of(p).
-    """
-    fs = full_system(p)
-    m = p.dim * (p.dim + 1) // 2
-    vecs = exact.nullspace([list(r) for r in fs.rows])
-    proj = [v[:m] for v in vecs]
-    return exact.rank(proj) if proj else 0
-
-
 def is_extreme(p: Polytope) -> bool:
     """Rank 1: the form is rigid up to scaling."""
     return rank_of(p) == 1
@@ -196,19 +145,6 @@ def nrd(polytopes) -> int:
         raise WrongSize("all polytopes must share the same dimension")
     rows = [r for p in ps for r in bspace_constraints(p).rows]
     return n * (n + 1) // 2 - exact.sparse_rank(_integer_rows(rows))
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Aggregated result of the rank computations on one polytope."""
-
-    rank: int
-    dependency_count: int
-    extreme: bool
-    face_dimension: int | None = None
-    centrally_symmetric: bool | None = None
-    basicity: object | None = None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -300,7 +236,8 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
         return SymmetricReductionReport(
             applicable=False, failed=tuple(failed), details=tuple(details)
         )
-    assert section is not None
+    if section is None:
+        raise InternalError("section missing although hypothesis h2 holds")
     r_full = rank_of(p)
     r_sec = rank_of(section)
     return SymmetricReductionReport(

@@ -1,6 +1,11 @@
-"""Builders shared across test modules."""
+"""Builders and dense oracles shared across test modules."""
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 import delrank as dr
+from delrank import exact
+from delrank.rank import sym_columns
 
 
 def square():
@@ -81,3 +86,69 @@ def gram_corpus():
     data = dr.p0()
     out.append(("p0", data.polytope, [list(r) for r in data.gram]))
     return out
+
+
+def mat_mul(a, b):
+    """Exact matrix product."""
+    bt = exact.transpose(b)
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def dense_face_rows(fs):
+    """The rows of a FaceSystem as dense Fraction vectors over its pairs."""
+    out = []
+    for _, row in fs.rows:
+        vec = [Fraction(0)] * len(fs.pairs)
+        for c, v in row.items():
+            vec[c] = Fraction(v)
+        out.append(vec)
+    return out
+
+
+@dataclass(frozen=True)
+class FullSystem:
+    """Per-vertex sphere equations in form coefficients plus center terms.
+
+    Columns: symmetric form coordinates b_ij followed by n auxiliary
+    center coordinates (the pairings of the center with each basis vector).
+    One row per vertex other than the base vertex.
+    """
+
+    dim: int
+    columns: tuple
+    rows: tuple
+
+
+def full_system(p):
+    """Sphere equations for all vertices against the base vertex.
+
+    Row for vertex v: sum_{i<=j} z_i z_j b_ij (doubled off diagonal)
+    minus 2 sum_i z_i gamma_i = 0, where z is v relative to the base and
+    gamma_i stands for the pairing of the center with basis vector i.
+    A third rank route, independent of the dependency module.
+    """
+    n = p.dim
+    cols = list(sym_columns(n)) + [("c", i) for i in range(n)]
+    base = p.vertices[p.base_index]
+    rows = []
+    for k, v in enumerate(p.vertices):
+        if k == p.base_index:
+            continue
+        z = [a - b for a, b in zip(v, base)]
+        row = [z[i] * z[j] if i == j else 2 * z[i] * z[j] for (i, j) in sym_columns(n)]
+        row += [-2 * z[i] for i in range(n)]
+        rows.append(tuple(row))
+    return FullSystem(dim=n, columns=tuple(cols), rows=tuple(rows))
+
+
+def full_system_form_dimension(p):
+    """Dimension of the form part of the full-system solution space.
+
+    Projects the solution space onto the b coordinates; the auxiliary
+    center coordinates are eliminated.  Always equals rank_of(p).
+    """
+    fs = full_system(p)
+    m = p.dim * (p.dim + 1) // 2
+    vecs = exact.nullspace([list(r) for r in fs.rows])
+    proj = [v[:m] for v in vecs]
+    return exact.rank(proj) if proj else 0

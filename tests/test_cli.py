@@ -9,7 +9,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from delrank import cli
+from delrank import cli, exact
+from delrank.errors import DelrankError, InternalError
 
 
 def run(argv, capsys):
@@ -139,6 +140,16 @@ BAD_FILES = [
     },
     {"dim": 3, "distances": [["0", "1", "1", "2"], ["1", "0", "2", "1"], ["1", "2", "0", "1"], ["2", "1", "1", "0"]]},
     [1, 2, 3],
+    {
+        "dim": 2,
+        "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+        "gram": [["1", "0"], ["0", "-1"]],
+    },
+    {
+        "dim": 2,
+        "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+        "gram": [["0", "0"], ["0", "0"]],
+    },
 ]
 
 
@@ -148,6 +159,17 @@ def test_invalid_files_exit_two(doc, tmp_path, capsys):
     code, out, err = run(["rank", path], capsys)
     assert code == 2
     assert err.startswith("invalid input:")
+
+
+def test_internal_error_exits_four(square_file, capsys, monkeypatch):
+    # a kernel that loses a vector breaks the dependency-count invariant
+    real = exact.integral_kernel
+    monkeypatch.setattr(exact, "integral_kernel", lambda m: real(m)[:-1])
+    code, out, err = run(["deps", square_file], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert not issubclass(InternalError, DelrankError)
 
 
 def test_missing_and_unparsable_files(tmp_path, capsys):

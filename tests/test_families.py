@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 import delrank as dr
+from delrank import cli
 from delrank.errors import InputError
 
 
@@ -57,26 +58,21 @@ def test_cube_matches_square():
     ],
 )
 def test_vertex_counts(family, n, count):
-    p = dr.build(dr.FamilySpec(family, n))
+    p = cli._GENERATORS[family](n)
     assert len(p.vertices) == count
     assert p.dim == n
 
 
-def test_family_spec_validation():
-    with pytest.raises(InputError):
-        dr.FamilySpec("simplex", 0)
-    with pytest.raises(InputError):
-        dr.FamilySpec("cross", 1)
-    with pytest.raises(InputError):
-        dr.FamilySpec("halfcube", 2)
-    with pytest.raises(InputError):
-        dr.FamilySpec("cube", 0)
-    with pytest.raises(InputError):
-        dr.FamilySpec("orthoplex", 3)
-    with pytest.raises(InputError):
-        dr.FamilySpec("p0", 3)
+def test_family_spec_validation(capsys):
+    # sizes below each generator's minimum are usage errors of `delrank family`
+    for name, n in [("simplex", 0), ("cross", 1), ("halfcube", 2), ("cube", 0), ("p0", 3)]:
+        assert cli.main(["family", name, str(n)]) == 1, name
+        assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["family", "orthoplex", "3"])
+    assert exc.value.code == 1
     # p0 takes no size parameter
-    dr.FamilySpec("p0", None)
+    assert cli.main(["family", "p0"]) == 0
 
 
 def test_generator_bounds():
@@ -154,6 +150,7 @@ def test_p0_distance_matrix_blocks():
                 assert d[i][j] == value
 
 
-def test_build_rejects_size_for_p0():
-    with pytest.raises(InputError):
-        dr.build(dr.FamilySpec("p0", 12))
+def test_build_rejects_size_for_p0(capsys):
+    assert cli.main(["family", "p0", "12"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "p0 takes no size argument" in out.err

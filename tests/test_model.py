@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
+from delrank import exact
 from tests.helpers import random_polytope
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
@@ -145,6 +146,70 @@ def test_distance_matrix_translation_invariant(seed):
     a = [rng.randrange(-4, 5) for _ in range(p.dim)]
     q = dr.translate(p, a)
     assert dr.distance_matrix(p, ident) == dr.distance_matrix(q, ident)
+
+
+def greedy_from_distances(dm):
+    """Reconstruction by a greedy scan of principal minors, one solve per vertex.
+
+    The first vertices whose pairwise form is nonsingular become the
+    coordinate basis; every vertex is solved for over it.
+    """
+    d = [[Fraction(x) for x in row] for row in dm]
+    m = len(d)
+    a = [[(d[i][0] + d[j][0] - d[i][j]) / 2 for j in range(1, m)] for i in range(1, m)]
+    n = exact.rank(a)
+    chosen = []
+    for i in range(m - 1):
+        trial = chosen + [i]
+        if exact.rank([[a[r][c] for c in trial] for r in trial]) == len(trial):
+            chosen = trial
+        if len(chosen) == n:
+            break
+    if len(chosen) < n:
+        raise dr.NotRealizable("no nonsingular coordinate subset found")
+    gram = [[a[r][c] for c in chosen] for r in chosen]
+    if not exact.is_positive_definite(gram):
+        raise dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
+    coords = [[Fraction(0)] * n]
+    for k in range(m - 1):
+        z = exact.solve(gram, [a[r][k] for r in chosen])
+        if z is None:
+            raise dr.NotRealizable(f"vertex {k + 1} has no coordinates")
+        coords.append(z)
+    p = dr.from_coords(n, coords)
+    if dr.distance_matrix(p, gram) != d:
+        raise dr.NotRealizable("coordinates do not reproduce the distances")
+    return p, gram
+
+
+def random_form(n, rng):
+    """Positive definite integer form L D L^T with L unit lower triangular."""
+    low = [[int(i == j) if j >= i else rng.randrange(-2, 3) for j in range(n)] for i in range(n)]
+    diag = [rng.randrange(1, 4) for _ in range(n)]
+    return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(0, 10_000))
+def test_from_distances_matches_greedy_minor_scan(seed):
+    rng = random.Random(seed)
+    p = random_polytope(rng, max_dim=4)
+    g = random_form(p.dim, rng)
+    assert dr.is_positive_definite(g)
+    perm = list(range(p.nvertices))
+    rng.shuffle(perm)
+    d0 = dr.distance_matrix(p, g)
+    d = [[d0[i][j] for j in perm] for i in perm]
+    assert dr.from_distances(d) == greedy_from_distances(d)
+    # pull vertices 1 and 2 apart until their 2x2 Gram minor is negative
+    a11, a22 = d[1][0], d[2][0]
+    a12 = (a11 + a22 - d[1][2]) / 2
+    bump = 2 * (abs(a12) + a11 + a22 + 1)
+    d[1][2] += bump
+    d[2][1] += bump
+    with pytest.raises(dr.DelrankError):
+        dr.from_distances(d)
+    with pytest.raises(dr.DelrankError):
+        greedy_from_distances(d)
 
 
 def test_from_distances_then_distance_matrix_roundtrip(p0data):

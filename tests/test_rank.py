@@ -1,5 +1,6 @@
 """Constraint systems on Gram parameters and the rank computation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact
-from tests.helpers import family_corpus, gram_corpus, random_polytope, random_unimodular, reduction_instance
+from delrank import cli, exact
+from tests.helpers import (
+    family_corpus,
+    full_system,
+    full_system_form_dimension,
+    gram_corpus,
+    random_polytope,
+    random_unimodular,
+    reduction_instance,
+)
 
 
 def test_sym_columns_order():
@@ -159,23 +168,23 @@ def test_bspace_basis_satisfies_constraints(square):
 
 
 def test_full_system_square(square):
-    fs = dr.full_system(square)
+    fs = full_system(square)
     assert len(fs.rows) == 3
     assert len(fs.columns) == 5
-    assert dr.full_system_form_dimension(square) == 2
+    assert full_system_form_dimension(square) == 2
 
 
 def test_full_system_simplex():
     # rows only pin the center parameters; all form parameters stay free
     for n in (2, 3):
-        assert dr.full_system_form_dimension(dr.simplex(n)) == n * (n + 1) // 2
+        assert full_system_form_dimension(dr.simplex(n)) == n * (n + 1) // 2
 
 
 def test_full_system_matches_rank_everywhere():
     for name, p in family_corpus():
         if p.nvertices > 16:
             continue
-        assert dr.full_system_form_dimension(p) == dr.rank_of(p), name
+        assert full_system_form_dimension(p) == dr.rank_of(p), name
 
 
 def test_is_extreme():
@@ -237,9 +246,20 @@ def test_nrd(square):
         dr.nrd([square, dr.simplex(3)])
 
 
-def test_rank_report_shape():
-    rr = dr.RankReport(rank=2, dependency_count=1, extreme=False, face_dimension=2)
-    assert rr.rank == 2 and rr.basicity is None and rr.notes == ()
+def test_rank_report_shape(tmp_path, capsys):
+    # the rank fields of a `report` document, for a file with no Gram form
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}))
+    assert cli.main(["report", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {
+        "command", "input", "dim", "nvertices", "rank", "face_dimension", "methods_agree",
+        "extreme", "centrally_symmetric", "dependencies", "basicity", "verify", "warnings",
+    }
+    assert doc["rank"] == 2 and doc["face_dimension"] == 2 and doc["methods_agree"] is True
+    assert doc["extreme"] is False and doc["dependencies"]["count"] == 1
+    assert doc["centrally_symmetric"] is None and doc["verify"] is None
+    assert doc["warnings"] == ["no Gram form in input; sphere checks skipped"]
 
 
 def test_symmetric_reduction_square(square):
