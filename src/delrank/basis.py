@@ -8,7 +8,6 @@ completed search is a certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -31,20 +30,13 @@ class BasicityClass:
     note: str = ""
 
 
-def _affine_coordinates(p: Polytope, subset: list[int]):
-    """Matrix of the affine system for the subset, or None when dependent."""
-    a = [[p.vertices[i][k] for i in subset] for k in range(p.dim)]
-    a.append([Fraction(1)] * len(subset))
-    if exact.rank(a) != p.dim + 1:
-        return None
-    return a
-
-
 def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
     """Whether the subset is an affine basis over the given ring ("Q" or "Z").
 
     Over Z the affine coordinates of every vertex with respect to the
-    subset must be integers.
+    subset must be integers.  One reduced echelon form of the lifted
+    vertices (v, 1) decides both; over Z every other vertex is a
+    right-hand side, reduced to its affine coordinates.
     """
     if ring not in ("Q", "Z"):
         raise ValueError("ring must be 'Q' or 'Z'")
@@ -53,38 +45,42 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
         raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
     if any(not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
-    a = _affine_coordinates(p, idx)
-    if a is None:
+    cols = idx if ring == "Q" else idx + [w for w in range(p.nvertices) if w not in idx]
+    a = [[p.vertices[i][k] for i in cols] for k in range(p.dim)]
+    a.append([Fraction(1)] * len(cols))
+    red, pivots = exact.rref(a)
+    if pivots != list(range(p.dim + 1)):
         return False
-    if ring == "Q":
-        return True
-    chosen = set(idx)
-    for w in range(p.nvertices):
-        if w in chosen:
-            continue
-        rhs = list(p.vertices[w]) + [Fraction(1)]
-        x = exact.solve(a, rhs)
-        if x is None:
-            raise InternalError(f"vertex {w} has no affine coordinates over an affine basis")
-        if any(c.denominator != 1 for c in x):
-            return False
-    return True
+    return all(x.denominator == 1 for row in red for x in row[p.dim + 1:])
 
 
 def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     """Search subsets lexicographically for an integral affine basis.
 
+    Depth first over index prefixes, a prefix whose lifted vertices (v, 1)
+    are dependent is dropped with every subset extending it, so independent
+    subsets come in the order of a plain scan of all subsets.
     The budget counts affinely independent subsets actually tested over Z.
     A completed search with no witness certifies Q_BASIC_ONLY; running out
     of budget leaves the question UNDECIDED.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    n, size = p.nvertices, p.dim + 1
+    lifted = [list(v) + [Fraction(1)] for v in p.vertices]
+
+    def independent(prefix: list[int]):
+        for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
+            sub = prefix + [i]
+            if exact.rank([lifted[j] for j in sub]) < len(sub):
+                continue
+            if len(sub) == size:
+                yield tuple(sub)
+            else:
+                yield from independent(sub)
+
     tested = 0
-    for combo in itertools.combinations(range(p.nvertices), p.dim + 1):
-        a = _affine_coordinates(p, list(combo))
-        if a is None:
-            continue
+    for combo in independent([]):
         if tested == budget:
             return BasicityClass(
                 kind=UNDECIDED,
@@ -119,11 +115,7 @@ def lattice_index(p: Polytope, subset) -> int:
     determinants and is always a positive integer.
     """
     idx = list(subset)
-    if len(idx) != p.dim + 1 or len(set(idx)) != len(idx):
-        raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
-    if any(not 0 <= i < p.nvertices for i in idx):
-        raise WrongSize("subset index out of range")
-    if _affine_coordinates(p, idx) is None:
+    if not is_affine_basis(p, idx):
         raise AffinelyDependent("subset is affinely dependent")
 
     def hnf_det(vectors: list[list[Fraction]]) -> Fraction:

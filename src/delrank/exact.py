@@ -134,14 +134,19 @@ def det(m) -> Fraction:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester test: all leading principal minors strictly positive."""
+    """Sylvester test: the pivots of one elimination without row swaps are
+    the ratios of successive leading minors, so all must be positive."""
     a = qmat(g)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("non-square form")
-    for k in range(1, n + 1):
-        if det([row[:k] for row in a[:k]]) <= 0:
+    for c in range(n):
+        if a[c][c] <= 0:
             return False
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return True
 
 
@@ -253,11 +258,12 @@ def sparse_rank(rows) -> int:
     Fraction-free elimination: each incoming row is reduced against stored
     pivot rows by leftmost column until it dies or yields a new pivot.
     Rows are gcd-normalized after every combination to bound entry growth.
+    Input rows are never modified; one needing no reduction is stored as is.
     """
     pivots: dict[int, dict[int, int]] = {}
     rk = 0
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
+        r = row if all(row.values()) else {c: v for c, v in row.items() if v}
         while r:
             g = 0
             for v in r.values():

@@ -94,10 +94,11 @@ def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
 
 
 def inner(g, u, v) -> Fraction:
-    return sum(
-        (Fraction(gij) * Fraction(ui) * Fraction(vj) for row, ui in zip(g, u) for gij, vj in zip(row, v)),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for row, ui in zip(g, u):
+        if ui:
+            total += ui * sum(gij * vj for gij, vj in zip(row, v) if vj)
+    return total
 
 
 def norm_sq(g, u) -> Fraction:

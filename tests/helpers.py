@@ -1,5 +1,6 @@
 """Builders and dense oracles shared across test modules."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,22 @@ def random_polytope(rng, max_dim=4):
             verts.add(tuple(rng.randrange(-3, 4) for _ in range(n)))
         try:
             return dr.from_coords(n, sorted(verts))
+        except dr.DelrankError:
+            continue
+
+
+def random_half_integer_polytope(rng, max_dim=3):
+    """Random vertex set, some coordinates half-integers, in a random vertex order."""
+    while True:
+        n = rng.randrange(1, max_dim + 1)
+        nv = rng.randrange(n + 1, n + 5)
+        verts = set()
+        while len(verts) < nv:
+            verts.add(tuple(Fraction(rng.randrange(-5, 6), rng.choice((1, 1, 2))) for _ in range(n)))
+        verts = sorted(verts)
+        rng.shuffle(verts)
+        try:
+            return dr.from_coords(n, verts)
         except dr.DelrankError:
             continue
 
@@ -152,3 +169,40 @@ def full_system_form_dimension(p):
     vecs = exact.nullspace([list(r) for r in fs.rows])
     proj = [v[:m] for v in vecs]
     return exact.rank(proj) if proj else 0
+
+
+def sylvester_positive_definite(g):
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(exact.det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+def solve_affine_basis(p, subset, ring="Q"):
+    """Affine-basis test by a rank check and one solve per outside vertex."""
+    idx = list(subset)
+    a = [[p.vertices[i][k] for i in idx] for k in range(p.dim)]
+    a.append([Fraction(1)] * len(idx))
+    if exact.rank(a) != p.dim + 1:
+        return False
+    if ring == "Q":
+        return True
+    for w in range(p.nvertices):
+        if w not in idx:
+            x = exact.solve(a, list(p.vertices[w]) + [Fraction(1)])
+            if any(c.denominator != 1 for c in x):
+                return False
+    return True
+
+
+def scan_basicity(p, budget=2000):
+    """The basicity search as a plain scan of every (dim + 1)-subset in lexicographic order."""
+    tested = 0
+    for combo in itertools.combinations(range(p.nvertices), p.dim + 1):
+        if not solve_affine_basis(p, combo):
+            continue
+        if tested == budget:
+            return dr.BasicityClass(dr.UNDECIDED, None, tested, False,
+                                    "budget exhausted before the subset enumeration finished")
+        tested += 1
+        if solve_affine_basis(p, combo, ring="Z"):
+            return dr.BasicityClass(dr.Z_BASIC, combo, tested, False)
+    return dr.BasicityClass(dr.Q_BASIC_ONLY, None, tested, True, "all affinely independent subsets tested")

@@ -1,8 +1,15 @@
 """Affine bases over Q and Z, basicity search, lattice indices."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import delrank as dr
+from delrank import exact
+from tests.helpers import random_half_integer_polytope, scan_basicity, solve_affine_basis
 
 
 def test_is_affine_basis_square(square):
@@ -89,10 +96,34 @@ def test_lattice_index_errors(square):
 
 
 def test_z_basis_iff_unit_lattice_index_on_small_families():
-    import itertools
-
     for p in (dr.cross_polytope(3), dr.half_cube(3), dr.cube(2)):
         for sub in itertools.combinations(range(p.nvertices), p.dim + 1):
             if not dr.is_affine_basis(p, sub, ring="Q"):
                 continue
             assert dr.is_affine_basis(p, sub, ring="Z") == (dr.lattice_index(p, sub) == 1)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 2000]))
+def test_classify_basicity_matches_combinations_scan(seed, budget):
+    p = random_half_integer_polytope(random.Random(seed))
+    assert dr.classify_basicity(p, budget=budget) == scan_basicity(p, budget=budget)
+
+
+@given(st.integers(0, 10_000))
+def test_is_affine_basis_matches_solve_per_vertex(seed):
+    rng = random.Random(seed)
+    p = random_half_integer_polytope(rng)
+    for sub in itertools.combinations(range(p.nvertices), p.dim + 1):
+        sub = rng.sample(sub, len(sub))
+        for ring in ("Q", "Z"):
+            assert dr.is_affine_basis(p, sub, ring=ring) == solve_affine_basis(p, sub, ring=ring)
+
+
+def test_classify_basicity_prunes_dependent_prefixes(monkeypatch):
+    # the plain scan ranks thousands of dependent 8-subsets of the 64 vertices
+    calls = []
+    rank = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda m: calls.append(len(m)) or rank(m))
+    cls = dr.classify_basicity(dr.half_cube(7))
+    assert (cls.kind, cls.tested) == (dr.Z_BASIC, 1)
+    assert len(calls) <= 64

@@ -289,6 +289,26 @@ def test_report_square(tmp_path, capsys):
     assert doc["warnings"]
 
 
+# sha256 of `delrank report` stdout on `delrank family` files: any change to
+# a report byte, from any layer below the command line, shows up here
+REPORT_DIGESTS = {
+    "simplex4": (["simplex", "4"], [], "f0575ceb630847de3428ea34f4625cda77ac00b02705347ec9388a2492a3a40e"),
+    "cross4": (["cross", "4"], [], "44a2afc99c9085592f448e9095f3946f91ba2ec49e4a801f54111d2f01bbebca"),
+    "halfcube5": (["halfcube", "5"], [], "5a719f2e1b4e92c6c1030dfc9b40344d19064749a424931bcd93465b1ee8a8b2"),
+    "cube4": (["cube", "4"], [], "72847983def72b08a436c08dab8b3ab1b3baa7e7f222d54d82d5c7e4a40d2c61"),
+    "p0": (["p0"], ["--window", "0"], "ba931b96848c36221c716856228beb2385e43456b35a4e1a31088ecf7e93498f"),
+}
+
+
+@pytest.mark.parametrize("family, extra, digest", REPORT_DIGESTS.values(), ids=REPORT_DIGESTS)
+def test_report_stdout_is_pinned(family, extra, digest, tmp_path, capsys):
+    path = str(tmp_path / "input.json")
+    assert cli.main(["family", *family, "--output", path]) == 0
+    code, out, err = run(["report", path, *extra], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_report_without_gram_skips_verify(square_file, capsys):
     code, out, err = run(["report", square_file], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: rank, solve, HNF, integral kernels."""
 
+import copy
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delrank import exact
-from tests.helpers import mat_mul
+from tests.helpers import mat_mul, sylvester_positive_definite
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -56,6 +57,19 @@ def test_is_positive_definite():
     assert not exact.is_positive_definite([[1, 2], [2, 1]])
     assert not exact.is_positive_definite([[0, 0], [0, 1]])
     assert exact.is_positive_definite([[3, 2, -1], [2, 3, -1], [-1, -1, 2]])
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(square_matrices)
+def test_is_positive_definite_matches_leading_minors(m):
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(m, exact.transpose(m))]
+    gram = mat_mul(exact.transpose(m), m)
+    for g in (m, sym, gram):
+        assert exact.is_positive_definite(g) == sylvester_positive_definite(g)
 
 
 @given(int_matrices())
@@ -191,3 +205,11 @@ def test_sparse_rank_matches_dense(m):
         for row in m
     ]
     assert exact.sparse_rank(rows) == exact.rank(m)
+
+
+@given(int_matrices())
+def test_sparse_rank_leaves_rows_unchanged(m):
+    rows = [{j: v for j, v in enumerate(row) if v or j % 2} for row in m]
+    before = copy.deepcopy(rows)
+    exact.sparse_rank(rows)
+    assert rows == before
