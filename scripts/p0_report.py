@@ -49,7 +49,7 @@ def main(argv=None):
         f" (tested {cls.tested} subsets, exhaustive={cls.exhaustive})"
     )
 
-    symmetric, _ = dr.is_centrally_symmetric(p, data.gram)
+    symmetric, _ = dr.is_centrally_symmetric(p)
     print(f"centrally symmetric: {symmetric}")
 
     rep = dr.verify_empty_sphere(p, data.gram, window=args.window)

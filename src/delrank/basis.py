@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import exact
 from .errors import AffinelyDependent, InternalError, WrongSize
-from .model import Polytope
+from .model import Polytope, affine_coordinates
 
 Z_BASIC = "Z_BASIC"
 Q_BASIC_ONLY = "Q_BASIC_ONLY"
@@ -45,13 +44,9 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
         raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
     if any(not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
-    cols = idx if ring == "Q" else idx + [w for w in range(p.nvertices) if w not in idx]
-    a = [[p.vertices[i][k] for i in cols] for k in range(p.dim)]
-    a.append([Fraction(1)] * len(cols))
-    red, pivots = exact.rref(a)
-    if pivots != list(range(p.dim + 1)):
-        return False
-    return all(x.denominator == 1 for row in red for x in row[p.dim + 1:])
+    others = [] if ring == "Q" else [w for w in range(p.nvertices) if w not in idx]
+    coords = affine_coordinates(p, idx, others)
+    return coords is not None and all(x.denominator == 1 for col in coords for x in col)
 
 
 def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
@@ -103,42 +98,21 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     )
 
 
-def _integer_lattice_rows(vectors: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    scale = lcm(*(x.denominator for row in vectors for x in row)) if vectors else 1
-    return [[int(x * scale) for x in row] for row in vectors], scale
-
-
 def lattice_index(p: Polytope, subset) -> int:
     """Index of the subset-difference lattice inside the full difference lattice.
 
-    Both lattices are full rank; the index is the ratio of the Hermite form
-    determinants and is always a positive integer.
+    Both lattices are full rank; the index is the ratio of their covolumes
+    and is always a positive integer.
     """
     idx = list(subset)
     if not is_affine_basis(p, idx):
         raise AffinelyDependent("subset is affinely dependent")
 
-    def hnf_det(vectors: list[list[Fraction]]) -> Fraction:
-        rows, scale = _integer_lattice_rows(vectors)
-        h, _ = exact.hermite_normal_form(rows)
-        d = Fraction(1)
-        for i in range(p.dim):
-            d *= h[i][i]
-        return d / Fraction(scale) ** p.dim
+    def differences(base: int, others) -> list[list[Fraction]]:
+        return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
 
-    base_full = p.vertices[p.base_index]
-    full_vecs = [
-        [x - b for x, b in zip(p.vertices[i], base_full)]
-        for i in range(p.nvertices)
-        if i != p.base_index
-    ]
-    base_sub = p.vertices[idx[0]]
-    sub_vecs = [
-        [x - b for x, b in zip(p.vertices[i], base_sub)] for i in idx[1:]
-    ]
-    d_full = hnf_det(full_vecs)
-    d_sub = hnf_det(sub_vecs)
-    ratio = d_sub / d_full
+    full = exact.covolume(differences(0, range(1, p.nvertices)))
+    ratio = exact.covolume(differences(idx[0], idx[1:])) / full
     if ratio.denominator != 1 or ratio <= 0:
         raise InternalError(f"lattice index {ratio} is not a positive integer")
     return int(ratio)

@@ -203,12 +203,11 @@ def cmd_basicity(args) -> int:
 
 
 def _verify_doc(p: model.Polytope, gram, window: int) -> dict:
-    cd = model.circumcenter(p, gram)
-    symmetric, _ = model.is_centrally_symmetric(p, gram)
     rep = model.verify_empty_sphere(p, gram, window=window)
+    symmetric, _ = model.is_centrally_symmetric(p)
     return {
-        "center": [_rat(x) for x in cd.center],
-        "radius_sq": _rat(cd.radius_sq),
+        "center": [_rat(x) for x in rep.sphere.center],
+        "radius_sq": _rat(rep.sphere.radius_sq),
         "cospherical": True,
         "centrally_symmetric": symmetric,
         "empty_sphere": {

@@ -13,7 +13,7 @@ from math import lcm
 
 from . import exact
 from .errors import InternalError, NotAffineBasis, SumNotZero
-from .model import Polytope
+from .model import Polytope, affine_coordinates
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,12 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
         raise NotAffineBasis(f"expected {p.dim + 1} distinct indices")
     if any(not 0 <= i < p.nvertices for i in basis):
         raise NotAffineBasis("index out of range")
-    # affine system: columns are basis vertices, last row forces sum = 1
-    a = [[p.vertices[i][k] for i in basis] for k in range(p.dim)]
-    a.append([Fraction(1)] * len(basis))
-    if exact.rank(a) != p.dim + 1:
+    others = [w for w in range(p.nvertices) if w not in basis]
+    coords = affine_coordinates(p, basis, others)
+    if coords is None:
         raise NotAffineBasis("indices are not affinely independent")
     out: list[VertexDependency] = []
-    for w in range(p.nvertices):
-        if w in basis:
-            continue
-        rhs = list(p.vertices[w]) + [Fraction(1)]
-        x = exact.solve(a, rhs)
-        if x is None:
-            raise InternalError(f"vertex {w} has no affine coordinates over an affine basis")
+    for w, x in zip(others, coords):
         y = [Fraction(0)] * p.nvertices
         y[w] = Fraction(1)
         for i, c in zip(basis, x):

@@ -211,6 +211,24 @@ def hermite_normal_form(m) -> tuple[IntMat, IntMat]:
     return h, u
 
 
+def covolume(rows) -> Fraction:
+    """Covolume of the lattice the rational rows generate in Q^n, n their length.
+
+    That is |det| of any Z-basis of the lattice, read off the Hermite form
+    of the rows scaled to integers; 0 when the rows do not span Q^n.
+    """
+    m = qmat(rows)
+    n = len(m[0]) if m else 0
+    scale = lcm(*(x.denominator for row in m for x in row))
+    h, _ = hermite_normal_form([[int(x * scale) for x in row] for row in m])
+    d = Fraction(1)
+    for i in range(n):
+        # a full-rank Hermite form has its pivots on the diagonal; otherwise
+        # some h[i][i] is 0 or row i is missing
+        d *= h[i][i] if i < len(h) else 0
+    return d / Fraction(scale) ** n
+
+
 def integral_kernel(m) -> list[IntVec]:
     """Z-basis of the integer kernel {y : m y = 0}, in Hermite-canonical form.
 

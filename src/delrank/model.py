@@ -29,7 +29,6 @@ from .errors import (
 class Polytope:
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
-    base_index: int = 0
 
     @property
     def nvertices(self) -> int:
@@ -49,6 +48,7 @@ class EmptySphereReport:
     points_checked: int
     strict_violations: tuple[tuple[int, ...], ...]
     on_sphere_nonvertices: tuple[tuple[int, ...], ...]
+    sphere: Circumdata
     caveats: tuple[str, ...] = ()
     note: str = "heuristic bounded-window check, not a proof of emptiness"
 
@@ -56,7 +56,7 @@ class EmptySphereReport:
         return not self.strict_violations
 
 
-def from_coords(dim: int, vertices, base_index: int = 0) -> Polytope:
+def from_coords(dim: int, vertices) -> Polytope:
     """Build a validated polytope from coordinate vectors.
 
     Requires at least dim + 1 distinct vertices spanning an affine space of
@@ -73,13 +73,11 @@ def from_coords(dim: int, vertices, base_index: int = 0) -> Polytope:
             if v in seen:
                 raise DuplicateVertex(f"vertex {i} repeats an earlier vertex")
             seen.add(v)
-    if not 0 <= base_index < len(vts):
-        raise ValueError("base_index out of range")
-    base = vts[base_index]
+    base = vts[0]
     diffs = [[x - b for x, b in zip(v, base)] for v in vts]
     if exact.rank(diffs) != dim:
         raise DimensionDeficient("vertices do not affinely span the stated dimension")
-    return Polytope(dim=dim, vertices=vts, base_index=base_index)
+    return Polytope(dim=dim, vertices=vts)
 
 
 def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
@@ -138,15 +136,13 @@ def validate_distance_matrix(dm) -> list[list[Fraction]]:
 def affine_basis_indices(p: Polytope) -> list[int]:
     """First vertex subset of size dim + 1 that is affinely independent.
 
-    Scans vertices in order starting from the base vertex, so the choice is
+    Scans vertices in order starting from vertex 0, so the choice is
     deterministic.
     """
-    base = p.vertices[p.base_index]
-    chosen = [p.base_index]
+    base = p.vertices[0]
+    chosen = [0]
     reduced: list[list[Fraction]] = []
-    for i, v in enumerate(p.vertices):
-        if i == p.base_index:
-            continue
+    for i, v in enumerate(p.vertices[1:], start=1):
         vec = [x - b for x, b in zip(v, base)]
         for row in reduced:
             lead = next(k for k, x in enumerate(row) if x != 0)
@@ -159,6 +155,22 @@ def affine_basis_indices(p: Polytope) -> list[int]:
         if len(chosen) == p.dim + 1:
             return chosen
     raise DimensionDeficient("could not extract an affine basis")
+
+
+def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:
+    """Affine coordinates of each vertex in others over the vertices in basis.
+
+    One reduced echelon form of the lifted vertices (v, 1), basis columns
+    first and the others as right-hand sides.  None when the basis columns
+    are not all pivots, that is when basis is affinely dependent.
+    """
+    cols = basis + others
+    a = [[p.vertices[i][k] for i in cols] for k in range(p.dim)]
+    a.append([Fraction(1)] * len(cols))
+    red, pivots = exact.rref(a)
+    if pivots[: len(basis)] != list(range(len(basis))):
+        return None
+    return [[red[r][c] for r in range(len(basis))] for c in range(len(basis), len(cols))]
 
 
 def circumcenter(p: Polytope, gram) -> Circumdata:
@@ -186,13 +198,18 @@ def circumcenter(p: Polytope, gram) -> Circumdata:
     return Circumdata(center=center, radius_sq=r2)
 
 
-def is_centrally_symmetric(p: Polytope, gram) -> tuple[bool, dict[int, int] | None]:
-    """Whether v -> 2c - v permutes the vertex set; returns the pairing if so."""
-    cd = circumcenter(p, gram)
+def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
+    """Whether v -> 2c - v permutes the vertex set; returns the pairing if so.
+
+    A symmetry of the vertex set fixes their centroid, so c is the centroid.
+    On a cospherical vertex set it is also the circumcenter, because the
+    symmetry maps the unique sphere through the vertices onto itself.
+    """
+    doubled = [2 * sum(xs) / p.nvertices for xs in zip(*p.vertices)]
     index = {v: i for i, v in enumerate(p.vertices)}
     pairing: dict[int, int] = {}
     for i, v in enumerate(p.vertices):
-        mirror = tuple(2 * c - x for c, x in zip(cd.center, v))
+        mirror = tuple(d - x for d, x in zip(doubled, v))
         j = index.get(mirror)
         if j is None:
             return False, None
@@ -203,16 +220,11 @@ def is_centrally_symmetric(p: Polytope, gram) -> tuple[bool, dict[int, int] | No
 def _difference_lattice_caveats(p: Polytope) -> tuple[str, ...]:
     # The box scan walks integer coordinate vectors; flag inputs whose
     # vertex-difference lattice is not exactly the integer coordinate lattice.
-    base = p.vertices[p.base_index]
-    diffs = [[x - b for x, b in zip(v, base)] for i, v in enumerate(p.vertices) if i != p.base_index]
+    base = p.vertices[0]
+    diffs = [[x - b for x, b in zip(v, base)] for v in p.vertices[1:]]
     if any(x.denominator != 1 for row in diffs for x in row):
         return ("vertex differences are not all integral; the integer box scan covers only a sublattice of the vertex lattice",)
-    h, _ = exact.hermite_normal_form(diffs)
-    nz = [row for row in h if any(row)]
-    d = Fraction(1)
-    for i, row in enumerate(nz):
-        d *= row[i] if i < len(row) else 0
-    if len(nz) != p.dim or d != 1:
+    if exact.covolume(diffs) != 1:
         return ("vertex differences generate a proper sublattice of the integer coordinate lattice; the box scan includes points outside it",)
     return ()
 
@@ -272,6 +284,7 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
         points_checked=count,
         strict_violations=tuple(strict),
         on_sphere_nonvertices=tuple(on_sphere),
+        sphere=cd,
         caveats=_difference_lattice_caveats(p),
     )
 

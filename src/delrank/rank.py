@@ -16,13 +16,7 @@ from fractions import Fraction
 from . import exact
 from .deps import dependency_module
 from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
-from .model import (
-    Polytope,
-    affine_basis_indices,
-    circumcenter,
-    from_coords,
-    is_centrally_symmetric,
-)
+from .model import Polytope, circumcenter, from_coords, is_centrally_symmetric
 
 
 def sym_columns(n: int) -> list[tuple[int, int]]:
@@ -118,7 +112,7 @@ def transform_basis(p: Polytope, u) -> Polytope:
     if abs(exact.det(um)) != 1:
         raise NotUnimodular("basis change must have determinant +-1")
     verts = [tuple(sum(um[i][k] * v[k] for k in range(n)) for i in range(n)) for v in p.vertices]
-    return from_coords(n, verts, base_index=p.base_index)
+    return from_coords(n, verts)
 
 
 def translate(p: Polytope, a, reflect: bool = False) -> Polytope:
@@ -128,7 +122,7 @@ def translate(p: Polytope, a, reflect: bool = False) -> Polytope:
     av = [Fraction(x) for x in a]
     sign = -1 if reflect else 1
     verts = [tuple(t + sign * x for t, x in zip(av, v)) for v in p.vertices]
-    return from_coords(p.dim, verts, base_index=p.base_index)
+    return from_coords(p.dim, verts)
 
 
 def nrd(polytopes) -> int:
@@ -193,7 +187,7 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
         if "cs" not in failed:
             failed.append("cs")
         details.append("origin or some unit coordinate vector is not a vertex")
-    symmetric, _ = is_centrally_symmetric(p, gram)
+    symmetric, _ = is_centrally_symmetric(p)
     if not symmetric:
         if "cs" not in failed:
             failed.append("cs")
@@ -201,17 +195,15 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
 
     section_idx = [i for i, v in enumerate(p.vertices) if v[axis] == 0]
     section_pts = [tuple(x for k, x in enumerate(v) if k != axis) for i, v in enumerate(p.vertices) if v[axis] == 0]
-    sub_gram = [[gram[i][j] for j in range(n) if j != axis] for i in range(n) if i != axis]
     section: Polytope | None = None
     try:
         section = from_coords(n - 1, section_pts)
-        affine_basis_indices(section)  # flat sections slip past from_coords
     except DelrankError as e:
         section = None
         failed.append("h2")
         details.append(f"section is not a full-dimensional polytope in the hyperplane: {e}")
     if section is not None:
-        sec_sym, _ = is_centrally_symmetric(section, sub_gram)
+        sec_sym, _ = is_centrally_symmetric(section)
         if sec_sym:
             failed.append("h2")
             details.append("section is centrally symmetric, not asymmetric")

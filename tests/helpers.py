@@ -128,7 +128,7 @@ class FullSystem:
 
     Columns: symmetric form coordinates b_ij followed by n auxiliary
     center coordinates (the pairings of the center with each basis vector).
-    One row per vertex other than the base vertex.
+    One row per vertex other than vertex 0.
     """
 
     dim: int
@@ -137,20 +137,18 @@ class FullSystem:
 
 
 def full_system(p):
-    """Sphere equations for all vertices against the base vertex.
+    """Sphere equations for all vertices against vertex 0.
 
     Row for vertex v: sum_{i<=j} z_i z_j b_ij (doubled off diagonal)
-    minus 2 sum_i z_i gamma_i = 0, where z is v relative to the base and
+    minus 2 sum_i z_i gamma_i = 0, where z is v relative to vertex 0 and
     gamma_i stands for the pairing of the center with basis vector i.
     A third rank route, independent of the dependency module.
     """
     n = p.dim
     cols = list(sym_columns(n)) + [("c", i) for i in range(n)]
-    base = p.vertices[p.base_index]
+    base = p.vertices[0]
     rows = []
-    for k, v in enumerate(p.vertices):
-        if k == p.base_index:
-            continue
+    for v in p.vertices[1:]:
         z = [a - b for a, b in zip(v, base)]
         row = [z[i] * z[j] if i == j else 2 * z[i] * z[j] for (i, j) in sym_columns(n)]
         row += [-2 * z[i] for i in range(n)]
@@ -206,3 +204,36 @@ def scan_basicity(p, budget=2000):
         if solve_affine_basis(p, combo, ring="Z"):
             return dr.BasicityClass(dr.Z_BASIC, combo, tested, False)
     return dr.BasicityClass(dr.Q_BASIC_ONLY, None, tested, True, "all affinely independent subsets tested")
+
+
+def circumcenter_symmetry(p, gram):
+    """Central symmetry as v -> 2c - v permuting the vertices, c the circumcenter under gram."""
+    center = dr.circumcenter(p, gram).center
+    index = {v: i for i, v in enumerate(p.vertices)}
+    pairing = {}
+    for i, v in enumerate(p.vertices):
+        j = index.get(tuple(2 * c - x for c, x in zip(center, v)))
+        if j is None:
+            return False, None
+        pairing[i] = j
+    return True, pairing
+
+
+def solve_basis_dependencies(p, basis):
+    """One dependency per vertex outside the basis, by one solve per vertex."""
+    a = [[p.vertices[i][k] for i in basis] for k in range(p.dim)]
+    a.append([Fraction(1)] * len(basis))
+    out = []
+    for w in range(p.nvertices):
+        if w in basis:
+            continue
+        x = exact.solve(a, list(p.vertices[w]) + [Fraction(1)])
+        y = [Fraction(0)] * p.nvertices
+        y[w] = Fraction(1)
+        for i, c in zip(basis, x):
+            y[i] = -c
+        yi = exact.primitivize(y)
+        if yi[w] < 0:
+            yi = [-c for c in yi]
+        out.append(dr.VertexDependency(w=w, coefficients=tuple(yi)))
+    return out

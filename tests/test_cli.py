@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from delrank import cli, exact
+from delrank import cli, exact, model
 from delrank.errors import DelrankError, InternalError
 
 
@@ -307,6 +307,23 @@ def test_report_stdout_is_pinned(family, extra, digest, tmp_path, capsys):
     code, out, err = run(["report", path, *extra], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_computes_the_circumsphere_once(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "hc4.json")
+    assert run(["family", "halfcube", "4", "--output", target], capsys)[0] == 0
+    calls = []
+    circumcenter = model.circumcenter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return circumcenter(*args, **kwargs)
+
+    monkeypatch.setattr(model, "circumcenter", counted)
+    code, out, err = run(["report", target], capsys)
+    assert code == 0
+    assert json.loads(out)["verify"]["center"] == ["1/2"] * 4
+    assert len(calls) == 1
 
 
 def test_report_without_gram_skips_verify(square_file, capsys):

@@ -1,5 +1,6 @@
 """Integral dependency module and per-vertex dependencies."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import family_corpus, gram_corpus, random_polytope
+from tests.helpers import (
+    family_corpus,
+    gram_corpus,
+    random_half_integer_polytope,
+    random_polytope,
+    solve_affine_basis,
+    solve_basis_dependencies,
+)
 
 
 def test_square_dependency(square):
@@ -101,6 +109,20 @@ def test_basis_dependencies_span_the_module():
         vdeps = [list(d.coefficients) for d in dr.basis_dependencies(p, dr.affine_basis_indices(p))]
         assert len(vdeps) == len(module)
         assert exact.rank(module) == exact.rank(vdeps) == exact.rank(module + vdeps), name
+
+
+@given(st.integers(0, 10_000))
+def test_basis_dependencies_match_solve_per_vertex(seed):
+    rng = random.Random(seed)
+    p = random_half_integer_polytope(rng) if rng.random() < 0.5 else random_polytope(rng, max_dim=3)
+    for subset in itertools.combinations(range(p.nvertices), p.dim + 1):
+        basis = list(subset)
+        rng.shuffle(basis)
+        if solve_affine_basis(p, basis):
+            assert dr.basis_dependencies(p, basis) == solve_basis_dependencies(p, basis)
+        else:
+            with pytest.raises(dr.NotAffineBasis):
+                dr.basis_dependencies(p, basis)
 
 
 def test_check_dist_system_square(square):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delrank import exact
@@ -70,6 +70,31 @@ def test_is_positive_definite_matches_leading_minors(m):
     gram = mat_mul(exact.transpose(m), m)
     for g in (m, sym, gram):
         assert exact.is_positive_definite(g) == sylvester_positive_definite(g)
+
+
+rationals = st.builds(Fraction, ints, st.integers(1, 4))
+rational_square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(rational_square_matrices, st.lists(st.lists(ints, min_size=4, max_size=4), max_size=3))
+def test_covolume_is_abs_det_of_a_basis(m, combos):
+    assume(exact.det(m) != 0)
+    assert exact.covolume(m) == abs(exact.det(m))
+    # integer combinations of the rows leave the lattice unchanged
+    extra = [[sum(c * row[k] for c, row in zip(cs, m)) for k in range(len(m))] for cs in combos]
+    assert exact.covolume(m + extra) == abs(exact.det(m))
+
+
+@given(rational_square_matrices, st.lists(rationals, min_size=4, max_size=4))
+def test_covolume_is_zero_when_rows_do_not_span(m, coeffs):
+    # drop one row and add a rational combination of the rest: rank < n
+    rest = m[:-1]
+    combo = [sum((c * row[k] for c, row in zip(coeffs, rest)), Fraction(0)) for k in range(len(m))]
+    assert exact.covolume(rest + [combo]) == 0
+    if rest:
+        assert exact.covolume(rest) == 0
 
 
 @given(int_matrices())

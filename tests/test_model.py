@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import random_polytope
+from tests.helpers import circumcenter_symmetry, gram_corpus, random_polytope
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
 
@@ -62,12 +62,26 @@ def test_circumcenter_not_cospherical(square):
 
 
 def test_central_symmetry(square):
-    ident = [[1, 0], [0, 1]]
-    sym, pairing = dr.is_centrally_symmetric(square, ident)
+    sym, pairing = dr.is_centrally_symmetric(square)
     assert sym
     assert pairing == {0: 3, 1: 2, 2: 1, 3: 0}
-    sym, pairing = dr.is_centrally_symmetric(dr.simplex(2), ident)
+    sym, pairing = dr.is_centrally_symmetric(dr.simplex(2))
     assert not sym and pairing is None
+
+
+GRAMS = gram_corpus()
+
+
+@given(st.integers(0, 10_000), st.booleans())
+def test_central_symmetry_matches_circumcenter_oracle(seed, reflect):
+    rng = random.Random(seed)
+    _, p, g = rng.choice(GRAMS)
+    order = list(range(p.nvertices))
+    rng.shuffle(order)
+    p = dr.from_coords(p.dim, [p.vertices[i] for i in order])
+    shift = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(p.dim)]
+    p = dr.translate(p, shift, reflect=reflect)
+    assert dr.is_centrally_symmetric(p) == circumcenter_symmetry(p, g)
 
 
 def test_from_distances_square():

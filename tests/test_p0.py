@@ -74,7 +74,7 @@ def test_lattice_index_matches_dependency_weights(data):
 
 
 def test_not_centrally_symmetric(data):
-    flag, pairing = dr.is_centrally_symmetric(data.polytope, data.gram)
+    flag, pairing = dr.is_centrally_symmetric(data.polytope)
     assert not flag
     assert pairing is None
 
