@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import AffinelyDependent, InternalError, WrongSize
-from .model import Polytope, affine_coordinates
+from .model import Polytope, affine_coordinates, differences
 
 Z_BASIC = "Z_BASIC"
 Q_BASIC_ONLY = "Q_BASIC_ONLY"
@@ -108,11 +108,8 @@ def lattice_index(p: Polytope, subset) -> int:
     if not is_affine_basis(p, idx):
         raise AffinelyDependent("subset is affinely dependent")
 
-    def differences(base: int, others) -> list[list[Fraction]]:
-        return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
-
-    full = exact.covolume(differences(0, range(1, p.nvertices)))
-    ratio = exact.covolume(differences(idx[0], idx[1:])) / full
+    full = exact.covolume(differences(p, 0, range(1, p.nvertices)))
+    ratio = exact.covolume(differences(p, idx[0], idx[1:])) / full
     if ratio.denominator != 1 or ratio <= 0:
         raise InternalError(f"lattice index {ratio} is not a positive integer")
     return int(ratio)

@@ -133,6 +133,11 @@ def validate_distance_matrix(dm) -> list[list[Fraction]]:
     return d
 
 
+def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
+    """Vectors from vertex base to each vertex in others."""
+    return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
+
+
 def affine_basis_indices(p: Polytope) -> list[int]:
     """First vertex subset of size dim + 1 that is affinely independent.
 
@@ -182,7 +187,7 @@ def circumcenter(p: Polytope, gram) -> Circumdata:
     g = _validate_gram_shape(p, gram)
     basis = affine_basis_indices(p)
     v0 = p.vertices[basis[0]]
-    us = [[x - b for x, b in zip(p.vertices[i], v0)] for i in basis[1:]]
+    us = differences(p, basis[0], basis[1:])
     # rows: 2 u_i^T G x = u_i^T G u_i, unknown x = center - v0
     a = [[2 * sum(u[k] * g[k][j] for k in range(p.dim)) for j in range(p.dim)] for u in us]
     b = [norm_sq(g, u) for u in us]
@@ -220,8 +225,7 @@ def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
 def _difference_lattice_caveats(p: Polytope) -> tuple[str, ...]:
     # The box scan walks integer coordinate vectors; flag inputs whose
     # vertex-difference lattice is not exactly the integer coordinate lattice.
-    base = p.vertices[0]
-    diffs = [[x - b for x, b in zip(v, base)] for v in p.vertices[1:]]
+    diffs = differences(p, 0, range(1, p.nvertices))
     if any(x.denominator != 1 for row in diffs for x in row):
         return ("vertex differences are not all integral; the integer box scan covers only a sublattice of the vertex lattice",)
     if exact.covolume(diffs) != 1:

@@ -159,7 +159,9 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
     the rank of the whole is at most the rank of the section, provided the
     mirrored section and the unit vector along the dropped axis leave room
     for an escape vertex.  The report records which hypotheses fail; when
-    all hold, both ranks are computed and compared.
+    all hold, both ranks are computed and compared.  The Gram form serves
+    only to check that the vertices are cospherical (NotCospherical if not);
+    the center of symmetry comes from the vertex pairing.
 
     Hypothesis codes:
       cs   polytope centrally symmetric with integral vertex coordinates,
@@ -175,7 +177,7 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
     failed: list[str] = []
     details: list[str] = []
 
-    cd = circumcenter(p, gram)
+    circumcenter(p, gram)  # raises NotCospherical on bad input
     vset = set(p.vertices)
     zero = tuple(Fraction(0) for _ in range(n))
     units = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
@@ -187,7 +189,7 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
         if "cs" not in failed:
             failed.append("cs")
         details.append("origin or some unit coordinate vector is not a vertex")
-    symmetric, _ = is_centrally_symmetric(p)
+    symmetric, pairing = is_centrally_symmetric(p)
     if not symmetric:
         if "cs" not in failed:
             failed.append("cs")
@@ -208,9 +210,9 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
             failed.append("h2")
             details.append("section is centrally symmetric, not asymmetric")
 
-    doubled = tuple(2 * c for c in cd.center)
-    z_axis = doubled[axis]
     if symmetric:
+        doubled = tuple(x + y for x, y in zip(p.vertices[0], p.vertices[pairing[0]]))
+        z_axis = doubled[axis]
         section_set = {p.vertices[i] for i in section_idx}
         mirror_set = {tuple(d - x for d, x in zip(doubled, v)) for v in section_set}
         unit_axis = units[axis]

@@ -269,6 +269,14 @@ def test_symmetric_reduction_square(square):
     assert rep.rank_full is None and rep.inequality_holds is None
 
 
+def test_symmetric_reduction_center_ignores_a_singular_form(square):
+    # the square is cospherical under [[1, 0], [0, 0]] too, about (1/2, 0);
+    # the mirror must still be taken about the center of symmetry (1/2, 1/2)
+    rep = dr.check_symmetric_reduction(square, [[1, 0], [0, 0]])
+    assert rep == dr.check_symmetric_reduction(square, [[1, 0], [0, 1]])
+    assert "h3" in rep.failed
+
+
 def test_symmetric_reduction_simplex():
     rep = dr.check_symmetric_reduction(dr.simplex(2), [[1, 0], [0, 1]])
     assert not rep.applicable
