@@ -259,7 +259,6 @@ def cmd_report(args) -> int:
         raise UsageError("budget must be >= 1")
     loaded = load_polytope_file(args.file)
     p = loaded.polytope
-    dep = deps.dependency_module(p)
     cls = basis.classify_basicity(p, budget=args.budget)
     verify = symmetric = None
     warnings = ["no Gram form in input; sphere checks skipped"]
@@ -268,7 +267,8 @@ def cmd_report(args) -> int:
         symmetric = verify.pop("centrally_symmetric")
         warnings = ["empty-sphere check is a bounded-window heuristic, not a proof"]
     rk = rank.rank_of(p)
-    fd = hyp.face_dimension(p)
+    faces = hyp.face_system(p)
+    fd = faces.dimension()
     doc = {
         "command": "report",
         "input": loaded.digest,
@@ -280,8 +280,8 @@ def cmd_report(args) -> int:
         "extreme": rk == 1,
         "centrally_symmetric": symmetric,
         "dependencies": {
-            "count": len(dep),
-            "vectors": [[str(x) for x in v] for v in dep],
+            "count": len(faces.dependencies),
+            "vectors": [[str(x) for x in v] for v in faces.dependencies],
         },
         "basicity": _basicity_doc(cls),
         "verify": verify,

@@ -70,14 +70,11 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
         raise NotAffineBasis("indices are not affinely independent")
     out: list[VertexDependency] = []
     for w, x in zip(others, coords):
-        y = [Fraction(0)] * p.nvertices
-        y[w] = Fraction(1)
-        for i, c in zip(basis, x):
-            y[i] = -c
-        yi = exact.primitivize(y)
-        if yi[w] < 0:
-            yi = [-c for c in yi]
-        out.append(VertexDependency(w=w, coefficients=tuple(yi)))
+        # primitivize the support only; its first entry, at w, stays positive
+        y = [0] * p.nvertices
+        for i, c in zip([w, *basis], exact.primitivize([1, *(-c for c in x)])):
+            y[i] = c
+        out.append(VertexDependency(w=w, coefficients=tuple(y)))
     return out
 
 

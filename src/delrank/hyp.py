@@ -4,8 +4,9 @@ The central object is the linear system S(P) on unordered vertex pairs:
 for every dependency y and every probe vertex u it contains the equation
 sum_v y(v) d(u, v) = 0.  The dimension of its solution space is a second,
 independent route to the rank of the polytope.  face_system builds that one
-row system from the canonical dependency basis, for every vertex count, and
-exact.sparse_rank takes its rank by fraction-free integer elimination.
+row system from the Hermite-form dependency module, which rank_of does not
+use, and keeps the module; exact.sparse_rank takes its rank by
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .deps import dependency_module
+from .deps import DependencyBasis, dependency_module
 from .errors import SumNotOne
 from .model import Polytope, circumcenter, distance_matrix, from_coords
 
@@ -28,12 +29,24 @@ class FaceSystem:
     """Sparse equation system on unordered vertex pairs.
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
-    Pair indices follow vertex_pairs order.
+    Pair indices follow vertex_pairs order; dependency indices point into
+    dependencies, the module the rows were built from.
     """
 
     nvertices: int
     pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
+    dependencies: DependencyBasis
+
+    def dimension(self) -> int:
+        """Dimension of the solution space of the pair system S(P).
+
+        Equals nvertices*(nvertices-1)/2 minus the exact.sparse_rank of the
+        rows.  For a simplex the system is empty and the value is
+        dim*(dim+1)/2.
+        """
+        nv = self.nvertices
+        return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in self.rows])
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -111,19 +124,12 @@ def face_system(p: Polytope) -> FaceSystem:
                 if c and v != u:
                     row[pidx[(u, v) if u < v else (v, u)]] = c
             rows.append(((yi, u), row))
-    return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows))
+    return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=basis)
 
 
 def face_dimension(p: Polytope) -> int:
-    """Dimension of the solution space of the pair system S(P).
-
-    Equals nvertices*(nvertices-1)/2 minus the exact.sparse_rank of the
-    face_system rows.  For a simplex the system is empty and the value is
-    dim*(dim+1)/2.
-    """
-    nv = p.nvertices
-    rows = [row for _, row in face_system(p).rows]
-    return nv * (nv - 1) // 2 - exact.sparse_rank(rows)
+    """Dimension of the solution space of the pair system S(P); see FaceSystem.dimension."""
+    return face_system(p).dimension()
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

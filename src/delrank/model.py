@@ -88,6 +88,8 @@ def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise ValueError("Gram form must be symmetric")
+    if not exact.is_positive_definite(g):
+        raise NotPositiveDefinite("Gram form must be positive definite")
     return g
 
 
@@ -148,6 +150,8 @@ def affine_basis_indices(p: Polytope) -> list[int]:
     chosen = [0]
     reduced: list[list[Fraction]] = []
     for i, v in enumerate(p.vertices[1:], start=1):
+        if len(chosen) == p.dim + 1:
+            break
         vec = [x - b for x, b in zip(v, base)]
         for row in reduced:
             lead = next(k for k, x in enumerate(row) if x != 0)
@@ -157,9 +161,9 @@ def affine_basis_indices(p: Polytope) -> list[int]:
         if any(x != 0 for x in vec):
             reduced.append(vec)
             chosen.append(i)
-        if len(chosen) == p.dim + 1:
-            return chosen
-    raise DimensionDeficient("could not extract an affine basis")
+    if len(chosen) != p.dim + 1:
+        raise DimensionDeficient("could not extract an affine basis")
+    return chosen
 
 
 def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:
@@ -244,8 +248,8 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    g = _validate_gram_shape(p, gram)
-    cd = circumcenter(p, gram)
+    cd = circumcenter(p, gram)  # validates the form
+    g = exact.qmat(gram)
     n = p.dim
     los = []
     his = []

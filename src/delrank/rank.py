@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .deps import dependency_module
+# dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
+from .deps import basis_dependencies, dependency_module  # noqa: F401
 from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
-from .model import Polytope, circumcenter, from_coords, is_centrally_symmetric
+from .model import Polytope, affine_basis_indices, circumcenter, from_coords, is_centrally_symmetric
 
 
 def sym_columns(n: int) -> list[tuple[int, int]]:
@@ -48,11 +49,12 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
 
     Off-diagonal columns carry the doubled coefficient, so a row dotted
     with upper-triangle coordinates equals the full symmetric contraction.
-    By default the canonical dependency basis is used; any iterable of
+    By default the paper's dependencies are used, one per vertex outside the
+    first affine basis (deps.basis_dependencies); any iterable of
     coefficient vectors can be supplied instead.
     """
     if dependencies is None:
-        dependencies = dependency_module(p).vectors
+        dependencies = [d.coefficients for d in basis_dependencies(p, affine_basis_indices(p))]
     cols = sym_columns(p.dim)
     rows = []
     for y in dependencies:

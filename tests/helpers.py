@@ -1,6 +1,7 @@
 """Builders and dense oracles shared across test modules."""
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,3 +238,35 @@ def solve_basis_dependencies(p, basis):
             yi = [-c for c in yi]
         out.append(dr.VertexDependency(w=w, coefficients=tuple(yi)))
     return out
+
+
+def module_form_space(p):
+    """Rank and compatible-form basis from the Hermite dependency module, as rank_of computed them before the basis route."""
+    system = dr.bspace_constraints(p, dr.dependency_module(p).vectors)
+    m = len(system.columns)
+    rows = [list(r) for r in system.rows]
+    vecs = exact.nullspace(rows) if rows else [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
+    basis = []
+    for vec in vecs:
+        b = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+        for (i, j), val in zip(system.columns, vec):
+            b[i][j] = b[j][i] = val
+        basis.append(b)
+    return len(vecs), basis
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, through any delrank module that imported it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "delrank" or key.startswith("delrank."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -9,8 +9,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from delrank import cli, exact, model
+from delrank import cli, deps, exact, model
 from delrank.errors import DelrankError, InternalError
+from tests.helpers import count_calls
 
 
 def run(argv, capsys):
@@ -323,6 +324,16 @@ def test_report_computes_the_circumsphere_once(tmp_path, capsys, monkeypatch):
     code, out, err = run(["report", target], capsys)
     assert code == 0
     assert json.loads(out)["verify"]["center"] == ["1/2"] * 4
+    assert len(calls) == 1
+
+
+def test_report_builds_the_dependency_module_once(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "hc4.json")
+    assert run(["family", "halfcube", "4", "--output", target], capsys)[0] == 0
+    calls = count_calls(monkeypatch, deps, "dependency_module")
+    code, out, err = run(["report", target], capsys)
+    assert code == 0
+    assert json.loads(out)["dependencies"]["count"] == 8 - 4 - 1
     assert len(calls) == 1
 
 

@@ -47,7 +47,7 @@ def test_check_lemma_hy_square(square):
     assert r.equality_holds and r.point_is_vertex and r.consistent
     assert "bounded-window" in r.caveat
     with pytest.raises(dr.NotCospherical):
-        dr.check_lemma_hy(square, [[1, 1], [1, 1]], [1, 0, 0, 0])
+        dr.check_lemma_hy(square, [[2, 1], [1, 2]], [1, 0, 0, 0])
 
 
 def test_face_system_square(square):
@@ -61,6 +61,14 @@ def test_face_system_square(square):
     (yi, u), row = fs.rows[0]
     assert (yi, u) == (0, 0)
     assert row == {0: -1, 1: -1, 2: 1}
+
+
+def test_face_system_records_its_module_and_dimension(square):
+    for p in (square, dr.simplex(3), dr.half_cube(4), dr.from_coords(0, [()])):
+        fs = dr.face_system(p)
+        assert fs.dependencies == dr.dependency_module(p)
+        assert {yi for (yi, _), _ in fs.rows} == set(range(len(fs.dependencies)))
+        assert fs.dimension() == dr.face_dimension(p)
 
 
 def test_face_dimension_known_values(square):

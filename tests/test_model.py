@@ -56,9 +56,32 @@ def test_circumcenter_square(square):
 
 def test_circumcenter_not_cospherical(square):
     with pytest.raises(dr.NotCospherical):
-        dr.circumcenter(square, [[1, 1], [1, 1]])
+        dr.circumcenter(square, [[3, -1], [-1, 1]])
     with pytest.raises(dr.NotCospherical):
         dr.circumcenter(square, [[2, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("gram", [[[1, 0], [0, 0]], [[1, 0], [0, -1]], [[1, 1], [1, 1]]])
+def test_forms_that_are_not_positive_definite_are_rejected(square, gram):
+    # under [[1, 0], [0, 0]] the square would be cospherical about (1/2, 0)
+    for check in (
+        lambda: dr.circumcenter(square, gram),
+        lambda: dr.distance_matrix(square, gram),
+        lambda: dr.verify_empty_sphere(square, gram),
+        lambda: dr.check_lemma_hy(square, gram, [1, 0, 0, 0]),
+        lambda: dr.check_symmetric_reduction(square, gram),
+    ):
+        with pytest.raises(dr.NotPositiveDefinite):
+            check()
+
+
+def test_zero_dimensional_polytope():
+    point = dr.from_coords(0, [()])
+    assert dr.affine_basis_indices(point) == [0]
+    assert dr.rank_of(point) == 0
+    assert dr.bspace_basis(point) == []
+    assert dr.nrd([point]) == 0
+    assert dr.circumcenter(point, []) == dr.Circumdata(center=(), radius_sq=Fraction(0))
 
 
 def test_central_symmetry(square):

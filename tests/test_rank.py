@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import delrank as dr
 from delrank import cli, exact
 from tests.helpers import (
+    count_calls,
     family_corpus,
     full_system,
     full_system_form_dimension,
     gram_corpus,
+    module_form_space,
     random_polytope,
     random_unimodular,
     reduction_instance,
@@ -122,13 +124,36 @@ def test_rank_agrees_between_dependency_families():
     for name, p in family_corpus():
         if p.nvertices > 24:
             continue
-        basis = dr.affine_basis_indices(p)
-        vdeps = [d.coefficients for d in dr.basis_dependencies(p, basis)]
+        module = dr.dependency_module(p).vectors
         n = p.dim
         assert (
-            n * (n + 1) // 2 - dr.bspace_constraints(p, dependencies=vdeps).rank()
+            n * (n + 1) // 2 - dr.bspace_constraints(p, dependencies=module).rank()
             == dr.rank_of(p)
         ), name
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000))
+def test_basis_route_matches_the_hermite_module(seed):
+    rng = random.Random(seed)
+    p = random_polytope(rng, max_dim=4)
+    scales = [Fraction(1, rng.choice((2, 3, 5))) for _ in range(p.dim)]
+    verts = list(_axis_scaled(p, scales).vertices)
+    rng.shuffle(verts)
+    for q in (p, dr.from_coords(p.dim, verts)):
+        rank, basis = module_form_space(q)
+        assert dr.rank_of(q) == rank
+        assert dr.bspace_basis(q) == basis
+        assert dr.nrd([q]) == rank
+
+
+def test_rank_of_builds_no_hermite_form(monkeypatch, p0data):
+    calls = count_calls(monkeypatch, exact, "hermite_normal_form")
+    for p in (dr.half_cube(5), dr.cube(3), p0data.polytope):
+        dr.rank_of(p)
+        dr.bspace_basis(p)
+        dr.nrd([p, p])
+    assert calls == []
 
 
 def test_bspace_basis_square(square):
@@ -271,10 +296,9 @@ def test_symmetric_reduction_square(square):
 
 def test_symmetric_reduction_center_ignores_a_singular_form(square):
     # the square is cospherical under [[1, 0], [0, 0]] too, about (1/2, 0);
-    # the mirror must still be taken about the center of symmetry (1/2, 1/2)
-    rep = dr.check_symmetric_reduction(square, [[1, 0], [0, 0]])
-    assert rep == dr.check_symmetric_reduction(square, [[1, 0], [0, 1]])
-    assert "h3" in rep.failed
+    # such a form is refused before any center is taken
+    with pytest.raises(dr.NotPositiveDefinite):
+        dr.check_symmetric_reduction(square, [[1, 0], [0, 0]])
 
 
 def test_symmetric_reduction_simplex():
