@@ -313,14 +313,7 @@ def test_report_stdout_is_pinned(family, extra, digest, tmp_path, capsys):
 def test_report_computes_the_circumsphere_once(tmp_path, capsys, monkeypatch):
     target = str(tmp_path / "hc4.json")
     assert run(["family", "halfcube", "4", "--output", target], capsys)[0] == 0
-    calls = []
-    circumcenter = model.circumcenter
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return circumcenter(*args, **kwargs)
-
-    monkeypatch.setattr(model, "circumcenter", counted)
+    calls = count_calls(monkeypatch, model, "circumcenter")
     code, out, err = run(["report", target], capsys)
     assert code == 0
     assert json.loads(out)["verify"]["center"] == ["1/2"] * 4
