@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import basis, deps, exact, families, hyp, model, rank
 from .errors import DelrankError, InputError, InternalError, NotCospherical, NotPositiveDefinite
 
-_RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 class UsageError(Exception):
@@ -41,9 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rational(value) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL.match(value):
+    match = _RATIONAL.match(value) if isinstance(value, str) else None
+    if match is None:
         raise InputError(f"not a rational string: {value!r}")
-    return Fraction(value)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def _rat(x) -> str:

@@ -26,10 +26,6 @@ def qmat(rows) -> Mat:
     return m
 
 
-def qvec(entries) -> Vec:
-    return [Fraction(x) for x in entries]
-
-
 def int_identity(n: int) -> IntMat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -38,38 +34,70 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
+def _scaled_row(row) -> IntVec:
+    """The row times the lcm of its denominators: an integer row with the same RREF."""
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    s = lcm(*(x.denominator for x in q))
+    return [x.numerator * (s // x.denominator) for x in q]
 
-    Pivot is the first nonzero entry scanning down each column, so the
-    result is canonical for a given row ordering.
+
+def _combine(pv: int, f: int, u: IntVec, v: IntVec) -> IntVec:
+    """pv * u - f * v divided by its content."""
+    row = [pv * x - f * y for x, y in zip(u, v)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(m, jordan: bool) -> tuple[IntMat, list[int]]:
+    """Fraction-free elimination of the row-scaled matrix; returns (rows, pivot columns).
+
+    Each pivot is the first nonzero entry scanning down its column.  Row i
+    becomes pv * row_i - f * row_r divided by its content, a nonzero
+    multiple of the rational Gauss step, so zero patterns, swaps and
+    pivots match it.  With jordan the rows above each pivot are cleared
+    too, so the pivot rows divided by their pivots are the RREF; without
+    it only the rows below are, which is enough for the pivot columns.
     """
-    a = [[Fraction(x) for x in row] for row in m]
+    a = [_scaled_row(row) for row in m]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                row_r = a[r]
-                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
+        row_r = a[r]
+        pv = row_r[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = _combine(pv, f, a[i], row_r)
         pivots.append(c)
         r += 1
     return a, pivots
 
 
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    Pivot is the first nonzero entry scanning down each column, so the
+    result is canonical for a given row ordering.  The elimination runs in
+    integers; only the result is made of fractions.
+    """
+    a, pivots = _eliminate(m, jordan=True)
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    red += [[Fraction(0)] * len(row) for row in a[len(pivots):]]
+    return red, pivots
+
+
 def rank(m) -> int:
-    return len(rref(qmat(m))[1])
+    return len(_eliminate(m, jordan=False)[1])
 
 
 def nullspace(m) -> list[Vec]:
@@ -78,9 +106,8 @@ def nullspace(m) -> list[Vec]:
     Each basis vector has entry 1 at its free column and zeros at the other
     free columns, so the output is canonical.
     """
-    a = qmat(m)
-    ncols = len(a[0]) if a else 0
-    red, pivots = rref(a)
+    red, pivots = rref(m)
+    ncols = len(red[0]) if red else 0
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -96,13 +123,11 @@ def nullspace(m) -> list[Vec]:
 
 def solve(a, b) -> Vec | None:
     """One exact solution of a x = b with free variables set to 0, or None."""
-    am = qmat(a)
-    bv = qvec(b)
-    if len(am) != len(bv):
+    bv = list(b)
+    if len(a) != len(bv):
         raise ValueError("size mismatch")
-    ncols = len(am[0]) if am else 0
-    aug = [row + [bv[i]] for i, row in enumerate(am)]
-    red, pivots = rref(aug)
+    ncols = len(a[0]) if a else 0
+    red, pivots = rref([[*row, x] for row, x in zip(a, bv)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -134,19 +159,24 @@ def det(m) -> Fraction:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester test: the pivots of one elimination without row swaps are
-    the ratios of successive leading minors, so all must be positive."""
-    a = qmat(g)
+    """Sylvester test: one fraction-free elimination without row swaps.
+
+    Rows are scaled to integers by positive factors and combined as
+    pv * row_i - f * row_c with pv > 0, so each pivot keeps the sign of
+    the ratio of successive leading minors, and all must be positive.
+    """
+    a = [_scaled_row(row) for row in g]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("non-square form")
     for c in range(n):
-        if a[c][c] <= 0:
+        pv = a[c][c]
+        if pv <= 0:
             return False
         for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
+            f = a[i][c]
             if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+                a[i] = _combine(pv, f, a[i], a[c])
     return True
 
 

@@ -106,14 +106,24 @@ def norm_sq(g, u) -> Fraction:
 
 
 def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
-    """Squared-distance matrix of the vertex set under the Gram form."""
+    """Squared-distance matrix of the vertex set under the Gram form.
+
+    Runs in integers: with W = s G and X = k V integral, entry (i, j) is
+    (n_i + n_j - 2 <x_i, W x_j>) / (s k^2), where n_i = <x_i, W x_i>.
+    """
     g = _validate_gram_shape(p, gram)
+    s = lcm(*(x.denominator for row in g for x in row))
+    w = [[x.numerator * (s // x.denominator) for x in row] for row in g]
+    k = lcm(*(x.denominator for v in p.vertices for x in v))
+    xs = [[x.numerator * (k // x.denominator) for x in v] for v in p.vertices]
+    ys = [[sum(a * b for a, b in zip(row, x)) for row in w] for x in xs]
+    norms = [sum(a * b for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+    scale = s * k * k
     n = p.nvertices
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diff = [a - b for a, b in zip(p.vertices[i], p.vertices[j])]
-            val = norm_sq(g, diff)
+            val = Fraction(norms[i] + norms[j] - 2 * sum(a * b for a, b in zip(xs[i], ys[j])), scale)
             d[i][j] = val
             d[j][i] = val
     return d
@@ -312,16 +322,16 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     m = len(d)
     if m < 2:
         raise TooFewVertices("need at least 2 vertices")
-    # a[i][j] = <v_i - v_0, v_j - v_0> recovered from distances
-    a = [
-        [(d[i][0] + d[j][0] - d[i][j]) / 2 for j in range(1, m)]
-        for i in range(1, m)
-    ]
+    # e = t d in integers; a[i][j] = 2 t <v_i - v_0, v_j - v_0>, whose RREF
+    # is that of the vertex Gram matrix
+    t = lcm(*(x.denominator for row in d for x in row))
+    e = [[x.numerator * (t // x.denominator) for x in row] for row in d]
+    a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
     red, chosen = exact.rref(a)
     n = len(chosen)
     if n == 0:
         raise DimensionDeficient("all vertices coincide with vertex 0")
-    gram = [[a[r][c] for c in chosen] for r in chosen]
+    gram = [[Fraction(a[r][c], 2 * t) for c in chosen] for r in chosen]
     if not exact.is_positive_definite(gram):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
     coords = [[Fraction(0)] * n] + [[red[r][k] for r in range(n)] for k in range(m - 1)]

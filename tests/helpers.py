@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import delrank as dr
-from delrank import exact
+from delrank import exact, model
 from delrank.rank import sym_columns
 
 
@@ -106,6 +106,31 @@ def gram_corpus():
     return out
 
 
+def fraction_rref(m):
+    """Gauss-Jordan in Fractions, pivot the first nonzero scanning down each column; returns (R, pivots)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
 def mat_mul(a, b):
     """Exact matrix product."""
     bt = exact.transpose(b)
@@ -168,6 +193,14 @@ def full_system_form_dimension(p):
     vecs = exact.nullspace([list(r) for r in fs.rows])
     proj = [v[:m] for v in vecs]
     return exact.rank(proj) if proj else 0
+
+
+def fraction_distance_matrix(p, gram):
+    """Squared distances as one Fraction inner product per vertex pair."""
+    g = exact.qmat(gram)
+    n = p.nvertices
+    diffs = [[[a - b for a, b in zip(u, v)] for v in p.vertices] for u in p.vertices]
+    return [[model.inner(g, diffs[i][j], diffs[i][j]) for j in range(n)] for i in range(n)]
 
 
 def sylvester_positive_definite(g):

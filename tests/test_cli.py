@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -9,9 +10,10 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+import delrank as dr
 from delrank import cli, deps, exact, model
 from delrank.errors import DelrankError, InternalError
-from tests.helpers import count_calls
+from tests.helpers import count_calls, fraction_distance_matrix
 
 
 def run(argv, capsys):
@@ -306,6 +308,50 @@ def test_report_stdout_is_pinned(family, extra, digest, tmp_path, capsys):
     path = str(tmp_path / "input.json")
     assert cli.main(["family", *family, "--output", path]) == 0
     code, out, err = run(["report", path, *extra], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _distance_instance(name):
+    if name == "p0":
+        return 12, dr.p0_distance_matrix()
+    build, family, n = {
+        "halfcube6": (dr.half_cube, "halfcube", 6),
+        "cube5": (dr.cube, "cube", 5),
+        "cross8": (dr.cross_polytope, "cross", 8),
+    }[name]
+    return n, fraction_distance_matrix(build(n), dr.canonical_gram(family, n))
+
+
+def shuffled_distance_doc(name):
+    dim, dm = _distance_instance(name)
+    order = list(range(len(dm)))
+    random.Random(0).shuffle(order)
+    return {"dim": dim, "distances": [[cli._rat(dm[i][j]) for j in order] for i in order]}
+
+
+# sha256 of stdout on distance files with the vertices in one fixed shuffled order
+DISTANCE_DIGESTS = {
+    ("halfcube6", "rank"): "e8baad219b4ac5eb421c1e09402f086497e5c532bb13f72c71bdd91f5aebb57d",
+    ("halfcube6", "basicity"): "a253ddde2286aa320bcad55d00a353083ce420afd497fe8ff459fd33084382f9",
+    ("cube5", "rank"): "4d0a0994ab8773e6f14971f4e90896d7b0c83d3e64151f648fcb5c0d81265c13",
+    ("cube5", "basicity"): "c75ebe709b65dcdd40f61d6544e88ee6a5c969ce8298e69a40e0959424f49e14",
+    ("cross8", "rank"): "d8d739527db6528f861ecef3c6375576126ea7943356fe16dc7eb18037050c63",
+    ("cross8", "basicity"): "a6211e2e3359f6a21f186c86afe2f8fdb429f583fd1b992c7a3cfefb49e23d2e",
+    ("p0", "rank"): "7b5a5578863c9121cb1b2555733aced93ec5607a4caf049d65144336c3f1d7ab",
+    ("p0", "basicity"): "33131720fcad8e66d98430da5f53b01864e174079bcce4ee486230da4d58c426",
+}
+
+
+@pytest.mark.parametrize(
+    "name, command, digest",
+    [(*key, digest) for key, digest in DISTANCE_DIGESTS.items()],
+    ids=["-".join(key) for key in DISTANCE_DIGESTS],
+)
+def test_distance_file_stdout_is_pinned(name, command, digest, tmp_path, capsys):
+    path = write_json(tmp_path, "input.json", shuffled_distance_doc(name))
+    extra = ["--method", "bspace"] if command == "rank" else []
+    code, out, err = run([command, path, *extra], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

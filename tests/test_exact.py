@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delrank import exact
-from tests.helpers import mat_mul, sylvester_positive_definite
+from tests.helpers import fraction_rref, mat_mul, sylvester_positive_definite
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -95,6 +95,45 @@ def test_covolume_is_zero_when_rows_do_not_span(m, coeffs):
     assert exact.covolume(rest + [combo]) == 0
     if rest:
         assert exact.covolume(rest) == 0
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices with 0 to 5 rows and 0 to 6 columns, some rows rational multiples of others."""
+    ncols = draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), ints, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        row = m[draw(st.integers(0, len(m) - 1))]
+        f = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+        m.insert(draw(st.integers(0, len(m))), [f * x for x in row])
+    return m
+
+
+@given(rational_matrices(), st.data())
+def test_elimination_matches_the_fraction_rref(m, data):
+    red, pivots = fraction_rref(m)
+    got = exact.rref(m)
+    assert got == (red, pivots)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert exact.rank(m) == len(pivots)
+    ncols = len(m[0]) if m else 0
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(k == f)) for k in range(ncols)]
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        kernel.append(v)
+    assert exact.nullspace(m) == kernel
+    b = data.draw(st.lists(st.builds(Fraction, ints, st.integers(1, 5)), min_size=len(m), max_size=len(m)))
+    aug_red, aug_pivots = fraction_rref([row + [x] for row, x in zip(m, b)])
+    if ncols in aug_pivots:
+        assert exact.solve(m, b) is None
+    else:
+        x = [Fraction(0)] * ncols
+        for r, c in enumerate(aug_pivots):
+            x[c] = aug_red[r][ncols]
+        assert exact.solve(m, b) == x
 
 
 @given(int_matrices())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import circumcenter_symmetry, gram_corpus, random_polytope
+from tests.helpers import circumcenter_symmetry, fraction_distance_matrix, gram_corpus, random_polytope
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
 
@@ -183,6 +183,26 @@ def test_distance_matrix_translation_invariant(seed):
     a = [rng.randrange(-4, 5) for _ in range(p.dim)]
     q = dr.translate(p, a)
     assert dr.distance_matrix(p, ident) == dr.distance_matrix(q, ident)
+
+
+@given(st.integers(0, 10_000))
+def test_distance_matrix_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 5)
+    while True:
+        verts = {tuple(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5))) for _ in range(n))
+                 for _ in range(rng.randrange(n + 1, n + 5))}
+        try:
+            p = dr.from_coords(n, sorted(verts))
+            break
+        except dr.DelrankError:
+            continue
+    # L D L^T with L unit lower triangular: positive definite for rational D > 0
+    low = [[Fraction(int(i == j)) if j >= i else Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3, 5)))
+            for j in range(n)] for i in range(n)]
+    diag = [Fraction(rng.randrange(1, 7), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+    gram = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert dr.distance_matrix(p, gram) == fraction_distance_matrix(p, gram)
 
 
 def greedy_from_distances(dm):
