@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import exact
 from .errors import InternalError, NotAffineBasis, SumNotZero
@@ -40,12 +39,7 @@ class VertexDependency:
 
 def dependency_module(p: Polytope) -> DependencyBasis:
     """Canonical Z-basis of all integral affine dependencies of the vertex set."""
-    rows: list[list[int]] = []
-    for k in range(p.dim):
-        coords = [v[k] for v in p.vertices]
-        scale = lcm(*(x.denominator for x in coords))
-        rows.append([int(x * scale) for x in coords])
-    rows.append([1] * p.nvertices)
+    rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
     kernel = exact.integral_kernel(rows)
     if len(kernel) != p.nvertices - p.dim - 1:
         raise InternalError(f"dependency module has rank {len(kernel)}, expected {p.nvertices - p.dim - 1}")

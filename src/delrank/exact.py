@@ -18,20 +18,12 @@ IntMat = list[list[int]]
 
 
 def qmat(rows) -> Mat:
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     if m:
         w = len(m[0])
         if any(len(row) != w for row in m):
             raise ValueError("ragged matrix")
     return m
-
-
-def int_identity(n: int) -> IntMat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
 
 
 def _scaled_row(row) -> IntVec:
@@ -136,28 +128,6 @@ def solve(a, b) -> Vec | None:
     return x
 
 
-def det(m) -> Fraction:
-    a = qmat(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of non-square matrix")
-    d = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
-
-
 def is_positive_definite(g) -> bool:
     """Sylvester test: one fraction-free elimination without row swaps.
 
@@ -181,32 +151,28 @@ def is_positive_definite(g) -> bool:
 
 
 def _as_int_matrix(m) -> IntMat:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("integer matrix expected")
-            r.append(f.numerator)
-        out.append(r)
-    if out:
-        w = len(out[0])
-        if any(len(r) != w for r in out):
+    out = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+    for row in out:
+        if len(row) != len(out[0]):
             raise ValueError("ragged matrix")
+        for k, x in enumerate(row):
+            if type(x) is not int:
+                if x.denominator != 1:
+                    raise ValueError("integer matrix expected")
+                row[k] = x.numerator
     return out
 
 
-def hermite_normal_form(m) -> tuple[IntMat, IntMat]:
-    """Row Hermite normal form H = U m with U unimodular.
+def hermite_normal_form(m) -> IntMat:
+    """Row Hermite normal form H of an integer matrix: its rows span the same lattice.
 
     Pivot entries are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows collect at the bottom.  Returns (H, U).
+    [0, pivot), zero rows collect at the bottom.  The unimodular U with
+    H = U m is the right-hand part of the Hermite form of [m | I].
     """
     h = _as_int_matrix(m)
     nrows = len(h)
     ncols = len(h[0]) if h else 0
-    u = int_identity(nrows)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -218,7 +184,6 @@ def hermite_normal_form(m) -> tuple[IntMat, IntMat]:
             i0 = min(live, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
             rest = [i for i in range(r + 1, nrows) if h[i][c] != 0]
             if not rest:
                 break
@@ -226,19 +191,16 @@ def hermite_normal_form(m) -> tuple[IntMat, IntMat]:
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             piv = h[r][c]
             for i in range(r):
                 q = h[i][c] // piv  # floor keeps residues in [0, piv)
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return h, u
+    return h
 
 
 def covolume(rows) -> Fraction:
@@ -250,7 +212,7 @@ def covolume(rows) -> Fraction:
     m = qmat(rows)
     n = len(m[0]) if m else 0
     scale = lcm(*(x.denominator for row in m for x in row))
-    h, _ = hermite_normal_form([[int(x * scale) for x in row] for row in m])
+    h = hermite_normal_form([[x.numerator * (scale // x.denominator) for x in row] for row in m])
     d = Fraction(1)
     for i in range(n):
         # a full-rank Hermite form has its pivots on the diagonal; otherwise
@@ -263,20 +225,19 @@ def integral_kernel(m) -> list[IntVec]:
     """Z-basis of the integer kernel {y : m y = 0}, in Hermite-canonical form.
 
     The returned vectors span every integer solution over Z, not merely the
-    rational kernel.  Rows of U matching zero rows of the Hermite form of
-    the transpose give such a basis; a second Hermite pass canonicalizes it.
-    Each vector comes out primitive with positive leading entry.
+    rational kernel.  Rational rows are scaled to integers, which keeps the
+    kernel.  The Hermite form of [m^T | I] is [H | U] with U unimodular and
+    U m^T = H, so the U-parts of the rows where H is zero are a Z-basis of
+    the kernel; as the bottom rows of a Hermite form they are already in
+    Hermite form.  Each vector comes out primitive with positive leading
+    entry.
     """
-    mi = _as_int_matrix(m)
-    ncols = len(mi[0]) if mi else 0
-    if ncols == 0:
-        return []
-    h, u = hermite_normal_form(transpose(mi))
-    raw = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not raw:
-        return []
-    hb, _ = hermite_normal_form(raw)
-    return [row for row in hb if any(row)]
+    a = [_scaled_row(row) for row in m]
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    h = hermite_normal_form([[*col, *(int(i == j) for j in range(ncols))] for i, col in enumerate(zip(*a))])
+    return [row[len(a):] for row in h if not any(row[: len(a)])]
 
 
 def primitivize(v) -> IntVec:
@@ -285,19 +246,13 @@ def primitivize(v) -> IntVec:
     Clears denominators, divides by the content, and flips sign so the
     first nonzero entry is positive.  Rejects the zero vector.
     """
-    fv = [Fraction(x) for x in v]
-    if all(x == 0 for x in fv):
+    ints = _scaled_row(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    scale = lcm(*(x.denominator for x in fv)) if fv else 1
-    ints = [int(x * scale) for x in fv]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def sparse_rank(rows) -> int:

@@ -150,27 +150,19 @@ def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
     return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
 
 
+def _lifted(p: Polytope, cols) -> list[list]:
+    """The vertices in cols lifted to (v, 1), one column each."""
+    return [*([p.vertices[i][k] for i in cols] for k in range(p.dim)), [1] * len(cols)]
+
+
 def affine_basis_indices(p: Polytope) -> list[int]:
     """First vertex subset of size dim + 1 that is affinely independent.
 
-    Scans vertices in order starting from vertex 0, so the choice is
-    deterministic.
+    The pivot columns of the reduced echelon form of the lifted vertices
+    (v, 1) in vertex order: each vertex not affinely spanned by the ones
+    before it.  So the choice is deterministic and starts with vertex 0.
     """
-    base = p.vertices[0]
-    chosen = [0]
-    reduced: list[list[Fraction]] = []
-    for i, v in enumerate(p.vertices[1:], start=1):
-        if len(chosen) == p.dim + 1:
-            break
-        vec = [x - b for x, b in zip(v, base)]
-        for row in reduced:
-            lead = next(k for k, x in enumerate(row) if x != 0)
-            if vec[lead] != 0:
-                f = vec[lead] / row[lead]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        if any(x != 0 for x in vec):
-            reduced.append(vec)
-            chosen.append(i)
+    chosen = exact.rref(_lifted(p, range(p.nvertices)))[1]
     if len(chosen) != p.dim + 1:
         raise DimensionDeficient("could not extract an affine basis")
     return chosen
@@ -184,9 +176,7 @@ def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list
     are not all pivots, that is when basis is affinely dependent.
     """
     cols = basis + others
-    a = [[p.vertices[i][k] for i in cols] for k in range(p.dim)]
-    a.append([Fraction(1)] * len(cols))
-    red, pivots = exact.rref(a)
+    red, pivots = exact.rref(_lifted(p, cols))
     if pivots[: len(basis)] != list(range(len(basis))):
         return None
     return [[red[r][c] for r in range(len(basis))] for c in range(len(basis), len(cols))]

@@ -111,7 +111,7 @@ def transform_basis(p: Polytope, u) -> Polytope:
         raise WrongSize("matrix size does not match dimension")
     if any(x.denominator != 1 for row in um for x in row):
         raise NotUnimodular("basis change must be integral")
-    if abs(exact.det(um)) != 1:
+    if exact.covolume(um) != 1:
         raise NotUnimodular("basis change must have determinant +-1")
     verts = [tuple(sum(um[i][k] * v[k] for k in range(n)) for i in range(n)) for v in p.vertices]
     return from_coords(n, verts)

@@ -131,9 +131,53 @@ def fraction_rref(m):
     return a, pivots
 
 
+def fraction_det(m):
+    """Determinant by Gaussian elimination in Fractions, pivot the first nonzero scanning down each column."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    d = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            d = -d
+        d *= a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return d
+
+
+def incremental_affine_basis(p):
+    """Greedy affine basis: vertex 0, then each vertex whose difference from it is independent of those kept."""
+    base = p.vertices[0]
+    chosen = [0]
+    reduced = []
+    for i, v in enumerate(p.vertices[1:], start=1):
+        if len(chosen) == p.dim + 1:
+            break
+        vec = [x - b for x, b in zip(v, base)]
+        for row in reduced:
+            lead = next(k for k, x in enumerate(row) if x != 0)
+            if vec[lead] != 0:
+                f = vec[lead] / row[lead]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        if any(x != 0 for x in vec):
+            reduced.append(vec)
+            chosen.append(i)
+    return chosen
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 def mat_mul(a, b):
     """Exact matrix product."""
-    bt = exact.transpose(b)
+    bt = transpose(b)
     return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
@@ -205,7 +249,7 @@ def fraction_distance_matrix(p, gram):
 
 def sylvester_positive_definite(g):
     """Sylvester's criterion: every leading principal minor is positive."""
-    return all(exact.det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+    return all(fraction_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
 
 
 def solve_affine_basis(p, subset, ring="Q"):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delrank import exact
-from tests.helpers import fraction_rref, mat_mul, sylvester_positive_definite
+from tests.helpers import fraction_det, fraction_rref, mat_mul, sylvester_positive_definite, transpose
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -48,8 +48,19 @@ def test_solve():
 
 
 def test_det():
-    assert exact.det([[2, 4], [6, 8]]) == -8
-    assert exact.det([[1, 2], [2, 4]]) == 0
+    # the covolume of a square integer matrix is |det|, 0 when it is singular
+    assert exact.covolume([[2, 4], [6, 8]]) == 8
+    assert exact.covolume([[1, 2], [2, 4]]) == 0
+
+
+def test_qmat_keeps_fractions():
+    third = Fraction(1, 3)
+    m = exact.qmat([[third, 2], [0.5, "1/4"]])
+    assert m == [[third, 2], [Fraction(1, 2), Fraction(1, 4)]]
+    assert m[0][0] is third
+    assert all(type(x) is Fraction for row in m for x in row)
+    with pytest.raises(ValueError):
+        exact.qmat([[1, 2], [3]])
 
 
 def test_is_positive_definite():
@@ -66,8 +77,8 @@ square_matrices = st.integers(1, 5).flatmap(
 
 @given(square_matrices)
 def test_is_positive_definite_matches_leading_minors(m):
-    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(m, exact.transpose(m))]
-    gram = mat_mul(exact.transpose(m), m)
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(m, transpose(m))]
+    gram = mat_mul(transpose(m), m)
     for g in (m, sym, gram):
         assert exact.is_positive_definite(g) == sylvester_positive_definite(g)
 
@@ -80,11 +91,12 @@ rational_square_matrices = st.integers(1, 4).flatmap(
 
 @given(rational_square_matrices, st.lists(st.lists(ints, min_size=4, max_size=4), max_size=3))
 def test_covolume_is_abs_det_of_a_basis(m, combos):
-    assume(exact.det(m) != 0)
-    assert exact.covolume(m) == abs(exact.det(m))
+    d = abs(fraction_det(m))
+    assume(d != 0)
+    assert exact.covolume(m) == d
     # integer combinations of the rows leave the lattice unchanged
     extra = [[sum(c * row[k] for c, row in zip(cs, m)) for k in range(len(m))] for cs in combos]
-    assert exact.covolume(m + extra) == abs(exact.det(m))
+    assert exact.covolume(m + extra) == d
 
 
 @given(rational_square_matrices, st.lists(rationals, min_size=4, max_size=4))
@@ -184,32 +196,44 @@ def _textbook_hnf(m):
     return h
 
 
+def _hnf_with_transform(m):
+    """(H, U) with H = U m and U unimodular, from the Hermite form of [m | I]."""
+    n = len(m)
+    aug = exact.hermite_normal_form([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])
+    return [row[: len(m[0])] for row in aug], [row[len(m[0]):] for row in aug]
+
+
+def _check_transform(m):
+    h, u = _hnf_with_transform(m)
+    assert h == exact.hermite_normal_form(m)
+    assert mat_mul(u, m) == h
+    assert abs(fraction_det(u)) == 1
+    return h, u
+
+
 def test_hnf_known_matrix():
-    h, u = exact.hermite_normal_form([[2, 4], [6, 8]])
-    assert h == [[2, 0], [0, 4]]
+    assert exact.hermite_normal_form([[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
     assert _textbook_hnf([[2, 4], [6, 8]])[:2] == [[2, 0], [0, 4]]
-    assert mat_mul(u, [[2, 4], [6, 8]]) == [[2, 0], [0, 4]]
-    assert abs(exact.det(u)) == 1
+    _check_transform([[2, 4], [6, 8]])
 
 
 def test_hnf_edge_cases():
-    h, u = exact.hermite_normal_form([[1, 0], [0, 1]])
-    assert h == [[1, 0], [0, 1]]
-    h, u = exact.hermite_normal_form([[0]])
-    assert h == [[0]]
-    assert u == [[1]]
+    assert exact.hermite_normal_form([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert _check_transform([[0]]) == ([[0]], [[1]])
+    assert exact.hermite_normal_form([[Fraction(4, 2), 3]]) == [[2, 3]]
+    with pytest.raises(ValueError):
+        exact.hermite_normal_form([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        exact.hermite_normal_form([[1, 2], [3]])
 
 
 @given(int_matrices())
 def test_hnf_properties(m):
-    h, u = exact.hermite_normal_form(m)
-    assert abs(exact.det(u)) == 1
-    assert [[int(x) for x in row] for row in mat_mul(u, m)] == h
+    h, _ = _check_transform(m)
     # agreement with the independent implementation
     assert _textbook_hnf(m) == h
     # idempotence
-    h2, _ = exact.hermite_normal_form(h)
-    assert h2 == h
+    assert exact.hermite_normal_form(h) == h
 
 
 def test_integral_kernel_known():
@@ -252,6 +276,18 @@ def test_integral_kernel_saturated(m):
                 sum(a * x for a, x in zip(row, v)) == 0 for row in m
             ):
                 assert _in_z_span(k, list(v))
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@given(rational_matrices(), st.lists(nonzero_rationals, min_size=7, max_size=7))
+def test_integral_kernel_is_hermite_and_ignores_row_scaling(m, scales):
+    k = exact.integral_kernel(m)
+    if k:
+        assert exact.hermite_normal_form(k) == k
+    assert len(m) <= len(scales)
+    assert exact.integral_kernel([[s * x for x in row] for row, s in zip(m, scales)]) == k
 
 
 def test_primitivize():

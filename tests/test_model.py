@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import circumcenter_symmetry, fraction_distance_matrix, gram_corpus, random_polytope
+from tests.helpers import (
+    circumcenter_symmetry,
+    family_corpus,
+    fraction_distance_matrix,
+    gram_corpus,
+    incremental_affine_basis,
+    random_half_integer_polytope,
+    random_polytope,
+)
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
 
@@ -29,6 +37,28 @@ def test_affine_basis_indices(square):
     assert dr.affine_basis_indices(square) == [0, 1, 2]
     degenerate_first = dr.from_coords(2, [[0, 0], [1, 0], [2, 0], [0, 1]])
     assert dr.affine_basis_indices(degenerate_first) == [0, 1, 3]
+
+
+def _relabeled(p, rng):
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    return dr.from_coords(p.dim, verts)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000))
+def test_affine_basis_indices_matches_the_incremental_scan(seed):
+    rng = random.Random(seed)
+    p = random_polytope(rng) if seed % 2 else random_half_integer_polytope(rng)
+    q = _relabeled(p, rng)
+    assert dr.affine_basis_indices(q) == incremental_affine_basis(q)
+
+
+def test_affine_basis_indices_matches_the_incremental_scan_on_the_families():
+    rng = random.Random(1)
+    for name, p in family_corpus():
+        for q in (p, _relabeled(p, rng)):
+            assert dr.affine_basis_indices(q) == incremental_affine_basis(q), name
 
 
 def test_distance_matrix(square):

@@ -223,6 +223,8 @@ def test_transform_basis_rejects_non_unimodular(square):
         dr.transform_basis(square, [[2, 0], [0, 1]])
     with pytest.raises(dr.NotUnimodular):
         dr.transform_basis(square, [[1, Fraction(1, 2)], [0, 1]])
+    with pytest.raises(dr.NotUnimodular):
+        dr.transform_basis(square, [[1, 1], [1, 1]])
 
 
 def test_transform_basis_identity_and_shear(square):
