@@ -259,29 +259,30 @@ def sparse_rank(rows) -> int:
     """Rank of a sparse integer matrix given as {column: entry} dicts.
 
     Fraction-free elimination: each incoming row is reduced against stored
-    pivot rows by leftmost column until it dies or yields a new pivot.
-    Rows are gcd-normalized after every combination to bound entry growth.
-    Input rows are never modified; one needing no reduction is stored as is.
+    pivot rows by leftmost column until it dies or yields a new pivot.  The
+    two multipliers are divided by their gcd, so a row is scaled only when
+    the pivot's multiplier is not 1, and each combination is divided by its
+    content to bound entry growth; stored pivots are primitive.  Input rows
+    are never modified.
     """
     pivots: dict[int, dict[int, int]] = {}
-    rk = 0
     for row in rows:
         r = row if all(row.values()) else {c: v for c, v in row.items() if v}
         while r:
-            g = 0
-            for v in r.values():
-                g = gcd(g, v)
-            if g > 1:
-                r = {c: v // g for c, v in r.items()}
             c = min(r)
             p = pivots.get(c)
             if p is None:
-                pivots[c] = r
-                rk += 1
+                g = gcd(*r.values())
+                pivots[c] = {k: v // g for k, v in r.items()} if g > 1 else r
                 break
             a, b = r[c], p[c]
-            merged = {k: b * v for k, v in r.items()}
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            m = dict(r) if b == 1 else {k: b * v for k, v in r.items()}
+            get = m.get
             for k, v in p.items():
-                merged[k] = merged.get(k, 0) - a * v
-            r = {k: v for k, v in merged.items() if v}
-    return rk
+                m[k] = get(k, 0) - a * v
+            g = gcd(*m.values())
+            r = {k: v // g for k, v in m.items() if v} if g > 1 else {k: v for k, v in m.items() if v}
+    return len(pivots)

@@ -44,9 +44,20 @@ class FaceSystem:
         Equals nvertices*(nvertices-1)/2 minus the exact.sparse_rank of the
         rows.  For a simplex the system is empty and the value is
         dim*(dim+1)/2.
+
+        The rows are eliminated by descending probe, in dependency order
+        within each probe.  Row (y, u) lives on the pairs that contain u.
+        Of these, the pairs (v, u) with v < u are new to the elimination
+        when the probes come from the last one down, and in lex column
+        order they precede the pairs (u, w) that higher probes already
+        pivoted on.  So a row pivots on a fresh pair at the leading vertex
+        of y, and those leading vertices are distinct because the Hermite
+        basis is in echelon form.  This keeps fill and entry growth far
+        below the dependency-major order of rows.
         """
         nv = self.nvertices
-        return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in self.rows])
+        rows = [row for _, row in sorted(self.rows, key=lambda r: -r[0][1])]
+        return nv * (nv - 1) // 2 - exact.sparse_rank(rows)
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -115,15 +126,16 @@ def face_system(p: Polytope) -> FaceSystem:
     basis = dependency_module(p)
     nv = p.nvertices
     pairs = vertex_pairs(nv)
-    pidx = {pr: k for k, pr in enumerate(pairs)}
+    # pidx[u][v] is the index of the pair {u, v}; rows share these int objects
+    pidx = [[0] * nv for _ in range(nv)]
+    for k, (i, j) in enumerate(pairs):
+        pidx[i][j] = pidx[j][i] = k
     rows = []
     for yi, y in enumerate(basis):
+        support = [(v, c) for v, c in enumerate(y) if c]
         for u in range(nv):
-            row: dict[int, int] = {}
-            for v, c in enumerate(y):
-                if c and v != u:
-                    row[pidx[(u, v) if u < v else (v, u)]] = c
-            rows.append(((yi, u), row))
+            at = pidx[u]
+            rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
     return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=basis)
 
 

@@ -111,7 +111,11 @@ def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
     Runs in integers: with W = s G and X = k V integral, entry (i, j) is
     (n_i + n_j - 2 <x_i, W x_j>) / (s k^2), where n_i = <x_i, W x_i>.
     """
-    g = _validate_gram_shape(p, gram)
+    return _distance_matrix(p, _validate_gram_shape(p, gram))
+
+
+def _distance_matrix(p: Polytope, g: list[list[Fraction]]) -> list[list[Fraction]]:
+    """distance_matrix under a Fraction form that is already validated."""
     s = lcm(*(x.denominator for row in g for x in row))
     w = [[x.numerator * (s // x.denominator) for x in row] for row in g]
     k = lcm(*(x.denominator for v in p.vertices for x in v))
@@ -329,6 +333,7 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
         p = from_coords(n, coords)
     except DuplicateVertex as e:
         raise NotRealizable(str(e)) from e
-    if distance_matrix(p, gram) != d:
+    # the form passed is_positive_definite above and is symmetric because d is
+    if _distance_matrix(p, gram) != d:
         raise NotRealizable("reconstructed coordinates do not reproduce the distance matrix")
     return p, gram

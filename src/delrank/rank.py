@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exact
 # dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
@@ -56,21 +57,21 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
     if dependencies is None:
         dependencies = [d.coefficients for d in basis_dependencies(p, affine_basis_indices(p))]
     cols = sym_columns(p.dim)
+    # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
+    k = lcm(*(x.denominator for v in p.vertices for x in v))
+    quads = []
+    for v in p.vertices:
+        x = [a.numerator * (k // a.denominator) for a in v]
+        quads.append([x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols])
     rows = []
     for y in dependencies:
         if len(y) != p.nvertices:
             raise WrongSize("dependency length does not match vertex count")
-        acc = {c: Fraction(0) for c in cols}
-        for v, c in zip(p.vertices, y):
+        acc = [0] * len(cols)
+        for q, c in zip(quads, y):
             if c:
-                for i in range(p.dim):
-                    vi = v[i]
-                    if vi:
-                        acc[(i, i)] += c * vi * vi
-                        for j in range(i + 1, p.dim):
-                            if v[j]:
-                                acc[(i, j)] += 2 * c * vi * v[j]
-        rows.append(tuple(acc[c] for c in cols))
+                acc = [a + c * b for a, b in zip(acc, q)]
+        rows.append(tuple(Fraction(a, k * k) for a in acc))
     return ConstraintSystem(dim=p.dim, columns=tuple(cols), rows=tuple(rows))
 
 

@@ -4,6 +4,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import delrank as dr
 from delrank import exact, model
@@ -190,6 +191,47 @@ def dense_face_rows(fs):
             vec[c] = Fraction(v)
         out.append(vec)
     return out
+
+
+def dict_sparse_rank(rows):
+    """Sparse rank by the plain dict loop: the row is divided by its content on every step and always scaled by the pivot."""
+    pivots = {}
+    rk = 0
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            g = 0
+            for v in r.values():
+                g = gcd(g, v)
+            if g > 1:
+                r = {c: v // g for c, v in r.items()}
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                rk += 1
+                break
+            a, b = r[c], p[c]
+            merged = {k: b * v for k, v in r.items()}
+            for k, v in p.items():
+                merged[k] = merged.get(k, 0) - a * v
+            r = {k: v for k, v in merged.items() if v}
+    return rk
+
+
+def fraction_bspace_rows(p, dependencies):
+    """Constraint rows accumulated entry by entry in Fractions, one row per dependency."""
+    cols = sym_columns(p.dim)
+    rows = []
+    for y in dependencies:
+        acc = {c: Fraction(0) for c in cols}
+        for v, c in zip(p.vertices, y):
+            if c:
+                for i in range(p.dim):
+                    for j in range(i, p.dim):
+                        acc[(i, j)] += (1 if i == j else 2) * c * v[i] * v[j]
+        rows.append(tuple(acc[c] for c in cols))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delrank import exact
-from tests.helpers import fraction_det, fraction_rref, mat_mul, sylvester_positive_definite, transpose
+from tests.helpers import (
+    dict_sparse_rank,
+    fraction_det,
+    fraction_rref,
+    mat_mul,
+    sylvester_positive_definite,
+    transpose,
+)
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -305,6 +312,21 @@ def test_sparse_rank_matches_dense(m):
         for row in m
     ]
     assert exact.sparse_rank(rows) == exact.rank(m)
+
+
+@given(int_matrices(max_rows=5, max_cols=7), st.data())
+def test_sparse_rank_matches_dense_on_scaled_dependent_rows(m, data):
+    # integer combinations of the rows make some rows die; scale factors of
+    # at least 2 make pivots other than +-1 and rows that are not primitive
+    combos = data.draw(st.lists(st.lists(ints, min_size=len(m), max_size=len(m)), max_size=4))
+    m = m + [[sum(c * row[j] for c, row in zip(cs, m)) for j in range(len(m[0]))] for cs in combos]
+    m = data.draw(st.permutations(m))
+    factors = st.integers(2, 9) | st.integers(-9, -2)
+    scales = data.draw(st.lists(factors, min_size=len(m), max_size=len(m)))
+    rows = [{j: s * v for j, v in enumerate(row) if v} for row, s in zip(m, scales)]
+    expected = exact.rank(m)
+    assert exact.sparse_rank(rows) == expected
+    assert dict_sparse_rank(rows) == expected
 
 
 @given(int_matrices())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import dense_face_rows, family_corpus, random_polytope
+from tests.helpers import dense_face_rows, family_corpus, random_half_integer_polytope, random_polytope
 
 IDENT2 = [[1, 0], [0, 1]]
 
@@ -114,6 +114,22 @@ def test_face_dimension_equals_rank_on_random_configs(seed):
     rng = random.Random(seed)
     p = random_polytope(rng, max_dim=4)
     assert dr.face_dimension(p) == dr.rank_of(p)
+
+
+@given(st.integers(0, 10_000), st.sampled_from((random_polytope, random_half_integer_polytope)))
+def test_face_rank_does_not_depend_on_row_order(seed, make):
+    rng = random.Random(seed)
+    p = make(rng)
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    fs = dr.face_system(dr.from_coords(p.dim, verts))
+    expected = exact.rank(dense_face_rows(fs))
+    dependency_major = [row for _, row in fs.rows]
+    probe_descending = [row for _, row in sorted(fs.rows, key=lambda r: -r[0][1])]
+    drawn = rng.sample(dependency_major, len(dependency_major))
+    for rows in (dependency_major, probe_descending, drawn):
+        assert exact.sparse_rank(rows) == expected
+    assert fs.dimension() == len(fs.pairs) - expected
 
 
 def test_face_rows_vanish_on_family_distances():

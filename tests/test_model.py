@@ -11,6 +11,7 @@ import delrank as dr
 from delrank import exact
 from tests.helpers import (
     circumcenter_symmetry,
+    count_calls,
     family_corpus,
     fraction_distance_matrix,
     gram_corpus,
@@ -297,6 +298,18 @@ def test_from_distances_matches_greedy_minor_scan(seed):
         dr.from_distances(d)
     with pytest.raises(dr.DelrankError):
         greedy_from_distances(d)
+
+
+def test_from_distances_checks_the_form_once(monkeypatch, p0data):
+    d = [list(r) for r in p0data.distances]
+    calls = count_calls(monkeypatch, exact, "is_positive_definite")
+    dr.from_distances(d)
+    assert len(calls) == 1
+    dr.from_distances(SQUARE_D)
+    assert len(calls) == 2
+    with pytest.raises(dr.NotPositiveDefinite, match="reconstructed Gram form is not positive definite"):
+        dr.from_distances([[0, 1, 1], [1, 0, 9], [1, 9, 0]])
+    assert len(calls) == 3
 
 
 def test_from_distances_then_distance_matrix_roundtrip(p0data):

@@ -13,10 +13,12 @@ from delrank import cli, exact
 from tests.helpers import (
     count_calls,
     family_corpus,
+    fraction_bspace_rows,
     full_system,
     full_system_form_dimension,
     gram_corpus,
     module_form_space,
+    random_half_integer_polytope,
     random_polytope,
     random_unimodular,
     reduction_instance,
@@ -118,6 +120,28 @@ def test_bspace_constraints_with_custom_dependencies(square):
     assert cs.rows == ((Fraction(0), Fraction(2), Fraction(0)),)
     with pytest.raises(dr.WrongSize):
         dr.bspace_constraints(square, dependencies=[(1, -1, -1)])
+
+
+def _assert_fraction_rows_equal(p, name):
+    basis_ys = [d.coefficients for d in dr.basis_dependencies(p, dr.affine_basis_indices(p))]
+    module_ys = dr.dependency_module(p).vectors
+    for rows, ys in ((dr.bspace_constraints(p).rows, basis_ys),
+                     (dr.bspace_constraints(p, dependencies=module_ys).rows, module_ys)):
+        assert rows == fraction_bspace_rows(p, ys), name
+        assert all(type(x) is Fraction for row in rows for x in row), name
+
+
+def test_bspace_rows_match_the_fraction_accumulation_on_families():
+    for name, p in family_corpus():
+        if p.nvertices <= 64:
+            _assert_fraction_rows_equal(p, name)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000), st.sampled_from((random_polytope, random_half_integer_polytope)))
+def test_bspace_rows_match_the_fraction_accumulation(seed, make):
+    p = make(random.Random(seed))
+    _assert_fraction_rows_equal(p, seed)
 
 
 def test_rank_agrees_between_dependency_families():
