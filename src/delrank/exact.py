@@ -1,9 +1,12 @@
 """Exact linear algebra over rationals and integers.
 
 Matrices are plain lists of lists, vectors plain lists.  Rational entries
-are fractions.Fraction, integer entries plain int.  Every routine is
-deterministic: pivots are chosen by fixed scan order, never by magnitude
-heuristics that depend on input encoding.
+are fractions.Fraction, integer entries plain int.  The rational routines
+share one fraction-free elimination, _echelon, which reduces each row in
+turn against the pivot row at its leftmost column; no pivot is chosen by a
+magnitude heuristic.  rref is canonical even so, because a reduced echelon
+form depends only on the row space.  hermite_normal_form is the one
+elimination over Z.
 """
 
 from __future__ import annotations
@@ -33,63 +36,92 @@ def _scaled_row(row) -> IntVec:
     return [x.numerator * (s // x.denominator) for x in q]
 
 
-def _combine(pv: int, f: int, u: IntVec, v: IntVec) -> IntVec:
-    """pv * u - f * v divided by its content."""
-    row = [pv * x - f * y for x, y in zip(u, v)]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _int_rows(m) -> tuple[list[dict[int, int]], int]:
+    """Each row times the lcm of its denominators, as a {column: entry} dict of its nonzero entries; and the row length."""
+    rows = []
+    ncols = None
+    for row in m:
+        q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        if ncols is None:
+            ncols = len(q)
+        elif len(q) != ncols:
+            raise ValueError("ragged matrix")
+        s = lcm(*(x.denominator for x in q))
+        rows.append({j: x.numerator * (s // x.denominator) for j, x in enumerate(q) if x})
+    return rows, ncols or 0
 
 
-def _eliminate(m, jordan: bool) -> tuple[IntMat, list[int]]:
-    """Fraction-free elimination of the row-scaled matrix; returns (rows, pivot columns).
+def _step(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """Row r with column c cancelled against pivot row p, divided by its content.
 
-    Each pivot is the first nonzero entry scanning down its column.  Row i
-    becomes pv * row_i - f * row_r divided by its content, a nonzero
-    multiple of the rational Gauss step, so zero patterns, swaps and
-    pivots match it.  With jordan the rows above each pivot are cleared
-    too, so the pivot rows divided by their pivots are the RREF; without
-    it only the rows below are, which is enough for the pivot columns.
+    The two multipliers are divided by their gcd, so r is scaled only when
+    the pivot's multiplier is not 1, and only by a positive factor when
+    p[c] > 0.  Neither input is modified.
     """
-    a = [_scaled_row(row) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if any(len(row) != ncols for row in a):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        row_r = a[r]
-        pv = row_r[c]
-        for i in range(0 if jordan else r + 1, nrows):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = _combine(pv, f, a[i], row_r)
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    m = dict(r) if b == 1 else {k: b * v for k, v in r.items()}
+    get = m.get
+    for k, v in p.items():
+        m[k] = get(k, 0) - a * v
+    g = gcd(*m.values())
+    return {k: v // g for k, v in m.items() if v} if g > 1 else {k: v for k, v in m.items() if v}
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of integer {column: entry} rows: the primitive pivot rows by leading column.
+
+    Each incoming row is reduced by _step against the stored pivot row at
+    its leftmost column until it dies or starts a new pivot.  Every step is
+    a nonzero multiple of a rational Gauss step, so the pivot rows span the
+    row space of the input.  Input rows are never modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = row if all(row.values()) else {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                g = gcd(*r.values())
+                pivots[c] = {k: v // g for k, v in r.items()} if g > 1 else r
+                break
+            r = _step(r, p, c)
+    return pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
 
-    Pivot is the first nonzero entry scanning down each column, so the
-    result is canonical for a given row ordering.  The elimination runs in
-    integers; only the result is made of fractions.
+    The rows are scaled to integers and brought to echelon form by
+    _echelon; then each pivot row, last first, is cleared at the later
+    pivots, and only the result is made of fractions.  The nonzero rows of
+    a reduced echelon form depend only on the row space, so R is canonical:
+    its pivot rows in column order, then one zero row per dependent row.
     """
-    a, pivots = _eliminate(m, jordan=True)
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
-    red += [[Fraction(0)] * len(row) for row in a[len(pivots):]]
+    rows, ncols = _int_rows(m)
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    for i in reversed(range(len(pivots))):
+        r = echelon[pivots[i]]
+        for c in pivots[i + 1:]:
+            if c in r:
+                r = _step(r, echelon[c], c)
+        echelon[pivots[i]] = r
+    zero = Fraction(0)
+    red = []
+    for c in pivots:
+        r = echelon[c]
+        pv = r[c]
+        red.append([Fraction(r[j], pv) if j in r else zero for j in range(ncols)])
+    red += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return red, pivots
 
 
 def rank(m) -> int:
-    return len(_eliminate(m, jordan=False)[1])
+    return len(_echelon(_int_rows(m)[0]))
 
 
 def nullspace(m) -> list[Vec]:
@@ -129,24 +161,24 @@ def solve(a, b) -> Vec | None:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester test: one fraction-free elimination without row swaps.
+    """Sylvester test: fraction-free elimination without row swaps.
 
-    Rows are scaled to integers by positive factors and combined as
-    pv * row_i - f * row_c with pv > 0, so each pivot keeps the sign of
-    the ratio of successive leading minors, and all must be positive.
+    Rows are scaled to integers by positive factors, and row c is reduced
+    by _step against the pivot rows of columns 0..c-1 in turn.  Those
+    pivots are positive, so each step scales the row by a positive factor
+    and its entry at c keeps the sign of the ratio of successive leading
+    minors, which must all be positive.
     """
-    a = [_scaled_row(row) for row in g]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    rows, n = _int_rows(g)
+    if len(rows) != n:
         raise ValueError("non-square form")
-    for c in range(n):
-        pv = a[c][c]
-        if pv <= 0:
+    pivots: dict[int, dict[int, int]] = {}
+    for c, r in enumerate(rows):
+        while r and (k := min(r)) < c:
+            r = _step(r, pivots[k], k)
+        if r.get(c, 0) <= 0:
             return False
-        for i in range(c + 1, n):
-            f = a[i][c]
-            if f:
-                a[i] = _combine(pv, f, a[i], a[c])
+        pivots[c] = r
     return True
 
 
@@ -256,33 +288,5 @@ def primitivize(v) -> IntVec:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a sparse integer matrix given as {column: entry} dicts.
-
-    Fraction-free elimination: each incoming row is reduced against stored
-    pivot rows by leftmost column until it dies or yields a new pivot.  The
-    two multipliers are divided by their gcd, so a row is scaled only when
-    the pivot's multiplier is not 1, and each combination is divided by its
-    content to bound entry growth; stored pivots are primitive.  Input rows
-    are never modified.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = row if all(row.values()) else {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                g = gcd(*r.values())
-                pivots[c] = {k: v // g for k, v in r.items()} if g > 1 else r
-                break
-            a, b = r[c], p[c]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            m = dict(r) if b == 1 else {k: b * v for k, v in r.items()}
-            get = m.get
-            for k, v in p.items():
-                m[k] = get(k, 0) - a * v
-            g = gcd(*m.values())
-            r = {k: v // g for k, v in m.items() if v} if g > 1 else {k: v for k, v in m.items() if v}
-    return len(pivots)
+    """Rank of a sparse integer matrix given as {column: entry} dicts; input rows are never modified."""
+    return len(_echelon(rows))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import exact
 from .deps import DependencyBasis, dependency_module
 from .errors import SumNotOne
-from .model import Polytope, circumcenter, distance_matrix, from_coords
+from .model import Polytope, _distance_matrix, circumcenter, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -107,8 +107,8 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
     empty and carries no other lattice points; cosphericity is checked on
     the way in (distance data comes from the Gram form), emptiness is not.
     """
-    circumcenter(p, gram)  # raises NotCospherical on bad input
-    d = distance_matrix(p, gram)
+    circumcenter(p, gram)  # checks the form, and raises NotCospherical on bad input
+    d = _distance_matrix(p, exact.qmat(gram))
     val = eval_hypermetric(d, b)
     pt, isv = representation_point(p, b)
     return LemmaHyReport(

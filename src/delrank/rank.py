@@ -33,16 +33,7 @@ class ConstraintSystem:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def rank(self) -> int:
-        return exact.sparse_rank(_integer_rows(self.rows))
-
-
-def _integer_rows(rows) -> list[dict[int, int]]:
-    """Nonzero rational rows as primitive integer {column: entry} dicts."""
-    return [
-        {c: v for c, v in enumerate(exact.primitivize(r)) if v}
-        for r in rows
-        if any(r)
-    ]
+        return exact.rank(self.rows)
 
 
 def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
@@ -141,7 +132,7 @@ def nrd(polytopes) -> int:
     if any(p.dim != n for p in ps):
         raise WrongSize("all polytopes must share the same dimension")
     rows = [r for p in ps for r in bspace_constraints(p).rows]
-    return n * (n + 1) // 2 - exact.sparse_rank(_integer_rows(rows))
+    return n * (n + 1) // 2 - exact.rank(rows)
 
 
 @dataclass(frozen=True)

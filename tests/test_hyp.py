@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import dense_face_rows, family_corpus, random_half_integer_polytope, random_polytope
+from tests.helpers import (
+    count_calls,
+    dense_face_rows,
+    dict_sparse_rank,
+    family_corpus,
+    fraction_rref,
+    random_half_integer_polytope,
+    random_polytope,
+)
 
 IDENT2 = [[1, 0], [0, 1]]
 
@@ -50,6 +58,18 @@ def test_check_lemma_hy_square(square):
         dr.check_lemma_hy(square, [[2, 1], [1, 2]], [1, 0, 0, 0])
 
 
+def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
+    calls = count_calls(monkeypatch, exact, "is_positive_definite")
+    dr.check_lemma_hy(square, IDENT2, [2, -1, 0, 0])
+    assert len(calls) == 1
+    p, gram = p0data.polytope, [list(r) for r in p0data.gram]
+    dr.check_lemma_hy(p, gram, [1] + [0] * (p.nvertices - 1))
+    assert len(calls) == 2
+    with pytest.raises(dr.NotPositiveDefinite):
+        dr.check_lemma_hy(square, [[1, 2], [2, 1]], [1, 0, 0, 0])
+    assert len(calls) == 3
+
+
 def test_face_system_square(square):
     fs = dr.face_system(square)
     assert fs.nvertices == 4
@@ -83,7 +103,7 @@ def test_structured_rows_match_dense_rank():
     """The sparse face_system rows must have the same rank as the dense system."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
         fs = dr.face_system(p)
-        dense_rank = exact.rank(dense_face_rows(fs))
+        dense_rank = len(fraction_rref(dense_face_rows(fs))[1])
         assert exact.sparse_rank([row for _, row in fs.rows]) == dense_rank
         npairs = p.nvertices * (p.nvertices - 1) // 2
         assert dr.face_dimension(p) == npairs - dense_rank
@@ -93,8 +113,9 @@ def test_face_dimension_structured_path_agrees_small():
     # a 32-vertex instance, larger than the small cases above
     p = dr.half_cube(6)
     npairs = p.nvertices * (p.nvertices - 1) // 2
-    dense_rank = exact.rank(dense_face_rows(dr.face_system(p)))
-    assert dr.face_dimension(p) == npairs - dense_rank
+    # the Fraction oracle is too slow on 800 rows; the plain dict loop is independent too
+    oracle_rank = dict_sparse_rank([row for _, row in dr.face_system(p).rows])
+    assert dr.face_dimension(p) == npairs - oracle_rank
 
 
 def test_restricted_face_dimension(square):
@@ -123,7 +144,7 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     verts = list(p.vertices)
     rng.shuffle(verts)
     fs = dr.face_system(dr.from_coords(p.dim, verts))
-    expected = exact.rank(dense_face_rows(fs))
+    expected = len(fraction_rref(dense_face_rows(fs))[1])
     dependency_major = [row for _, row in fs.rows]
     probe_descending = [row for _, row in sorted(fs.rows, key=lambda r: -r[0][1])]
     drawn = rng.sample(dependency_major, len(dependency_major))
