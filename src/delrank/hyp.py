@@ -1,12 +1,15 @@
 """Hypermetric evaluation and the distance-space dimension oracle.
 
 The central object is the linear system S(P) on unordered vertex pairs:
-for every dependency y and every probe vertex u it contains the equation
-sum_v y(v) d(u, v) = 0.  The dimension of its solution space is a second,
-independent route to the rank of the polytope.  face_system builds that one
-row system from the Hermite-form dependency module, which rank_of does not
-use, and keeps the module; exact.sparse_rank takes its rank by
-fraction-free integer elimination.
+for every dependency y and every probe vertex u it has the equation
+row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
+a second, independent route to the rank of the polytope.  face_system
+builds the rows from the Hermite-form dependency module, which rank_of does
+not use, and keeps the module; exact.sparse_rank takes their rank by
+fraction-free integer elimination.  face_system leaves out row (y, u) when
+u is the leading vertex of another module vector and lies below the
+leading vertex of y: a symmetry of the pair sums puts every such row in the
+span of the rows it keeps (the proof is in face_system's docstring).
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ class FaceSystem:
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
     Pair indices follow vertex_pairs order; dependency indices point into
-    dependencies, the module the rows were built from.
+    dependencies, the module the rows were built from.  There is a row
+    (y, u) for every module vector y and every probe vertex u except when u
+    is the leading vertex (first nonzero entry) of a module vector and lies
+    below the leading vertex of y.  The rows left out lie in the span of
+    the others (see face_system), so the rank is that of the full system.
+    With k module vectors on nvertices vertices there are
+    k*nvertices - k*(k-1)/2 rows, as Hermite leading vertices are distinct.
     """
 
     nvertices: int
@@ -122,7 +131,23 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
 
 
 def face_system(p: Polytope) -> FaceSystem:
-    """System rows (y, u) over the canonical dependency basis and all probes."""
+    """System rows (y, u) over the canonical dependency basis, without the redundant ones.
+
+    Write row(y, u) for sum_v y(v) d{u, v} and lead(y) for the first vertex
+    where y is nonzero.  Row (y, u) is left out when u = lead(y') for some
+    other module vector y' and u < lead(y).  Proof that this keeps the
+    rank: take y, y' with l' = lead(y') < lead(y).
+
+    - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
+      sum_{a != b} y(a) y'(b) d{a, b}, so they are the same linear form.
+    - The left side only uses probes above l', since y is zero at l' and
+      below it; the right side is y'(l') row(y, l') plus probes above l'.
+    - So y'(l') row(y, l') is a combination of rows at higher probes, and
+      y'(l') != 0.
+    - By descending induction on the probe, the kept rows span every row.
+
+    The argument needs no unit pivots, no Z-basis and no vertex order.
+    """
     basis = dependency_module(p)
     nv = p.nvertices
     pairs = vertex_pairs(nv)
@@ -130,10 +155,14 @@ def face_system(p: Polytope) -> FaceSystem:
     pidx = [[0] * nv for _ in range(nv)]
     for k, (i, j) in enumerate(pairs):
         pidx[i][j] = pidx[j][i] = k
+    supports = [[(v, c) for v, c in enumerate(y) if c] for y in basis]
+    leads = {support[0][0] for support in supports}
     rows = []
-    for yi, y in enumerate(basis):
-        support = [(v, c) for v, c in enumerate(y) if c]
+    for yi, support in enumerate(supports):
+        lead = support[0][0]
         for u in range(nv):
+            if u < lead and u in leads:
+                continue
             at = pidx[u]
             rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
     return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=basis)

@@ -193,6 +193,18 @@ def dense_face_rows(fs):
     return out
 
 
+def all_face_rows(p):
+    """Every pair-system row ((dependency index, probe), {pair index: coefficient}), one per module vector and probe vertex."""
+    pairs = dr.vertex_pairs(p.nvertices)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    rows = []
+    for yi, y in enumerate(dr.dependency_module(p)):
+        for u in range(p.nvertices):
+            row = {index[min(u, v), max(u, v)]: c for v, c in enumerate(y) if c and v != u}
+            rows.append(((yi, u), row))
+    return rows
+
+
 def dict_sparse_rank(rows):
     """Sparse rank by the plain dict loop: the row is divided by its content on every step and always scaled by the pivot."""
     pivots = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import delrank as dr
 from delrank import exact
 from tests.helpers import (
+    all_face_rows,
     count_calls,
     dense_face_rows,
     dict_sparse_rank,
@@ -17,6 +18,7 @@ from tests.helpers import (
     fraction_rref,
     random_half_integer_polytope,
     random_polytope,
+    random_unimodular,
 )
 
 IDENT2 = [[1, 0], [0, 1]]
@@ -113,8 +115,9 @@ def test_face_dimension_structured_path_agrees_small():
     # a 32-vertex instance, larger than the small cases above
     p = dr.half_cube(6)
     npairs = p.nvertices * (p.nvertices - 1) // 2
-    # the Fraction oracle is too slow on 800 rows; the plain dict loop is independent too
-    oracle_rank = dict_sparse_rank([row for _, row in dr.face_system(p).rows])
+    # the full (y, u) system, not face_system's pruned rows; the Fraction
+    # oracle is too slow on its 800 rows, the plain dict loop is independent too
+    oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p)])
     assert dr.face_dimension(p) == npairs - oracle_rank
 
 
@@ -151,6 +154,38 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     for rows in (dependency_major, probe_descending, drawn):
         assert exact.sparse_rank(rows) == expected
     assert fs.dimension() == len(fs.pairs) - expected
+
+
+def _transformed(build, n):
+    return lambda rng: dr.transform_basis(build(n), random_unimodular(n, rng))
+
+
+ROW_RULE_INSTANCES = {
+    "random": random_polytope,
+    "half_integer": random_half_integer_polytope,
+    "halfcube5": _transformed(dr.half_cube, 5),
+    "cube4": _transformed(dr.cube, 4),
+    "cross5": _transformed(dr.cross_polytope, 5),
+    "p0": lambda rng: dr.p0().polytope,
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
+def test_face_system_drops_only_redundant_rows(seed, name):
+    """The rows face_system leaves out never change the rank of the full (y, u) system."""
+    rng = random.Random(seed)
+    p = ROW_RULE_INSTANCES[name](rng)
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    p = dr.from_coords(p.dim, verts)
+    fs = dr.face_system(p)
+    full = all_face_rows(p)
+    k, nv = len(fs.dependencies), p.nvertices
+    assert len(full) == k * nv
+    assert len(fs.rows) == k * nv - k * (k - 1) // 2
+    oracle = dict(full)
+    assert all(oracle[label] == row for label, row in fs.rows)
+    assert exact.sparse_rank([row for _, row in fs.rows]) == dict_sparse_rank([row for _, row in full])
 
 
 def test_face_rows_vanish_on_family_distances():
