@@ -26,8 +26,8 @@ def main(argv=None):
     print(f"dim {p.dim}, {p.nvertices} vertices, blocks of 3+3+4+4")
 
     mod = dr.dependency_module(p)
-    print(f"\naffine dependencies: {len(mod.vectors)}")
-    for v in mod.vectors:
+    print(f"\naffine dependencies: {len(mod)}")
+    for v in mod:
         print("  y =", tuple(int(x) for x in v))
 
     rk = dr.rank_of(p)

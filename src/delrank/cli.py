@@ -9,7 +9,7 @@ produce byte-identical output, and every report echoes the sha256 digest of
 the input bytes.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 inconsistency,
-4 internal error.
+4 internal error, which is also the code of any other exception.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def load_polytope_file(path: str) -> LoadedInput:
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -269,8 +269,8 @@ def cmd_report(args) -> int:
         symmetric = verify.pop("centrally_symmetric")
         warnings = ["empty-sphere check is a bounded-window heuristic, not a proof"]
     rk = rank.rank_of(p)
-    faces = hyp.face_system(p)
-    fd = faces.dimension()
+    fd = hyp.face_dimension(p)
+    dep = deps.dependency_module(p)
     doc = {
         "command": "report",
         "input": loaded.digest,
@@ -282,8 +282,8 @@ def cmd_report(args) -> int:
         "extreme": rk == 1,
         "centrally_symmetric": symmetric,
         "dependencies": {
-            "count": len(faces.dependencies),
-            "vectors": [[str(x) for x in v] for v in faces.dependencies],
+            "count": len(dep),
+            "vectors": [[str(x) for x in v] for v in dep],
         },
         "basicity": _basicity_doc(cls),
         "verify": verify,
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     except (DelrankError, ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

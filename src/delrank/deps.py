@@ -16,17 +16,6 @@ from .model import Polytope, affine_coordinates
 
 
 @dataclass(frozen=True)
-class DependencyBasis:
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-
-@dataclass(frozen=True)
 class VertexDependency:
     """Dependency supported on an affine basis plus one extra vertex w.
 
@@ -37,13 +26,16 @@ class VertexDependency:
     coefficients: tuple[int, ...]
 
 
-def dependency_module(p: Polytope) -> DependencyBasis:
-    """Canonical Z-basis of all integral affine dependencies of the vertex set."""
+def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
+    """Canonical Z-basis of all integral affine dependencies of the vertex set.
+
+    A Hermite pass; the ranks read basis_dependencies, which need none.
+    """
     rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
     kernel = exact.integral_kernel(rows)
     if len(kernel) != p.nvertices - p.dim - 1:
         raise InternalError(f"dependency module has rank {len(kernel)}, expected {p.nvertices - p.dim - 1}")
-    return DependencyBasis(vectors=tuple(tuple(v) for v in kernel))
+    return tuple(tuple(v) for v in kernel)
 
 
 def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
@@ -51,7 +43,8 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
 
     For w outside the basis the unique affine representation of w over the
     basis yields an integral dependency supported on basis + {w}.  Together
-    these span the same rational space as dependency_module(p).
+    these span the same rational space as dependency_module(p).  Over
+    model.affine_basis_indices(p) each lives on w and basis vertices above w.
     """
     basis = list(basis_indices)
     if len(basis) != p.dim + 1 or len(set(basis)) != len(basis):

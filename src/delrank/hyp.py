@@ -3,13 +3,13 @@
 The central object is the linear system S(P) on unordered vertex pairs:
 for every dependency y and every probe vertex u it has the equation
 row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
-a second, independent route to the rank of the polytope.  face_system
-builds the rows from the Hermite-form dependency module, which rank_of does
-not use, and keeps the module; exact.sparse_rank takes their rank by
-fraction-free integer elimination.  face_system leaves out row (y, u) when
-u is the leading vertex of another module vector and lies below the
-leading vertex of y: a symmetry of the pair sums puts every such row in the
-span of the rows it keeps (the proof is in face_system's docstring).
+a second route to the rank of the polytope.  face_system builds the rows
+from the paper's dependencies, the family rank_of ranks through another
+system; exact.sparse_rank takes their rank by fraction-free integer
+elimination.  face_system leaves out row (y, u) when u is the leading
+vertex of another dependency and lies below the leading vertex of y: a
+symmetry of the pair sums puts every such row in the span of the rows it
+keeps (the proof is in face_system's docstring).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .deps import DependencyBasis, dependency_module
+from .deps import basis_dependencies
 from .errors import SumNotOne
-from .model import Polytope, _distance_matrix, circumcenter, from_coords
+from .model import Polytope, _distance_matrix, affine_basis_indices, circumcenter, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -33,19 +33,19 @@ class FaceSystem:
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
     Pair indices follow vertex_pairs order; dependency indices point into
-    dependencies, the module the rows were built from.  There is a row
-    (y, u) for every module vector y and every probe vertex u except when u
-    is the leading vertex (first nonzero entry) of a module vector and lies
-    below the leading vertex of y.  The rows left out lie in the span of
-    the others (see face_system), so the rank is that of the full system.
-    With k module vectors on nvertices vertices there are
-    k*nvertices - k*(k-1)/2 rows, as Hermite leading vertices are distinct.
+    dependencies, the deps.basis_dependencies the rows were built from.
+    There is a row (y, u) for every dependency y and every probe vertex u
+    except when u is the leading vertex (first nonzero entry) of a
+    dependency and lies below the leading vertex of y.  The rows left out
+    lie in the span of the others (see face_system), so the rank is that of
+    the full system.  With k dependencies on nvertices vertices there are
+    k*nvertices - k*(k-1)/2 rows, as each leads at its own vertex.
     """
 
     nvertices: int
     pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
-    dependencies: DependencyBasis
+    dependencies: tuple[tuple[int, ...], ...]
 
     def dimension(self) -> int:
         """Dimension of the solution space of the pair system S(P).
@@ -60,9 +60,8 @@ class FaceSystem:
         when the probes come from the last one down, and in lex column
         order they precede the pairs (u, w) that higher probes already
         pivoted on.  So a row pivots on a fresh pair at the leading vertex
-        of y, and those leading vertices are distinct because the Hermite
-        basis is in echelon form.  This keeps fill and entry growth far
-        below the dependency-major order of rows.
+        of y, and each dependency leads at its own vertex.  This keeps fill
+        and entry growth far below the dependency-major order of rows.
         """
         nv = self.nvertices
         rows = [row for _, row in sorted(self.rows, key=lambda r: -r[0][1])]
@@ -131,11 +130,13 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
 
 
 def face_system(p: Polytope) -> FaceSystem:
-    """System rows (y, u) over the canonical dependency basis, without the redundant ones.
+    """System rows (y, u) over the paper's dependencies, without the redundant ones.
 
-    Write row(y, u) for sum_v y(v) d{u, v} and lead(y) for the first vertex
-    where y is nonzero.  Row (y, u) is left out when u = lead(y') for some
-    other module vector y' and u < lead(y).  Proof that this keeps the
+    The dependencies are deps.basis_dependencies over the last affine basis
+    (model.affine_basis_indices), so each leads at its own vertex.  Write
+    row(y, u) for sum_v y(v) d{u, v} and lead(y) for the first vertex where
+    y is nonzero.  Row (y, u) is left out when u = lead(y') for some other
+    dependency y' and u < lead(y).  Proof that this keeps the
     rank: take y, y' with l' = lead(y') < lead(y).
 
     - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
@@ -148,14 +149,14 @@ def face_system(p: Polytope) -> FaceSystem:
 
     The argument needs no unit pivots, no Z-basis and no vertex order.
     """
-    basis = dependency_module(p)
+    ys = tuple(d.coefficients for d in basis_dependencies(p, affine_basis_indices(p)))
     nv = p.nvertices
     pairs = vertex_pairs(nv)
     # pidx[u][v] is the index of the pair {u, v}; rows share these int objects
     pidx = [[0] * nv for _ in range(nv)]
     for k, (i, j) in enumerate(pairs):
         pidx[i][j] = pidx[j][i] = k
-    supports = [[(v, c) for v, c in enumerate(y) if c] for y in basis]
+    supports = [[(v, c) for v, c in enumerate(y) if c] for y in ys]
     leads = {support[0][0] for support in supports}
     rows = []
     for yi, support in enumerate(supports):
@@ -165,7 +166,7 @@ def face_system(p: Polytope) -> FaceSystem:
                 continue
             at = pidx[u]
             rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
-    return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=basis)
+    return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=ys)
 
 
 def face_dimension(p: Polytope) -> int:

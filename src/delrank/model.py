@@ -160,16 +160,19 @@ def _lifted(p: Polytope, cols) -> list[list]:
 
 
 def affine_basis_indices(p: Polytope) -> list[int]:
-    """First vertex subset of size dim + 1 that is affinely independent.
+    """Last vertex subset of size dim + 1 that is affinely independent, sorted.
 
     The pivot columns of the reduced echelon form of the lifted vertices
-    (v, 1) in vertex order: each vertex not affinely spanned by the ones
-    before it.  So the choice is deterministic and starts with vertex 0.
+    (v, 1) taken from the last vertex down: each vertex not affinely spanned
+    by the ones after it.  So the choice is deterministic and ends with the
+    last vertex, and every vertex w outside it is an affine combination of
+    basis vertices above w.
     """
-    chosen = exact.rref(_lifted(p, range(p.nvertices)))[1]
+    last = p.nvertices - 1
+    chosen = exact.rref(_lifted(p, range(last, -1, -1)))[1]
     if len(chosen) != p.dim + 1:
         raise DimensionDeficient("could not extract an affine basis")
-    return chosen
+    return sorted(last - c for c in chosen)
 
 
 def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:

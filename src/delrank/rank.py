@@ -42,8 +42,8 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
     Off-diagonal columns carry the doubled coefficient, so a row dotted
     with upper-triangle coordinates equals the full symmetric contraction.
     By default the paper's dependencies are used, one per vertex outside the
-    first affine basis (deps.basis_dependencies); any iterable of
-    coefficient vectors can be supplied instead.
+    affine basis of model.affine_basis_indices (deps.basis_dependencies);
+    any iterable of coefficient vectors can be supplied instead.
     """
     if dependencies is None:
         dependencies = [d.coefficients for d in basis_dependencies(p, affine_basis_indices(p))]

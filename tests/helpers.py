@@ -153,14 +153,15 @@ def fraction_det(m):
 
 
 def incremental_affine_basis(p):
-    """Greedy affine basis: vertex 0, then each vertex whose difference from it is independent of those kept."""
-    base = p.vertices[0]
-    chosen = [0]
+    """Greedy affine basis from the last vertex down: the last vertex, then each vertex whose difference from it is independent of those kept; sorted."""
+    last = p.nvertices - 1
+    base = p.vertices[last]
+    chosen = [last]
     reduced = []
-    for i, v in enumerate(p.vertices[1:], start=1):
+    for i in range(last - 1, -1, -1):
         if len(chosen) == p.dim + 1:
             break
-        vec = [x - b for x, b in zip(v, base)]
+        vec = [x - b for x, b in zip(p.vertices[i], base)]
         for row in reduced:
             lead = next(k for k, x in enumerate(row) if x != 0)
             if vec[lead] != 0:
@@ -169,7 +170,7 @@ def incremental_affine_basis(p):
         if any(x != 0 for x in vec):
             reduced.append(vec)
             chosen.append(i)
-    return chosen
+    return sorted(chosen)
 
 
 def transpose(m):
@@ -193,12 +194,12 @@ def dense_face_rows(fs):
     return out
 
 
-def all_face_rows(p):
-    """Every pair-system row ((dependency index, probe), {pair index: coefficient}), one per module vector and probe vertex."""
+def all_face_rows(p, vectors):
+    """Every pair-system row ((dependency index, probe), {pair index: coefficient}), one per given dependency vector and probe vertex."""
     pairs = dr.vertex_pairs(p.nvertices)
     index = {pair: k for k, pair in enumerate(pairs)}
     rows = []
-    for yi, y in enumerate(dr.dependency_module(p)):
+    for yi, y in enumerate(vectors):
         for u in range(p.nvertices):
             row = {index[min(u, v), max(u, v)]: c for v, c in enumerate(y) if c and v != u}
             rows.append(((yi, u), row))
@@ -373,7 +374,7 @@ def solve_basis_dependencies(p, basis):
 
 def module_form_space(p):
     """Rank and compatible-form basis from the Hermite dependency module, as rank_of computed them before the basis route."""
-    system = dr.bspace_constraints(p, dr.dependency_module(p).vectors)
+    system = dr.bspace_constraints(p, dr.dependency_module(p))
     m = len(system.columns)
     rows = [list(r) for r in system.rows]
     vecs = exact.nullspace(rows) if rows else [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]

@@ -68,9 +68,9 @@ def test_criterion_05_p0_suite():
     p = data.polytope
 
     mod = dr.dependency_module(p)
-    assert len(mod.vectors) == 1
+    assert len(mod) == 1
     expected = (3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)
-    vec = tuple(mod.vectors[0])
+    vec = tuple(mod[0])
     assert vec == expected or vec == tuple(-c for c in expected)
 
     assert dr.rank_of(p) == 77

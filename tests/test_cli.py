@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import delrank as dr
-from delrank import cli, deps, exact, model
+from delrank import cli, deps, exact, model, rank
 from delrank.errors import DelrankError, InternalError
 from tests.helpers import count_calls, fraction_distance_matrix
 
@@ -175,6 +175,25 @@ def test_internal_error_exits_four(square_file, capsys, monkeypatch):
     assert not issubclass(InternalError, DelrankError)
 
 
+def test_other_exceptions_exit_four(square_file, capsys, monkeypatch):
+    def broken(p):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(rank, "rank_of", broken)
+    code, out, err = run(["rank", square_file, "--method", "bspace"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(["rank", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("invalid input:")
+
+
 def test_missing_and_unparsable_files(tmp_path, capsys):
     code, out, err = run(["rank", str(tmp_path / "no_such.json")], capsys)
     assert code == 2
@@ -300,6 +319,8 @@ REPORT_DIGESTS = {
     "halfcube5": (["halfcube", "5"], [], "5a719f2e1b4e92c6c1030dfc9b40344d19064749a424931bcd93465b1ee8a8b2"),
     "cube4": (["cube", "4"], [], "72847983def72b08a436c08dab8b3ab1b3baa7e7f222d54d82d5c7e4a40d2c61"),
     "p0": (["p0"], ["--window", "0"], "ba931b96848c36221c716856228beb2385e43456b35a4e1a31088ecf7e93498f"),
+    "halfcube6": (["halfcube", "6"], ["--window", "0"], "063a118dfac034af96c8bf78d9646314f9c19802e07adbd8f33873730935b1e1"),
+    "cube5": (["cube", "5"], ["--window", "0"], "71a2b8353221fa2f2245b2a014d7970db3521ef5707205a2a82ba4442ff0ca08"),
 }
 
 
@@ -374,6 +395,16 @@ def test_report_builds_the_dependency_module_once(tmp_path, capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["dependencies"]["count"] == 8 - 4 - 1
     assert len(calls) == 1
+
+
+def test_rank_both_builds_no_hermite_module(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "hc5.json")
+    assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
+    calls = count_calls(monkeypatch, exact, "integral_kernel")
+    code, out, err = run(["rank", target, "--method", "both"], capsys)
+    assert code == 0
+    assert json.loads(out)["methods_agree"] is True
+    assert calls == []
 
 
 def test_report_without_gram_skips_verify(square_file, capsys):

@@ -1,4 +1,4 @@
-"""Checks over the repository itself: the scripts run, and the library holds no asserts."""
+"""Checks over the repository itself: the scripts run, the exports exist, and the library holds no asserts."""
 
 import ast
 import importlib.util
@@ -16,6 +16,13 @@ def test_script_exits_zero(name, argv, capsys):
     spec.loader.exec_module(script)
     assert script.main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its object is gone breaks `from delrank import *`
+    import delrank
+
+    assert [name for name in delrank.__all__ if not hasattr(delrank, name)] == []
 
 
 def test_library_has_no_assert_statements():

@@ -125,6 +125,34 @@ def test_basis_dependencies_match_solve_per_vertex(seed):
                 dr.basis_dependencies(p, basis)
 
 
+LEAD_INSTANCES = {
+    "random": random_polytope,
+    "half_integer": random_half_integer_polytope,
+    "halfcube5": lambda rng: dr.half_cube(5),
+    "cube4": lambda rng: dr.cube(4),
+    "cross5": lambda rng: dr.cross_polytope(5),
+    "simplex4": lambda rng: dr.simplex(4),
+    "p0": lambda rng: dr.p0().polytope,
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(LEAD_INSTANCES)))
+def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
+    """Each paper dependency starts at its w, positive, and lives on w and basis vertices above w."""
+    rng = random.Random(seed)
+    p = LEAD_INSTANCES[name](rng)
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    p = dr.from_coords(p.dim, verts)
+    basis = dr.affine_basis_indices(p)
+    vdeps = dr.basis_dependencies(p, basis)
+    assert len(vdeps) == p.nvertices - p.dim - 1
+    for d in vdeps:
+        support = [v for v, c in enumerate(d.coefficients) if c]
+        assert support[0] == d.w and d.coefficients[d.w] > 0, name
+        assert all(v in basis and v > d.w for v in support[1:]), name
+
+
 def test_check_dist_system_square(square):
     d = dr.distance_matrix(square, [[1, 0], [0, 1]])
     assert dr.check_dist_system(d, [1, -1, -1, 1])

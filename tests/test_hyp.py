@@ -88,7 +88,9 @@ def test_face_system_square(square):
 def test_face_system_records_its_module_and_dimension(square):
     for p in (square, dr.simplex(3), dr.half_cube(4), dr.from_coords(0, [()])):
         fs = dr.face_system(p)
-        assert fs.dependencies == dr.dependency_module(p)
+        assert fs.dependencies == tuple(d.coefficients for d in dr.basis_dependencies(p, dr.affine_basis_indices(p)))
+        module = list(dr.dependency_module(p))
+        assert exact.rank(list(fs.dependencies) + module) == exact.rank(module) == len(module)
         assert {yi for (yi, _), _ in fs.rows} == set(range(len(fs.dependencies)))
         assert fs.dimension() == dr.face_dimension(p)
 
@@ -117,7 +119,7 @@ def test_face_dimension_structured_path_agrees_small():
     npairs = p.nvertices * (p.nvertices - 1) // 2
     # the full (y, u) system, not face_system's pruned rows; the Fraction
     # oracle is too slow on its 800 rows, the plain dict loop is independent too
-    oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p)])
+    oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
     assert dr.face_dimension(p) == npairs - oracle_rank
 
 
@@ -179,13 +181,16 @@ def test_face_system_drops_only_redundant_rows(seed, name):
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
     fs = dr.face_system(p)
-    full = all_face_rows(p)
+    full = all_face_rows(p, fs.dependencies)
     k, nv = len(fs.dependencies), p.nvertices
     assert len(full) == k * nv
     assert len(fs.rows) == k * nv - k * (k - 1) // 2
     oracle = dict(full)
     assert all(oracle[label] == row for label, row in fs.rows)
-    assert exact.sparse_rank([row for _, row in fs.rows]) == dict_sparse_rank([row for _, row in full])
+    # the full system over the Hermite module, a dependency family face_system does not build
+    module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
+    assert exact.sparse_rank([row for _, row in fs.rows]) == module_rank
+    assert fs.dimension() == len(fs.pairs) - module_rank
 
 
 def test_face_rows_vanish_on_family_distances():

@@ -35,9 +35,10 @@ def test_from_coords_rejects_bad_input():
 
 
 def test_affine_basis_indices(square):
-    assert dr.affine_basis_indices(square) == [0, 1, 2]
-    degenerate_first = dr.from_coords(2, [[0, 0], [1, 0], [2, 0], [0, 1]])
-    assert dr.affine_basis_indices(degenerate_first) == [0, 1, 3]
+    assert dr.affine_basis_indices(square) == [1, 2, 3]
+    # vertex 1 lies on the line through vertices 2 and 3, so the scan from the end skips it
+    degenerate_last = dr.from_coords(2, [[0, 1], [0, 0], [1, 0], [2, 0]])
+    assert dr.affine_basis_indices(degenerate_last) == [0, 2, 3]
 
 
 def _relabeled(p, rng):

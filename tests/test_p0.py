@@ -19,8 +19,8 @@ def data():
 
 def test_dependency_vector(data):
     mod = dr.dependency_module(data.polytope)
-    assert len(mod.vectors) == 1
-    vec = tuple(mod.vectors[0])
+    assert len(mod) == 1
+    vec = tuple(mod[0])
     assert vec == EXPECTED_DEP or vec == tuple(-c for c in EXPECTED_DEP)
     assert data.dependency == EXPECTED_DEP
 

@@ -125,7 +125,7 @@ def test_bspace_constraints_with_custom_dependencies(square):
 
 def _assert_fraction_rows_equal(p, name):
     basis_ys = [d.coefficients for d in dr.basis_dependencies(p, dr.affine_basis_indices(p))]
-    module_ys = dr.dependency_module(p).vectors
+    module_ys = dr.dependency_module(p)
     for rows, ys in ((dr.bspace_constraints(p).rows, basis_ys),
                      (dr.bspace_constraints(p, dependencies=module_ys).rows, module_ys)):
         assert rows == fraction_bspace_rows(p, ys), name
@@ -149,7 +149,7 @@ def test_rank_agrees_between_dependency_families():
     for name, p in family_corpus():
         if p.nvertices > 24:
             continue
-        module = dr.dependency_module(p).vectors
+        module = dr.dependency_module(p)
         n = p.dim
         assert (
             n * (n + 1) // 2 - dr.bspace_constraints(p, dependencies=module).rank()
