@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 inconsistency,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -45,7 +46,8 @@ def _parse_rational(value) -> Fraction:
     if match is None:
         raise InputError(f"not a rational string: {value!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    # Fraction(n) skips the gcd normalisation that Fraction(n, 1) pays
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def _rat(x) -> str:
@@ -296,7 +298,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="delrank", description="Exact rank computations for lattice Delaunay polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import InternalError, NotAffineBasis, SumNotZero
-from .model import Polytope, affine_coordinates
+from .model import Polytope, _dependency, affine_coordinates
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,19 @@ class VertexDependency:
 def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
     """Canonical Z-basis of all integral affine dependencies of the vertex set.
 
-    A Hermite pass; the ranks read basis_dependencies, which need none.
+    When every dependency of the polytope's frame has coefficient 1 at its
+    own vertex w, that is when every vertex has integral affine coordinates
+    over the frame's basis, the frame's dependencies are the answer.  Each
+    lives on w and basis vertices above w, so sorted by w they are an
+    echelon basis with unit pivots and zeros above each pivot: in Hermite
+    form.  They are saturated, because an integral dependency y equals
+    sum_w y(w) y_w, as the difference vanishes off the affinely independent
+    basis.  Otherwise a Hermite pass (exact.integral_kernel) finds the
+    module.  The ranks read the frame, and need neither.
     """
+    ys = p.frame.dependencies
+    if all(next(filter(None, y)) == 1 for y in ys):
+        return ys
     rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
     kernel = exact.integral_kernel(rows)
     if len(kernel) != p.nvertices - p.dim - 1:
@@ -43,8 +54,10 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
 
     For w outside the basis the unique affine representation of w over the
     basis yields an integral dependency supported on basis + {w}.  Together
-    these span the same rational space as dependency_module(p).  Over
-    model.affine_basis_indices(p) each lives on w and basis vertices above w.
+    these span the same rational space as dependency_module(p).  Any affine
+    basis will do; over model.affine_basis_indices(p) the coefficients are
+    those of the polytope's frame (p.frame.dependencies), each living on w
+    and basis vertices above w.
     """
     basis = list(basis_indices)
     if len(basis) != p.dim + 1 or len(set(basis)) != len(basis):
@@ -55,14 +68,7 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
     coords = affine_coordinates(p, basis, others)
     if coords is None:
         raise NotAffineBasis("indices are not affinely independent")
-    out: list[VertexDependency] = []
-    for w, x in zip(others, coords):
-        # primitivize the support only; its first entry, at w, stays positive
-        y = [0] * p.nvertices
-        for i, c in zip([w, *basis], exact.primitivize([1, *(-c for c in x)])):
-            y[i] = c
-        out.append(VertexDependency(w=w, coefficients=tuple(y)))
-    return out
+    return [VertexDependency(w=w, coefficients=_dependency(p.nvertices, w, basis, x)) for w, x in zip(others, coords)]
 
 
 def check_dist_system(dm, y) -> bool:

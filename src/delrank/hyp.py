@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .deps import basis_dependencies
 from .errors import SumNotOne
-from .model import Polytope, _distance_matrix, affine_basis_indices, circumcenter, from_coords
+from .model import Polytope, _distance_matrix, circumcenter, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -33,7 +32,7 @@ class FaceSystem:
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
     Pair indices follow vertex_pairs order; dependency indices point into
-    dependencies, the deps.basis_dependencies the rows were built from.
+    dependencies, the frame dependencies the rows were built from.
     There is a row (y, u) for every dependency y and every probe vertex u
     except when u is the leading vertex (first nonzero entry) of a
     dependency and lies below the leading vertex of y.  The rows left out
@@ -132,12 +131,12 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
 def face_system(p: Polytope) -> FaceSystem:
     """System rows (y, u) over the paper's dependencies, without the redundant ones.
 
-    The dependencies are deps.basis_dependencies over the last affine basis
-    (model.affine_basis_indices), so each leads at its own vertex.  Write
-    row(y, u) for sum_v y(v) d{u, v} and lead(y) for the first vertex where
-    y is nonzero.  Row (y, u) is left out when u = lead(y') for some other
-    dependency y' and u < lead(y).  Proof that this keeps the
-    rank: take y, y' with l' = lead(y') < lead(y).
+    The dependencies are those of the polytope's frame (p.frame), the
+    paper's dependencies over the last affine basis, so each leads at its
+    own vertex.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y) for the
+    first vertex where y is nonzero.  Row (y, u) is left out when
+    u = lead(y') for some other dependency y' and u < lead(y).  Proof that
+    this keeps the rank: take y, y' with l' = lead(y') < lead(y).
 
     - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
       sum_{a != b} y(a) y'(b) d{a, b}, so they are the same linear form.
@@ -149,7 +148,7 @@ def face_system(p: Polytope) -> FaceSystem:
 
     The argument needs no unit pivots, no Z-basis and no vertex order.
     """
-    ys = tuple(d.coefficients for d in basis_dependencies(p, affine_basis_indices(p)))
+    ys = p.frame.dependencies
     nv = p.nvertices
     pairs = vertex_pairs(nv)
     # pidx[u][v] is the index of the pair {u, v}; rows share these int objects

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import exact
@@ -33,6 +34,28 @@ class Polytope:
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The last affine basis and the paper's dependencies over it; see Frame."""
+        return _frame(self)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One reduced echelon form of the lifted vertices (v, 1), read from the last vertex down.
+
+    basis holds the sorted pivot vertices: each vertex not affinely spanned
+    by the ones after it.  The non-pivot columns are the affine coordinates
+    of every other vertex w over the basis vertices above w, and
+    dependencies holds, for each such w in ascending order, the dependency
+    they give: supported on w and basis vertices above w, primitive and
+    positive at w.  On a polytope that spans its dimension there are
+    dim + 1 basis vertices.
+    """
+
+    basis: tuple[int, ...]
+    dependencies: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -60,7 +83,8 @@ def from_coords(dim: int, vertices) -> Polytope:
     """Build a validated polytope from coordinate vectors.
 
     Requires at least dim + 1 distinct vertices spanning an affine space of
-    exactly the stated dimension.
+    exactly the stated dimension.  The dimension check counts the pivots of
+    the polytope's frame, which is then cached on it for every later reader.
     """
     vts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
     if any(len(v) != dim for v in vts):
@@ -73,11 +97,10 @@ def from_coords(dim: int, vertices) -> Polytope:
             if v in seen:
                 raise DuplicateVertex(f"vertex {i} repeats an earlier vertex")
             seen.add(v)
-    base = vts[0]
-    diffs = [[x - b for x, b in zip(v, base)] for v in vts]
-    if exact.rank(diffs) != dim:
+    p = Polytope(dim=dim, vertices=vts)
+    if not vts or len(p.frame.basis) != dim + 1:
         raise DimensionDeficient("vertices do not affinely span the stated dimension")
-    return Polytope(dim=dim, vertices=vts)
+    return p
 
 
 def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
@@ -159,20 +182,43 @@ def _lifted(p: Polytope, cols) -> list[list]:
     return [*([p.vertices[i][k] for i in cols] for k in range(p.dim)), [1] * len(cols)]
 
 
+def _dependency(nvertices: int, w: int, basis, coords) -> tuple[int, ...]:
+    """The dependency of vertex w from its affine coordinates over the basis vertices.
+
+    Supported on w and basis, primitive, and positive at w.
+    """
+    y = [0] * nvertices
+    for i, c in zip([w, *basis], exact.primitivize([1, *(-x for x in coords)])):
+        y[i] = c
+    return tuple(y)
+
+
+def _frame(p: Polytope) -> Frame:
+    last = p.nvertices - 1
+    red, pivots = exact.rref(_lifted(p, range(last, -1, -1)))
+    above = [last - c for c in pivots]
+    pivset = set(pivots)
+    dependencies = tuple(
+        _dependency(p.nvertices, last - c, above, [row[c] for row in red[: len(pivots)]])
+        for c in range(last, -1, -1)
+        if c not in pivset
+    )
+    return Frame(basis=tuple(sorted(above)), dependencies=dependencies)
+
+
 def affine_basis_indices(p: Polytope) -> list[int]:
     """Last vertex subset of size dim + 1 that is affinely independent, sorted.
 
-    The pivot columns of the reduced echelon form of the lifted vertices
-    (v, 1) taken from the last vertex down: each vertex not affinely spanned
-    by the ones after it.  So the choice is deterministic and ends with the
-    last vertex, and every vertex w outside it is an affine combination of
-    basis vertices above w.
+    The basis of the polytope's frame: the pivot columns of the reduced
+    echelon form of the lifted vertices (v, 1) taken from the last vertex
+    down, each vertex not affinely spanned by the ones after it.  So the
+    choice is deterministic and ends with the last vertex, and every vertex
+    w outside it is an affine combination of basis vertices above w.
     """
-    last = p.nvertices - 1
-    chosen = exact.rref(_lifted(p, range(last, -1, -1)))[1]
-    if len(chosen) != p.dim + 1:
+    basis = p.frame.basis
+    if len(basis) != p.dim + 1:
         raise DimensionDeficient("could not extract an affine basis")
-    return sorted(last - c for c in chosen)
+    return list(basis)
 
 
 def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:
@@ -196,7 +242,7 @@ def circumcenter(p: Polytope, gram) -> Circumdata:
     checks every remaining vertex exactly.
     """
     g = _validate_gram_shape(p, gram)
-    basis = affine_basis_indices(p)
+    basis = p.frame.basis
     v0 = p.vertices[basis[0]]
     us = differences(p, basis[0], basis[1:])
     # rows: 2 u_i^T G x = u_i^T G u_i, unknown x = center - v0

@@ -16,9 +16,9 @@ from math import lcm
 
 from . import exact
 # dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
-from .deps import basis_dependencies, dependency_module  # noqa: F401
+from .deps import dependency_module  # noqa: F401
 from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
-from .model import Polytope, affine_basis_indices, circumcenter, from_coords, is_centrally_symmetric
+from .model import Polytope, circumcenter, from_coords, is_centrally_symmetric
 
 
 def sym_columns(n: int) -> list[tuple[int, int]]:
@@ -42,11 +42,11 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
     Off-diagonal columns carry the doubled coefficient, so a row dotted
     with upper-triangle coordinates equals the full symmetric contraction.
     By default the paper's dependencies are used, one per vertex outside the
-    affine basis of model.affine_basis_indices (deps.basis_dependencies);
+    affine basis, as the polytope's frame holds them (p.frame.dependencies);
     any iterable of coefficient vectors can be supplied instead.
     """
     if dependencies is None:
-        dependencies = [d.coefficients for d in basis_dependencies(p, affine_basis_indices(p))]
+        dependencies = p.frame.dependencies
     cols = sym_columns(p.dim)
     # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
     k = lcm(*(x.denominator for v in p.vertices for x in v))

@@ -164,11 +164,14 @@ def test_invalid_files_exit_two(doc, tmp_path, capsys):
     assert err.startswith("invalid input:")
 
 
-def test_internal_error_exits_four(square_file, capsys, monkeypatch):
-    # a kernel that loses a vector breaks the dependency-count invariant
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    # a kernel that loses a vector breaks the dependency-count invariant; the
+    # first vertex has affine coordinates 1/2, 1/2 over the others, so the
+    # module comes from the Hermite pass and not from the frame
+    path = write_json(tmp_path, "halves.json", {"dim": 2, "vertices": [["1", "1"], ["0", "0"], ["2", "0"], ["0", "2"]]})
     real = exact.integral_kernel
     monkeypatch.setattr(exact, "integral_kernel", lambda m: real(m)[:-1])
-    code, out, err = run(["deps", square_file], capsys)
+    code, out, err = run(["deps", path], capsys)
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:")
@@ -405,6 +408,26 @@ def test_rank_both_builds_no_hermite_module(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["methods_agree"] is True
     assert calls == []
+
+
+def test_rank_both_reduces_the_lifted_vertices_once(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "hc5.json")
+    assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
+    lifted = count_calls(monkeypatch, model, "_lifted")
+    ranks = count_calls(monkeypatch, exact, "rank")
+    code, out, err = run(["rank", target, "--method", "both"], capsys)
+    assert code == 0
+    assert json.loads(out)["methods_agree"] is True
+    assert (len(lifted), len(ranks)) == (1, 1)
+
+
+def test_report_reduces_the_lifted_vertices_once_plus_once_per_tested_subset(tmp_path, capsys, monkeypatch):
+    target = str(tmp_path / "hc5.json")
+    assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
+    lifted = count_calls(monkeypatch, model, "_lifted")
+    code, out, err = run(["report", target], capsys)
+    assert code == 0
+    assert len(lifted) == 1 + json.loads(out)["basicity"]["tested"]
 
 
 def test_report_without_gram_skips_verify(square_file, capsys):

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import delrank as dr
 from delrank import exact
 from tests.helpers import (
+    count_calls,
     family_corpus,
     gram_corpus,
     random_half_integer_polytope,
     random_polytope,
+    random_unimodular,
     solve_affine_basis,
     solve_basis_dependencies,
 )
@@ -151,6 +153,41 @@ def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
         support = [v for v, c in enumerate(d.coefficients) if c]
         assert support[0] == d.w and d.coefficients[d.w] > 0, name
         assert all(v in basis and v > d.w for v in support[1:]), name
+
+
+def _hermite_module(p):
+    rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
+    return tuple(tuple(v) for v in exact.integral_kernel(rows))
+
+
+MODULE_INSTANCES = {
+    **LEAD_INSTANCES,
+    "halfcube5-T": lambda rng: dr.transform_basis(dr.half_cube(5), random_unimodular(5, rng)),
+    "cube4-T": lambda rng: dr.transform_basis(dr.cube(4), random_unimodular(4, rng)),
+    "cross5-T": lambda rng: dr.transform_basis(dr.cross_polytope(5), random_unimodular(5, rng)),
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(MODULE_INSTANCES)))
+def test_dependency_module_matches_the_hermite_kernel(seed, name):
+    """Frame shortcut or Hermite pass, the module is the Hermite basis of the integer kernel."""
+    rng = random.Random(seed)
+    p = MODULE_INSTANCES[name](rng)
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    p = dr.from_coords(p.dim, verts)
+    assert dr.dependency_module(p) == _hermite_module(p), name
+
+
+def test_dependency_module_takes_the_frame_only_when_it_is_integral(monkeypatch):
+    calls = count_calls(monkeypatch, exact, "integral_kernel")
+    hc = dr.half_cube(5)
+    assert dr.dependency_module(hc) == hc.frame.dependencies
+    assert calls == []
+    halves = dr.from_coords(2, [[1, 1], [0, 0], [2, 0], [0, 2]])
+    assert halves.frame.dependencies == ((2, 0, -1, -1),)
+    assert dr.dependency_module(halves) == ((2, 0, -1, -1),)
+    assert len(calls) == 1
 
 
 def test_check_dist_system_square(square):

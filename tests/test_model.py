@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact
+from delrank import exact, model
 from tests.helpers import (
     circumcenter_symmetry,
     count_calls,
@@ -18,6 +18,8 @@ from tests.helpers import (
     incremental_affine_basis,
     random_half_integer_polytope,
     random_polytope,
+    random_unimodular,
+    solve_basis_dependencies,
 )
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
@@ -47,20 +49,49 @@ def _relabeled(p, rng):
     return dr.from_coords(p.dim, verts)
 
 
+def _transformed(build, n):
+    return lambda rng: dr.transform_basis(build(n), random_unimodular(n, rng))
+
+
+FRAME_INSTANCES = {
+    "random": random_polytope,
+    "half_integer": random_half_integer_polytope,
+    "halfcube5": _transformed(dr.half_cube, 5),
+    "cube4": _transformed(dr.cube, 4),
+    "cross5": _transformed(dr.cross_polytope, 5),
+}
+
+
+def _assert_frame_matches_the_oracles(p, name):
+    """The frame's basis is the incremental scan's, its dependencies those of one solve per vertex."""
+    basis = incremental_affine_basis(p)
+    assert dr.affine_basis_indices(p) == basis, name
+    assert p.frame.basis == tuple(basis), name
+    expected = tuple(d.coefficients for d in solve_basis_dependencies(p, basis))
+    assert p.frame.dependencies == expected, name
+
+
 @settings(max_examples=60)
-@given(st.integers(0, 10_000))
-def test_affine_basis_indices_matches_the_incremental_scan(seed):
+@given(st.integers(0, 10_000), st.sampled_from(sorted(FRAME_INSTANCES)))
+def test_affine_basis_indices_matches_the_incremental_scan(seed, name):
     rng = random.Random(seed)
-    p = random_polytope(rng) if seed % 2 else random_half_integer_polytope(rng)
-    q = _relabeled(p, rng)
-    assert dr.affine_basis_indices(q) == incremental_affine_basis(q)
+    _assert_frame_matches_the_oracles(_relabeled(FRAME_INSTANCES[name](rng), rng), name)
 
 
 def test_affine_basis_indices_matches_the_incremental_scan_on_the_families():
     rng = random.Random(1)
     for name, p in family_corpus():
         for q in (p, _relabeled(p, rng)):
-            assert dr.affine_basis_indices(q) == incremental_affine_basis(q), name
+            _assert_frame_matches_the_oracles(q, name)
+
+
+def test_frame_is_cached_outside_equality_and_hashing(square):
+    frame = square.frame
+    assert square.frame is frame
+    assert frame == model.Frame(basis=(1, 2, 3), dependencies=((1, -1, -1, 1),))
+    fresh = dr.from_coords(2, square.vertices)
+    assert fresh == square and hash(fresh) == hash(square)
+    assert fresh.frame is not frame
 
 
 def test_distance_matrix(square):
