@@ -62,7 +62,6 @@ def _rational_matrix(obj, path: str, name: str) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class LoadedInput:
-    path: str
     digest: str
     polytope: model.Polytope
     gram: list[list[Fraction]] | None
@@ -108,12 +107,12 @@ def load_polytope_file(path: str) -> LoadedInput:
                 raise InputError(f"{path}: gram must be symmetric")
             if not exact.is_positive_definite(gram):
                 raise NotPositiveDefinite(f"{path}: gram must be positive definite")
-        return LoadedInput(path=path, digest=digest, polytope=p, gram=gram)
+        return LoadedInput(digest=digest, polytope=p, gram=gram)
     dm = _rational_matrix(doc["distances"], path, "distances")
     p, gram = model.from_distances(dm)
     if p.dim != dim:
         raise InputError(f"{path}: distances imply dimension {p.dim}, file says {dim}")
-    return LoadedInput(path=path, digest=digest, polytope=p, gram=gram)
+    return LoadedInput(digest=digest, polytope=p, gram=gram)
 
 
 def _emit(doc) -> None:

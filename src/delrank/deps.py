@@ -2,28 +2,17 @@
 
 A dependency is an integer vector y indexed by vertices with sum(y) = 0 and
 sum(y(v) v) = 0.  These vectors form a Z-module whose rank is always
-nvertices - dim - 1; a simplex has none.
+nvertices - dim - 1; a simplex has none.  Dependencies come in one
+format, that of p.frame.dependencies: tuples of ints indexed by vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
 from .errors import InternalError, NotAffineBasis, SumNotZero
 from .model import Polytope, _dependency, affine_coordinates
-
-
-@dataclass(frozen=True)
-class VertexDependency:
-    """Dependency supported on an affine basis plus one extra vertex w.
-
-    Normalized primitive with coefficients[w] > 0.
-    """
-
-    w: int
-    coefficients: tuple[int, ...]
 
 
 def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
@@ -49,15 +38,15 @@ def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in kernel)
 
 
-def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
-    """One dependency per vertex outside the affine basis.
+def basis_dependencies(p: Polytope, basis_indices) -> tuple[tuple[int, ...], ...]:
+    """One dependency per vertex outside the affine basis, in ascending vertex order.
 
     For w outside the basis the unique affine representation of w over the
-    basis yields an integral dependency supported on basis + {w}.  Together
-    these span the same rational space as dependency_module(p).  Any affine
-    basis will do; over model.affine_basis_indices(p) the coefficients are
-    those of the polytope's frame (p.frame.dependencies), each living on w
-    and basis vertices above w.
+    basis yields an integral dependency supported on basis + {w}, primitive
+    and positive at w.  Together these span the same rational space as
+    dependency_module(p).  Any affine basis will do; over p.frame.basis the
+    result is p.frame.dependencies, each living on w and basis vertices
+    above w.
     """
     basis = list(basis_indices)
     if len(basis) != p.dim + 1 or len(set(basis)) != len(basis):
@@ -68,7 +57,7 @@ def basis_dependencies(p: Polytope, basis_indices) -> list[VertexDependency]:
     coords = affine_coordinates(p, basis, others)
     if coords is None:
         raise NotAffineBasis("indices are not affinely independent")
-    return [VertexDependency(w=w, coefficients=_dependency(p.nvertices, w, basis, x)) for w, x in zip(others, coords)]
+    return tuple(_dependency(p.nvertices, w, basis, x) for w, x in zip(others, coords))
 
 
 def check_dist_system(dm, y) -> bool:

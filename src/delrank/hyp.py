@@ -5,11 +5,12 @@ for every dependency y and every probe vertex u it has the equation
 row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
 a second route to the rank of the polytope.  face_system builds the rows
 from the paper's dependencies, the family rank_of ranks through another
-system; exact.sparse_rank takes their rank by fraction-free integer
-elimination.  face_system leaves out row (y, u) when u is the leading
-vertex of another dependency and lies below the leading vertex of y: a
-symmetry of the pair sums puts every such row in the span of the rows it
-keeps (the proof is in face_system's docstring).
+system, and emits them in the order FaceSystem.dimension eliminates them;
+exact.sparse_rank takes their rank by fraction-free integer elimination.
+face_system leaves out row (y, u) when u is the leading vertex of another
+dependency and lies below the leading vertex of y: a symmetry of the pair
+sums puts every such row in the span of the rows it keeps (the proof is in
+face_system's docstring).  Pair indices follow vertex_pairs.
 """
 
 from __future__ import annotations
@@ -31,18 +32,19 @@ class FaceSystem:
     """Sparse equation system on unordered vertex pairs.
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
-    Pair indices follow vertex_pairs order; dependency indices point into
-    dependencies, the frame dependencies the rows were built from.
-    There is a row (y, u) for every dependency y and every probe vertex u
-    except when u is the leading vertex (first nonzero entry) of a
+    Pair indices follow vertex_pairs(nvertices) order; dependency indices
+    point into dependencies, the frame dependencies the rows were built
+    from.  There is a row (y, u) for every dependency y and every probe
+    vertex u except when u is the leading vertex (first nonzero entry) of a
     dependency and lies below the leading vertex of y.  The rows left out
     lie in the span of the others (see face_system), so the rank is that of
     the full system.  With k dependencies on nvertices vertices there are
-    k*nvertices - k*(k-1)/2 rows, as each leads at its own vertex.
+    k*nvertices - k*(k-1)/2 rows, as each leads at its own vertex.  The
+    rows come in elimination order: by descending probe, in dependency
+    order within each probe.
     """
 
     nvertices: int
-    pairs: tuple[tuple[int, int], ...]
     rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
     dependencies: tuple[tuple[int, ...], ...]
 
@@ -53,18 +55,17 @@ class FaceSystem:
         rows.  For a simplex the system is empty and the value is
         dim*(dim+1)/2.
 
-        The rows are eliminated by descending probe, in dependency order
-        within each probe.  Row (y, u) lives on the pairs that contain u.
-        Of these, the pairs (v, u) with v < u are new to the elimination
-        when the probes come from the last one down, and in lex column
-        order they precede the pairs (u, w) that higher probes already
-        pivoted on.  So a row pivots on a fresh pair at the leading vertex
-        of y, and each dependency leads at its own vertex.  This keeps fill
-        and entry growth far below the dependency-major order of rows.
+        The rows are eliminated in their order.  Row (y, u) lives on the
+        pairs that contain u.  Of these, the pairs (v, u) with v < u are
+        new to the elimination when the probes come from the last one
+        down, and in lex column order they precede the pairs (u, w) that
+        higher probes already pivoted on.  So a row pivots on a fresh pair
+        at the leading vertex of y, and each dependency leads at its own
+        vertex.  This keeps fill and entry growth far below the
+        dependency-major order of rows.
         """
         nv = self.nvertices
-        rows = [row for _, row in sorted(self.rows, key=lambda r: -r[0][1])]
-        return nv * (nv - 1) // 2 - exact.sparse_rank(rows)
+        return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in self.rows])
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -147,25 +148,25 @@ def face_system(p: Polytope) -> FaceSystem:
     - By descending induction on the probe, the kept rows span every row.
 
     The argument needs no unit pivots, no Z-basis and no vertex order.
+    The rows come out from the last probe down, in dependency order within
+    each probe, which is the order FaceSystem.dimension eliminates them in.
     """
     ys = p.frame.dependencies
     nv = p.nvertices
-    pairs = vertex_pairs(nv)
     # pidx[u][v] is the index of the pair {u, v}; rows share these int objects
     pidx = [[0] * nv for _ in range(nv)]
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(vertex_pairs(nv)):
         pidx[i][j] = pidx[j][i] = k
     supports = [[(v, c) for v, c in enumerate(y) if c] for y in ys]
     leads = {support[0][0] for support in supports}
     rows = []
-    for yi, support in enumerate(supports):
-        lead = support[0][0]
-        for u in range(nv):
-            if u < lead and u in leads:
+    for u in range(nv - 1, -1, -1):
+        at = pidx[u]
+        for yi, support in enumerate(supports):
+            if u < support[0][0] and u in leads:
                 continue
-            at = pidx[u]
             rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
-    return FaceSystem(nvertices=nv, pairs=tuple(pairs), rows=tuple(rows), dependencies=ys)
+    return FaceSystem(nvertices=nv, rows=tuple(rows), dependencies=ys)
 
 
 def face_dimension(p: Polytope) -> int:

@@ -47,15 +47,23 @@ class Frame:
 
     basis holds the sorted pivot vertices: each vertex not affinely spanned
     by the ones after it.  The non-pivot columns are the affine coordinates
-    of every other vertex w over the basis vertices above w, and
-    dependencies holds, for each such w in ascending order, the dependency
-    they give: supported on w and basis vertices above w, primitive and
-    positive at w.  On a polytope that spans its dimension there are
-    dim + 1 basis vertices.
+    of every other vertex w over the basis vertices above w; coordinates
+    holds them as (w, coefficients over basis) in ascending w.  On a
+    polytope that spans its dimension there are dim + 1 basis vertices.
     """
 
     basis: tuple[int, ...]
-    dependencies: tuple[tuple[int, ...], ...]
+    nvertices: int
+    coordinates: tuple[tuple[int, tuple[Fraction, ...]], ...]
+
+    @cached_property
+    def dependencies(self) -> tuple[tuple[int, ...], ...]:
+        """The dependency each vertex w outside the basis gives, in ascending w.
+
+        Supported on w and basis vertices above w, primitive and positive
+        at w.  Built on first read, as they take nvertices entries each.
+        """
+        return tuple(_dependency(self.nvertices, w, self.basis, x) for w, x in self.coordinates)
 
 
 @dataclass(frozen=True)
@@ -196,29 +204,13 @@ def _dependency(nvertices: int, w: int, basis, coords) -> tuple[int, ...]:
 def _frame(p: Polytope) -> Frame:
     last = p.nvertices - 1
     red, pivots = exact.rref(_lifted(p, range(last, -1, -1)))
-    above = [last - c for c in pivots]
+    # pivot c is vertex last - c, so the reversed pivot rows follow the sorted basis
+    rows = red[: len(pivots)][::-1]
     pivset = set(pivots)
-    dependencies = tuple(
-        _dependency(p.nvertices, last - c, above, [row[c] for row in red[: len(pivots)]])
-        for c in range(last, -1, -1)
-        if c not in pivset
+    coordinates = tuple(
+        (last - c, tuple(row[c] for row in rows)) for c in range(last, -1, -1) if c not in pivset
     )
-    return Frame(basis=tuple(sorted(above)), dependencies=dependencies)
-
-
-def affine_basis_indices(p: Polytope) -> list[int]:
-    """Last vertex subset of size dim + 1 that is affinely independent, sorted.
-
-    The basis of the polytope's frame: the pivot columns of the reduced
-    echelon form of the lifted vertices (v, 1) taken from the last vertex
-    down, each vertex not affinely spanned by the ones after it.  So the
-    choice is deterministic and ends with the last vertex, and every vertex
-    w outside it is an affine combination of basis vertices above w.
-    """
-    basis = p.frame.basis
-    if len(basis) != p.dim + 1:
-        raise DimensionDeficient("could not extract an affine basis")
-    return list(basis)
+    return Frame(basis=tuple(last - c for c in reversed(pivots)), nvertices=p.nvertices, coordinates=coordinates)
 
 
 def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:

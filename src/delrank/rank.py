@@ -28,7 +28,6 @@ def sym_columns(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    dim: int
     columns: tuple[tuple[int, int], ...]
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -63,7 +62,7 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
             if c:
                 acc = [a + c * b for a, b in zip(acc, q)]
         rows.append(tuple(Fraction(a, k * k) for a in acc))
-    return ConstraintSystem(dim=p.dim, columns=tuple(cols), rows=tuple(rows))
+    return ConstraintSystem(columns=tuple(cols), rows=tuple(rows))
 
 
 def rank_of(p: Polytope) -> int:

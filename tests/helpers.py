@@ -187,7 +187,7 @@ def dense_face_rows(fs):
     """The rows of a FaceSystem as dense Fraction vectors over its pairs."""
     out = []
     for _, row in fs.rows:
-        vec = [Fraction(0)] * len(fs.pairs)
+        vec = [Fraction(0)] * (fs.nvertices * (fs.nvertices - 1) // 2)
         for c, v in row.items():
             vec[c] = Fraction(v)
         out.append(vec)
@@ -368,8 +368,8 @@ def solve_basis_dependencies(p, basis):
         yi = exact.primitivize(y)
         if yi[w] < 0:
             yi = [-c for c in yi]
-        out.append(dr.VertexDependency(w=w, coefficients=tuple(yi)))
-    return out
+        out.append(tuple(yi))
+    return tuple(out)
 
 
 def module_form_space(p):

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -57,7 +58,7 @@ def test_rank_single_method(square_file, capsys):
 
 
 def test_digest_echo(square_file, capsys):
-    raw = open(square_file, "rb").read()
+    raw = Path(square_file).read_bytes()
     expected = "sha256:" + hashlib.sha256(raw).hexdigest()
     code, out, err = run(["deps", square_file], capsys)
     assert code == 0
@@ -77,7 +78,7 @@ def test_family_to_file_then_rank(tmp_path, capsys):
     code, out, err = run(["family", "halfcube", "4", "--output", target], capsys)
     assert code == 0
     assert out == ""
-    doc = json.loads(open(target).read())
+    doc = json.loads(Path(target).read_text())
     assert doc["dim"] == 4
     assert len(doc["vertices"]) == 8
     assert doc["gram"] == [["1" if i == j else "0" for j in range(4)] for i in range(4)]

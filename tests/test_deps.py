@@ -70,22 +70,16 @@ def test_dependency_vectors_primitive_first_positive():
 
 
 def test_basis_dependencies_square(square):
-    out = dr.basis_dependencies(square, [0, 1, 2])
-    assert len(out) == 1
-    assert out[0].w == 3
-    assert out[0].coefficients == (1, -1, -1, 1)
+    assert dr.basis_dependencies(square, [0, 1, 2]) == ((1, -1, -1, 1),)
 
 
 def test_basis_dependencies_cross3():
     p = dr.cross_polytope(3)
     out = dr.basis_dependencies(p, [0, 1, 2, 3])
-    assert [(d.w, d.coefficients) for d in out] == [
-        (4, (-1, 1, 0, -1, 1, 0)),
-        (5, (-1, 0, 1, -1, 0, 1)),
-    ]
-    for d in out:
-        assert d.coefficients[d.w] > 0
-        assert sum(d.coefficients) == 0
+    assert out == ((-1, 1, 0, -1, 1, 0), (-1, 0, 1, -1, 0, 1))
+    for w, y in zip((4, 5), out):
+        assert y[w] > 0
+        assert sum(y) == 0
 
 
 def test_basis_dependencies_rejects_bad_subset(square):
@@ -108,7 +102,7 @@ def test_basis_dependencies_span_the_module():
         module = [list(y) for y in dr.dependency_module(p)]
         if not module:
             continue
-        vdeps = [list(d.coefficients) for d in dr.basis_dependencies(p, dr.affine_basis_indices(p))]
+        vdeps = [list(y) for y in dr.basis_dependencies(p, p.frame.basis)]
         assert len(vdeps) == len(module)
         assert exact.rank(module) == exact.rank(vdeps) == exact.rank(module + vdeps), name
 
@@ -146,13 +140,15 @@ def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
     verts = list(p.vertices)
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
-    basis = dr.affine_basis_indices(p)
+    basis = p.frame.basis
     vdeps = dr.basis_dependencies(p, basis)
-    assert len(vdeps) == p.nvertices - p.dim - 1
-    for d in vdeps:
-        support = [v for v, c in enumerate(d.coefficients) if c]
-        assert support[0] == d.w and d.coefficients[d.w] > 0, name
-        assert all(v in basis and v > d.w for v in support[1:]), name
+    assert vdeps == p.frame.dependencies, name
+    others = [w for w in range(p.nvertices) if w not in basis]
+    assert len(vdeps) == len(others) == p.nvertices - p.dim - 1
+    for w, y in zip(others, vdeps):
+        support = [v for v, c in enumerate(y) if c]
+        assert support[0] == w and y[w] > 0, name
+        assert all(v in basis and v > w for v in support[1:]), name
 
 
 def _hermite_module(p):

@@ -76,11 +76,12 @@ def test_face_system_square(square):
     fs = dr.face_system(square)
     assert fs.nvertices == 4
     assert len(fs.rows) == 4
-    assert len(fs.pairs) == 6
+    assert len(dr.vertex_pairs(fs.nvertices)) == 6
     dense = dense_face_rows(fs)
     assert exact.rank(dense) == 4
+    assert [label for label, _ in fs.rows] == [(0, 3), (0, 2), (0, 1), (0, 0)]
     # row for probe u=0 with y=(1,-1,-1,1): -d(0,1) - d(0,2) + d(0,3)
-    (yi, u), row = fs.rows[0]
+    (yi, u), row = fs.rows[-1]
     assert (yi, u) == (0, 0)
     assert row == {0: -1, 1: -1, 2: 1}
 
@@ -88,7 +89,7 @@ def test_face_system_square(square):
 def test_face_system_records_its_module_and_dimension(square):
     for p in (square, dr.simplex(3), dr.half_cube(4), dr.from_coords(0, [()])):
         fs = dr.face_system(p)
-        assert fs.dependencies == tuple(d.coefficients for d in dr.basis_dependencies(p, dr.affine_basis_indices(p)))
+        assert fs.dependencies == dr.basis_dependencies(p, p.frame.basis)
         module = list(dr.dependency_module(p))
         assert exact.rank(list(fs.dependencies) + module) == exact.rank(module) == len(module)
         assert {yi for (yi, _), _ in fs.rows} == set(range(len(fs.dependencies)))
@@ -150,12 +151,14 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     rng.shuffle(verts)
     fs = dr.face_system(dr.from_coords(p.dim, verts))
     expected = len(fraction_rref(dense_face_rows(fs))[1])
-    dependency_major = [row for _, row in fs.rows]
-    probe_descending = [row for _, row in sorted(fs.rows, key=lambda r: -r[0][1])]
+    # face_system emits the rows in elimination order: descending probe, dependency order within it
+    assert list(fs.rows) == sorted(fs.rows, key=lambda r: (-r[0][1], r[0][0]))
+    dependency_major = [row for _, row in sorted(fs.rows, key=lambda r: r[0])]
+    probe_descending = [row for _, row in fs.rows]
     drawn = rng.sample(dependency_major, len(dependency_major))
     for rows in (dependency_major, probe_descending, drawn):
         assert exact.sparse_rank(rows) == expected
-    assert fs.dimension() == len(fs.pairs) - expected
+    assert fs.dimension() == fs.nvertices * (fs.nvertices - 1) // 2 - expected
 
 
 def _transformed(build, n):
@@ -190,7 +193,7 @@ def test_face_system_drops_only_redundant_rows(seed, name):
     # the full system over the Hermite module, a dependency family face_system does not build
     module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
     assert exact.sparse_rank([row for _, row in fs.rows]) == module_rank
-    assert fs.dimension() == len(fs.pairs) - module_rank
+    assert fs.dimension() == nv * (nv - 1) // 2 - module_rank
 
 
 def test_face_rows_vanish_on_family_distances():
@@ -201,6 +204,6 @@ def test_face_rows_vanish_on_family_distances():
         ident = [[int(i == j) for j in range(p.dim)] for i in range(p.dim)]
         d = dr.distance_matrix(p, ident)
         fs = dr.face_system(p)
-        flat = [d[i][j] for i, j in fs.pairs]
+        flat = [d[i][j] for i, j in dr.vertex_pairs(fs.nvertices)]
         for _, row in fs.rows:
             assert sum(Fraction(c) * flat[k] for k, c in row.items()) == 0, name

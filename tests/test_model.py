@@ -37,10 +37,10 @@ def test_from_coords_rejects_bad_input():
 
 
 def test_affine_basis_indices(square):
-    assert dr.affine_basis_indices(square) == [1, 2, 3]
+    assert square.frame.basis == (1, 2, 3)
     # vertex 1 lies on the line through vertices 2 and 3, so the scan from the end skips it
     degenerate_last = dr.from_coords(2, [[0, 1], [0, 0], [1, 0], [2, 0]])
-    assert dr.affine_basis_indices(degenerate_last) == [0, 2, 3]
+    assert degenerate_last.frame.basis == (0, 2, 3)
 
 
 def _relabeled(p, rng):
@@ -65,10 +65,8 @@ FRAME_INSTANCES = {
 def _assert_frame_matches_the_oracles(p, name):
     """The frame's basis is the incremental scan's, its dependencies those of one solve per vertex."""
     basis = incremental_affine_basis(p)
-    assert dr.affine_basis_indices(p) == basis, name
     assert p.frame.basis == tuple(basis), name
-    expected = tuple(d.coefficients for d in solve_basis_dependencies(p, basis))
-    assert p.frame.dependencies == expected, name
+    assert p.frame.dependencies == solve_basis_dependencies(p, basis), name
 
 
 @settings(max_examples=60)
@@ -88,10 +86,21 @@ def test_affine_basis_indices_matches_the_incremental_scan_on_the_families():
 def test_frame_is_cached_outside_equality_and_hashing(square):
     frame = square.frame
     assert square.frame is frame
-    assert frame == model.Frame(basis=(1, 2, 3), dependencies=((1, -1, -1, 1),))
+    assert (frame.basis, frame.dependencies) == ((1, 2, 3), ((1, -1, -1, 1),))
+    assert frame.dependencies is frame.dependencies
     fresh = dr.from_coords(2, square.vertices)
     assert fresh == square and hash(fresh) == hash(square)
     assert fresh.frame is not frame
+
+
+def test_from_coords_basicity_and_verify_build_no_dependency_vector(monkeypatch):
+    calls = count_calls(monkeypatch, model, "_dependency")
+    p = dr.half_cube(6)
+    dr.classify_basicity(p)
+    dr.verify_empty_sphere(p, dr.canonical_gram("halfcube", 6), window=0)
+    assert calls == []
+    assert len(p.frame.dependencies) == p.nvertices - p.dim - 1
+    assert len(calls) == p.nvertices - p.dim - 1
 
 
 def test_distance_matrix(square):
@@ -140,7 +149,7 @@ def test_forms_that_are_not_positive_definite_are_rejected(square, gram):
 
 def test_zero_dimensional_polytope():
     point = dr.from_coords(0, [()])
-    assert dr.affine_basis_indices(point) == [0]
+    assert point.frame.basis == (0,)
     assert dr.rank_of(point) == 0
     assert dr.bspace_basis(point) == []
     assert dr.nrd([point]) == 0

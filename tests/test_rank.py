@@ -116,15 +116,14 @@ def test_constraint_rows_vanish_on_compatible_forms():
 
 
 def test_bspace_constraints_with_custom_dependencies(square):
-    vdeps = dr.basis_dependencies(square, [0, 1, 2])
-    cs = dr.bspace_constraints(square, dependencies=[d.coefficients for d in vdeps])
+    cs = dr.bspace_constraints(square, dependencies=dr.basis_dependencies(square, [0, 1, 2]))
     assert cs.rows == ((Fraction(0), Fraction(2), Fraction(0)),)
     with pytest.raises(dr.WrongSize):
         dr.bspace_constraints(square, dependencies=[(1, -1, -1)])
 
 
 def _assert_fraction_rows_equal(p, name):
-    basis_ys = [d.coefficients for d in dr.basis_dependencies(p, dr.affine_basis_indices(p))]
+    basis_ys = dr.basis_dependencies(p, p.frame.basis)
     module_ys = dr.dependency_module(p)
     for rows, ys in ((dr.bspace_constraints(p).rows, basis_ys),
                      (dr.bspace_constraints(p, dependencies=module_ys).rows, module_ys)):
