@@ -2,8 +2,11 @@
 
 A dependency is an integer vector y indexed by vertices with sum(y) = 0 and
 sum(y(v) v) = 0.  These vectors form a Z-module whose rank is always
-nvertices - dim - 1; a simplex has none.  Dependencies come in one
-format, that of p.frame.dependencies: tuples of ints indexed by vertex.
+nvertices - dim - 1; a simplex has none.  The paper's dependencies, one
+per vertex outside the affine basis, are p.frame.dependencies, and both
+ranks read them there.  This module gives the saturated module and checks
+vectors against distances.  Dependencies come in one format: tuples of
+ints indexed by vertex.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact
-from .errors import InternalError, NotAffineBasis, SumNotZero
-from .model import Polytope, _dependency, affine_coordinates
+from .errors import InternalError, SumNotZero
+from .model import Polytope, _lifted
 
 
 def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
@@ -31,33 +34,10 @@ def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
     ys = p.frame.dependencies
     if all(next(filter(None, y)) == 1 for y in ys):
         return ys
-    rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
-    kernel = exact.integral_kernel(rows)
+    kernel = exact.integral_kernel(_lifted(p, range(p.nvertices)))
     if len(kernel) != p.nvertices - p.dim - 1:
         raise InternalError(f"dependency module has rank {len(kernel)}, expected {p.nvertices - p.dim - 1}")
     return tuple(tuple(v) for v in kernel)
-
-
-def basis_dependencies(p: Polytope, basis_indices) -> tuple[tuple[int, ...], ...]:
-    """One dependency per vertex outside the affine basis, in ascending vertex order.
-
-    For w outside the basis the unique affine representation of w over the
-    basis yields an integral dependency supported on basis + {w}, primitive
-    and positive at w.  Together these span the same rational space as
-    dependency_module(p).  Any affine basis will do; over p.frame.basis the
-    result is p.frame.dependencies, each living on w and basis vertices
-    above w.
-    """
-    basis = list(basis_indices)
-    if len(basis) != p.dim + 1 or len(set(basis)) != len(basis):
-        raise NotAffineBasis(f"expected {p.dim + 1} distinct indices")
-    if any(not 0 <= i < p.nvertices for i in basis):
-        raise NotAffineBasis("index out of range")
-    others = [w for w in range(p.nvertices) if w not in basis]
-    coords = affine_coordinates(p, basis, others)
-    if coords is None:
-        raise NotAffineBasis("indices are not affinely independent")
-    return tuple(_dependency(p.nvertices, w, basis, x) for w, x in zip(others, coords))
 
 
 def check_dist_system(dm, y) -> bool:

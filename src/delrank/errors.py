@@ -37,10 +37,6 @@ class NotCospherical(DelrankError):
     """Vertices do not lie on a common sphere for the given form."""
 
 
-class NotAffineBasis(DelrankError):
-    """An index subset is not an affine basis of the span."""
-
-
 class SumNotZero(DelrankError):
     """Coefficient vector of a dependency must sum to zero."""
 

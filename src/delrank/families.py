@@ -98,6 +98,7 @@ class P0Data:
 
 
 def p0_distance_matrix() -> list[list[Fraction]]:
+    """Squared distances of p0: 7 within a block of P0_BLOCKS, the _P0_CROSS value between blocks."""
     blocks = []
     for b, size in enumerate(P0_BLOCKS):
         blocks.extend([b] * size)
@@ -113,6 +114,7 @@ def p0_distance_matrix() -> list[list[Fraction]]:
 
 
 def p0() -> P0Data:
+    """The paper's witness p0, rebuilt from its distance matrix, with its Gram form and frozen dependency."""
     d = p0_distance_matrix()
     poly, gram = from_distances(d)
     return P0Data(

@@ -4,9 +4,10 @@ The central object is the linear system S(P) on unordered vertex pairs:
 for every dependency y and every probe vertex u it has the equation
 row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
 a second route to the rank of the polytope.  face_system builds the rows
-from the paper's dependencies, the family rank_of ranks through another
-system, and emits them in the order FaceSystem.dimension eliminates them;
-exact.sparse_rank takes their rank by fraction-free integer elimination.
+from the paper's dependencies, p.frame.dependencies, the ones rank_of
+builds its form constraints from, and emits them in the order
+FaceSystem.dimension eliminates them; exact.sparse_rank takes their rank by
+fraction-free integer elimination.
 face_system leaves out row (y, u) when u is the leading vertex of another
 dependency and lies below the leading vertex of y: a symmetry of the pair
 sums puts every such row in the span of the rows it keeps (the proof is in
@@ -24,6 +25,7 @@ from .model import Polytope, _distance_matrix, circumcenter, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
+    """The unordered vertex pairs (i, j), i < j, in lex order: the columns of the pair system."""
     return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
 
 
@@ -33,7 +35,7 @@ class FaceSystem:
 
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
     Pair indices follow vertex_pairs(nvertices) order; dependency indices
-    point into dependencies, the frame dependencies the rows were built
+    point into p.frame.dependencies of the polytope the rows were built
     from.  There is a row (y, u) for every dependency y and every probe
     vertex u except when u is the leading vertex (first nonzero entry) of a
     dependency and lies below the leading vertex of y.  The rows left out
@@ -46,7 +48,6 @@ class FaceSystem:
 
     nvertices: int
     rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
-    dependencies: tuple[tuple[int, ...], ...]
 
     def dimension(self) -> int:
         """Dimension of the solution space of the pair system S(P).
@@ -166,7 +167,7 @@ def face_system(p: Polytope) -> FaceSystem:
             if u < support[0][0] and u in leads:
                 continue
             rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
-    return FaceSystem(nvertices=nv, rows=tuple(rows), dependencies=ys)
+    return FaceSystem(nvertices=nv, rows=tuple(rows))
 
 
 def face_dimension(p: Polytope) -> int:

@@ -60,10 +60,18 @@ class Frame:
     def dependencies(self) -> tuple[tuple[int, ...], ...]:
         """The dependency each vertex w outside the basis gives, in ascending w.
 
-        Supported on w and basis vertices above w, primitive and positive
-        at w.  Built on first read, as they take nvertices entries each.
+        Its coefficients are 1 at w and minus w's affine coordinates at the
+        basis vertices, scaled to primitive integers: supported on w and
+        basis vertices above w, and positive at w.  Built on first read, as
+        they take nvertices entries each.
         """
-        return tuple(_dependency(self.nvertices, w, self.basis, x) for w, x in self.coordinates)
+        out = []
+        for w, coords in self.coordinates:
+            y = [0] * self.nvertices
+            for i, c in zip([w, *self.basis], exact.primitivize([1, *(-x for x in coords)])):
+                y[i] = c
+            out.append(tuple(y))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,7 @@ def _distance_matrix(p: Polytope, g: list[list[Fraction]]) -> list[list[Fraction
 
 
 def validate_distance_matrix(dm) -> list[list[Fraction]]:
+    """The matrix as Fractions, once it is square and symmetric with zero diagonal and positive entries off it."""
     d = exact.qmat(dm)
     n = len(d)
     if any(len(row) != n for row in d):
@@ -188,17 +197,6 @@ def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
 def _lifted(p: Polytope, cols) -> list[list]:
     """The vertices in cols lifted to (v, 1), one column each."""
     return [*([p.vertices[i][k] for i in cols] for k in range(p.dim)), [1] * len(cols)]
-
-
-def _dependency(nvertices: int, w: int, basis, coords) -> tuple[int, ...]:
-    """The dependency of vertex w from its affine coordinates over the basis vertices.
-
-    Supported on w and basis, primitive, and positive at w.
-    """
-    y = [0] * nvertices
-    for i, c in zip([w, *basis], exact.primitivize([1, *(-x for x in coords)])):
-        y[i] = c
-    return tuple(y)
 
 
 def _frame(p: Polytope) -> Frame:

@@ -26,26 +26,14 @@ def sym_columns(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    columns: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+def bspace_constraints(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
+    """Constraint rows on symmetric forms, one per paper dependency.
 
-    def rank(self) -> int:
-        return exact.rank(self.rows)
-
-
-def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
-    """Constraint rows on symmetric forms, one per dependency vector.
-
-    Off-diagonal columns carry the doubled coefficient, so a row dotted
-    with upper-triangle coordinates equals the full symmetric contraction.
-    By default the paper's dependencies are used, one per vertex outside the
-    affine basis, as the polytope's frame holds them (p.frame.dependencies);
-    any iterable of coefficient vectors can be supplied instead.
+    The dependencies are the polytope's frame's (p.frame.dependencies), one
+    per vertex outside the affine basis.  Entries follow sym_columns(p.dim);
+    off-diagonal columns carry the doubled coefficient, so a row dotted with
+    upper-triangle coordinates equals the full symmetric contraction.
     """
-    if dependencies is None:
-        dependencies = p.frame.dependencies
     cols = sym_columns(p.dim)
     # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
     k = lcm(*(x.denominator for v in p.vertices for x in v))
@@ -54,35 +42,34 @@ def bspace_constraints(p: Polytope, dependencies=None) -> ConstraintSystem:
         x = [a.numerator * (k // a.denominator) for a in v]
         quads.append([x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols])
     rows = []
-    for y in dependencies:
-        if len(y) != p.nvertices:
-            raise WrongSize("dependency length does not match vertex count")
+    for y in p.frame.dependencies:
         acc = [0] * len(cols)
         for q, c in zip(quads, y):
             if c:
                 acc = [a + c * b for a, b in zip(acc, q)]
         rows.append(tuple(Fraction(a, k * k) for a in acc))
-    return ConstraintSystem(columns=tuple(cols), rows=tuple(rows))
+    return tuple(rows)
 
 
 def rank_of(p: Polytope) -> int:
     """Dimension of the space of symmetric forms compatible with p."""
     n = p.dim
-    return n * (n + 1) // 2 - bspace_constraints(p).rank()
+    return n * (n + 1) // 2 - exact.rank(bspace_constraints(p))
 
 
 def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:
     """Basis of the compatible-form space, as full symmetric matrices."""
-    system = bspace_constraints(p)
-    if system.rows:
-        vecs = exact.nullspace([list(r) for r in system.rows])
+    rows = bspace_constraints(p)
+    cols = sym_columns(p.dim)
+    if rows:
+        vecs = exact.nullspace([list(r) for r in rows])
     else:
-        m = len(system.columns)
+        m = len(cols)
         vecs = [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
     out = []
     for vec in vecs:
         b = [[Fraction(0)] * p.dim for _ in range(p.dim)]
-        for (i, j), val in zip(system.columns, vec):
+        for (i, j), val in zip(cols, vec):
             b[i][j] = val
             b[j][i] = val
         out.append(b)
@@ -130,7 +117,7 @@ def nrd(polytopes) -> int:
     n = ps[0].dim
     if any(p.dim != n for p in ps):
         raise WrongSize("all polytopes must share the same dimension")
-    rows = [r for p in ps for r in bspace_constraints(p).rows]
+    rows = [r for p in ps for r in bspace_constraints(p)]
     return n * (n + 1) // 2 - exact.rank(rows)
 
 

@@ -374,14 +374,14 @@ def solve_basis_dependencies(p, basis):
 
 def module_form_space(p):
     """Rank and compatible-form basis from the Hermite dependency module, as rank_of computed them before the basis route."""
-    system = dr.bspace_constraints(p, dr.dependency_module(p))
-    m = len(system.columns)
-    rows = [list(r) for r in system.rows]
+    cols = sym_columns(p.dim)
+    m = len(cols)
+    rows = [list(r) for r in fraction_bspace_rows(p, dr.dependency_module(p))]
     vecs = exact.nullspace(rows) if rows else [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
     basis = []
     for vec in vecs:
         b = [[Fraction(0)] * p.dim for _ in range(p.dim)]
-        for (i, j), val in zip(system.columns, vec):
+        for (i, j), val in zip(cols, vec):
             b[i][j] = b[j][i] = val
         basis.append(b)
     return len(vecs), basis

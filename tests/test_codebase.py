@@ -1,7 +1,9 @@
-"""Checks over the repository itself: the scripts run, the exports exist, and the library holds no asserts."""
+"""Checks over the repository itself: the scripts run, the exports exist and are documented, and the
+library holds no asserts and no unused imports."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,45 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_function_has_a_docstring():
+    import delrank
+
+    missing = [
+        name for name in delrank.__all__
+        if inspect.isfunction(getattr(delrank, name)) and not inspect.getdoc(getattr(delrank, name))
+    ]
+    assert missing == []
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads, except on import lines marked # noqa."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name}:{line}" for name, line in imported.items() if name not in used)
+
+
+def test_library_has_no_unused_imports():
+    # no linter runs in CI; an import left behind by a removal fails here
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_scan_sees_plain_and_marked_imports():
+    source = "import os\nfrom math import gcd, lcm\nfrom .deps import f  # noqa: F401\nx = lcm(1, 2)\n"
+    assert _unused_imports(source) == ["gcd:2", "os:1"]

@@ -1,8 +1,6 @@
 """Integral dependency module and per-vertex dependencies."""
 
-import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,7 +16,6 @@ from tests.helpers import (
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
-    solve_affine_basis,
     solve_basis_dependencies,
 )
 
@@ -70,28 +67,19 @@ def test_dependency_vectors_primitive_first_positive():
 
 
 def test_basis_dependencies_square(square):
-    assert dr.basis_dependencies(square, [0, 1, 2]) == ((1, -1, -1, 1),)
+    assert square.frame.dependencies == ((1, -1, -1, 1),)
+    # the square has one dependency up to scale, so another basis gives it too
+    assert square.frame.dependencies == solve_basis_dependencies(square, [0, 1, 2])
 
 
 def test_basis_dependencies_cross3():
     p = dr.cross_polytope(3)
-    out = dr.basis_dependencies(p, [0, 1, 2, 3])
-    assert out == ((-1, 1, 0, -1, 1, 0), (-1, 0, 1, -1, 0, 1))
-    for w, y in zip((4, 5), out):
+    assert p.frame.basis == (2, 3, 4, 5)
+    out = p.frame.dependencies
+    assert out == ((1, 0, -1, 1, 0, -1), (0, 1, -1, 0, 1, -1))
+    for w, y in zip((0, 1), out):
         assert y[w] > 0
         assert sum(y) == 0
-
-
-def test_basis_dependencies_rejects_bad_subset(square):
-    with pytest.raises(dr.NotAffineBasis):
-        dr.basis_dependencies(square, [0, 1])
-    with pytest.raises(dr.NotAffineBasis):
-        dr.basis_dependencies(square, [0, 1, 1])
-    with pytest.raises(dr.NotAffineBasis):
-        dr.basis_dependencies(square, [0, 1, 7])
-    degenerate = dr.from_coords(2, [[0, 0], [1, 0], [2, 0], [0, 1]])
-    with pytest.raises(dr.NotAffineBasis):
-        dr.basis_dependencies(degenerate, [0, 1, 2])
 
 
 def test_basis_dependencies_span_the_module():
@@ -102,23 +90,9 @@ def test_basis_dependencies_span_the_module():
         module = [list(y) for y in dr.dependency_module(p)]
         if not module:
             continue
-        vdeps = [list(y) for y in dr.basis_dependencies(p, p.frame.basis)]
+        vdeps = [list(y) for y in p.frame.dependencies]
         assert len(vdeps) == len(module)
         assert exact.rank(module) == exact.rank(vdeps) == exact.rank(module + vdeps), name
-
-
-@given(st.integers(0, 10_000))
-def test_basis_dependencies_match_solve_per_vertex(seed):
-    rng = random.Random(seed)
-    p = random_half_integer_polytope(rng) if rng.random() < 0.5 else random_polytope(rng, max_dim=3)
-    for subset in itertools.combinations(range(p.nvertices), p.dim + 1):
-        basis = list(subset)
-        rng.shuffle(basis)
-        if solve_affine_basis(p, basis):
-            assert dr.basis_dependencies(p, basis) == solve_basis_dependencies(p, basis)
-        else:
-            with pytest.raises(dr.NotAffineBasis):
-                dr.basis_dependencies(p, basis)
 
 
 LEAD_INSTANCES = {
@@ -141,8 +115,8 @@ def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
     basis = p.frame.basis
-    vdeps = dr.basis_dependencies(p, basis)
-    assert vdeps == p.frame.dependencies, name
+    vdeps = p.frame.dependencies
+    assert vdeps == solve_basis_dependencies(p, basis), name
     others = [w for w in range(p.nvertices) if w not in basis]
     assert len(vdeps) == len(others) == p.nvertices - p.dim - 1
     for w, y in zip(others, vdeps):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import cli, exact
+from delrank.rank import sym_columns
 from tests.helpers import (
     count_calls,
     family_corpus,
@@ -27,44 +28,42 @@ from tests.helpers import (
 
 
 def test_sym_columns_order():
-    cs = dr.bspace_constraints(dr.simplex(2))
-    assert cs.columns == ((0, 0), (0, 1), (1, 1))
-    assert cs.rows == ()
+    assert sym_columns(2) == [(0, 0), (0, 1), (1, 1)]
+    assert dr.bspace_constraints(dr.simplex(2)) == ()
 
 
 def test_square_constraint_row(square):
-    cs = dr.bspace_constraints(square)
-    assert cs.columns == ((0, 0), (0, 1), (1, 1))
-    assert cs.rows == ((Fraction(0), Fraction(2), Fraction(0)),)
-    assert cs.rank() == 1
+    rows = dr.bspace_constraints(square)
+    assert sym_columns(square.dim) == [(0, 0), (0, 1), (1, 1)]
+    assert rows == ((Fraction(0), Fraction(2), Fraction(0)),)
+    assert exact.rank(rows) == 1
 
 
 def test_cross_constraint_count():
     # n-1 independent relations tie the diameter direction to each axis
     for n in (3, 4, 5):
-        cs = dr.bspace_constraints(dr.cross_polytope(n))
-        assert cs.rank() == n - 1
+        assert exact.rank(dr.bspace_constraints(dr.cross_polytope(n))) == n - 1
 
 
 def test_sparse_rank_matches_dense_on_families():
     for name, p in family_corpus():
-        cs = dr.bspace_constraints(p)
-        assert cs.rank() == len(fraction_rref(cs.rows)[1]), name
+        rows = dr.bspace_constraints(p)
+        assert exact.rank(rows) == len(fraction_rref(rows)[1]), name
 
 
 def test_sparse_rank_scales_fractional_rows(p0data):
     # p0 has half-integral coordinates, so its rows carry denominators
-    cs = dr.bspace_constraints(p0data.polytope)
-    assert any(x.denominator != 1 for row in cs.rows for x in row)
-    assert cs.rank() == len(fraction_rref(cs.rows)[1])
+    rows = dr.bspace_constraints(p0data.polytope)
+    assert any(x.denominator != 1 for row in rows for x in row)
+    assert exact.rank(rows) == len(fraction_rref(rows)[1])
 
 
 def test_sparse_rank_skips_zero_rows(square):
-    cs = dr.bspace_constraints(square, dependencies=[(0, 0, 0, 0), (1, -1, -1, 1), (0, 0, 0, 0)])
-    assert cs.rows[0] == cs.rows[2] == (Fraction(0),) * 3
-    assert cs.rank() == len(fraction_rref(cs.rows)[1]) == 1
-    zeros = dr.bspace_constraints(square, dependencies=[(0, 0, 0, 0)])
-    assert zeros.rank() == len(fraction_rref(zeros.rows)[1]) == 0
+    rows = fraction_bspace_rows(square, [(0, 0, 0, 0), (1, -1, -1, 1), (0, 0, 0, 0)])
+    assert rows[0] == rows[2] == (Fraction(0),) * 3
+    assert exact.rank(rows) == len(fraction_rref(rows)[1]) == 1
+    zeros = fraction_bspace_rows(square, [(0, 0, 0, 0)])
+    assert exact.rank(zeros) == len(fraction_rref(zeros)[1]) == 0
 
 
 def _axis_scaled(p, scales):
@@ -80,8 +79,8 @@ def test_sparse_rank_matches_dense_on_random_configs(seed):
     p = random_polytope(rng, max_dim=4)
     scales = [Fraction(1, rng.choice((1, 2, 3, 5))) for _ in range(p.dim)]
     for q in (p, _axis_scaled(p, scales)):
-        cs = dr.bspace_constraints(q)
-        assert cs.rank() == len(fraction_rref(cs.rows)[1])
+        rows = dr.bspace_constraints(q)
+        assert exact.rank(rows) == len(fraction_rref(rows)[1])
 
 
 def test_nrd_matches_dense_on_stacked_rows(p0data):
@@ -92,7 +91,7 @@ def test_nrd_matches_dense_on_stacked_rows(p0data):
         (p0data.polytope, _axis_scaled(p0data.polytope, [Fraction(1, 3)] * p0data.polytope.dim)),
     ]
     for a, b in pairs:
-        rows = [r for q in (a, b) for r in dr.bspace_constraints(q).rows]
+        rows = [r for q in (a, b) for r in dr.bspace_constraints(q)]
         m = a.dim * (a.dim + 1) // 2
         assert dr.nrd([a, b]) == m - len(fraction_rref(rows)[1])
 
@@ -107,28 +106,20 @@ def test_rank_of_known(square):
 def test_constraint_rows_vanish_on_compatible_forms():
     """Contracting any row with a form that realizes the polytope gives zero."""
     for name, p, g in gram_corpus():
-        cs = dr.bspace_constraints(p)
-        for row in cs.rows:
+        for row in dr.bspace_constraints(p):
             total = Fraction(0)
-            for coeff, (i, j) in zip(row, cs.columns):
+            for coeff, (i, j) in zip(row, sym_columns(p.dim)):
                 total += coeff * g[i][j]
             assert total == 0, name
 
 
-def test_bspace_constraints_with_custom_dependencies(square):
-    cs = dr.bspace_constraints(square, dependencies=dr.basis_dependencies(square, [0, 1, 2]))
-    assert cs.rows == ((Fraction(0), Fraction(2), Fraction(0)),)
-    with pytest.raises(dr.WrongSize):
-        dr.bspace_constraints(square, dependencies=[(1, -1, -1)])
-
-
 def _assert_fraction_rows_equal(p, name):
-    basis_ys = dr.basis_dependencies(p, p.frame.basis)
-    module_ys = dr.dependency_module(p)
-    for rows, ys in ((dr.bspace_constraints(p).rows, basis_ys),
-                     (dr.bspace_constraints(p, dependencies=module_ys).rows, module_ys)):
-        assert rows == fraction_bspace_rows(p, ys), name
-        assert all(type(x) is Fraction for row in rows for x in row), name
+    rows = dr.bspace_constraints(p)
+    assert rows == fraction_bspace_rows(p, p.frame.dependencies), name
+    assert all(type(x) is Fraction for row in rows for x in row), name
+    # rows over the Hermite module span the same constraints
+    module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
+    assert exact.rank(rows + module_rows) == exact.rank(rows) == exact.rank(module_rows), name
 
 
 def test_bspace_rows_match_the_fraction_accumulation_on_families():
@@ -148,12 +139,9 @@ def test_rank_agrees_between_dependency_families():
     for name, p in family_corpus():
         if p.nvertices > 24:
             continue
-        module = dr.dependency_module(p)
+        module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
         n = p.dim
-        assert (
-            n * (n + 1) // 2 - dr.bspace_constraints(p, dependencies=module).rank()
-            == dr.rank_of(p)
-        ), name
+        assert n * (n + 1) // 2 - exact.rank(module_rows) == dr.rank_of(p), name
 
 
 @settings(max_examples=30)
@@ -206,14 +194,29 @@ def test_bspace_basis_halfcube_diagonal():
                         assert b[i][j] == 0
 
 
-def test_bspace_basis_satisfies_constraints(square):
-    cs = dr.bspace_constraints(square)
-    for b in dr.bspace_basis(square):
-        for row in cs.rows:
+def _assert_basis_satisfies_constraints(p, name):
+    rows = dr.bspace_constraints(p)
+    basis = dr.bspace_basis(p)
+    assert len(basis) == dr.rank_of(p), name
+    for b in basis:
+        for row in rows:
             total = Fraction(0)
-            for coeff, (i, j) in zip(row, cs.columns):
+            for coeff, (i, j) in zip(row, sym_columns(p.dim)):
                 total += coeff * b[i][j]
-            assert total == 0
+            assert total == 0, name
+
+
+def test_bspace_basis_satisfies_constraints():
+    # the corpus includes the square and p0, whose rows carry denominators
+    for name, p in family_corpus():
+        if p.nvertices <= 64:
+            _assert_basis_satisfies_constraints(p, name)
+    rng = random.Random(0)
+    for draw in range(20):
+        p = random_polytope(rng, max_dim=4)
+        scales = [Fraction(1, rng.choice((2, 3, 5))) for _ in range(p.dim)]
+        for q in (p, _axis_scaled(p, scales)):
+            _assert_basis_satisfies_constraints(q, draw)
 
 
 def test_full_system_square(square):
@@ -265,8 +268,8 @@ def test_translate_and_reflect(square):
     r = dr.translate(square, [0, 0], reflect=True)
     assert dr.rank_of(r) == 2
     # same constraint row space either way
-    a = dr.bspace_constraints(square).rows
-    b = dr.bspace_constraints(r).rows
+    a = dr.bspace_constraints(square)
+    b = dr.bspace_constraints(r)
     assert exact.rank(list(a) + list(b)) == exact.rank(list(a)) == exact.rank(list(b))
 
 
