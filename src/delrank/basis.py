@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import AffinelyDependent, InternalError, WrongSize
-from .model import Polytope, affine_coordinates, differences
+from .model import Polytope, _lifted, differences
 
 Z_BASIC = "Z_BASIC"
 Q_BASIC_ONLY = "Q_BASIC_ONLY"
@@ -34,8 +34,10 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
 
     Over Z the affine coordinates of every vertex with respect to the
     subset must be integers.  One reduced echelon form of the lifted
-    vertices (v, 1) decides both; over Z every other vertex is a
-    right-hand side, reduced to its affine coordinates.
+    vertices (v, 1), subset columns first, decides both: the subset is
+    affinely independent when its columns are the first pivots, and over Z
+    every other vertex is a right-hand side, reduced to its affine
+    coordinates in the pivot rows.
     """
     if ring not in ("Q", "Z"):
         raise ValueError("ring must be 'Q' or 'Z'")
@@ -45,8 +47,9 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
     if any(not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
     others = [] if ring == "Q" else [w for w in range(p.nvertices) if w not in idx]
-    coords = affine_coordinates(p, idx, others)
-    return coords is not None and all(x.denominator == 1 for col in coords for x in col)
+    red, pivots = exact.rref(_lifted(p, idx + others))
+    k = len(idx)
+    return pivots[:k] == list(range(k)) and all(x.denominator == 1 for row in red[:k] for x in row[k:])
 
 
 def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:

@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis, deps, exact, families, hyp, model, rank
-from .errors import DelrankError, InputError, InternalError, NotCospherical, NotPositiveDefinite
+from . import basis, deps, families, hyp, model, rank
+from .errors import DelrankError, InputError, InternalError, NotCospherical
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -100,13 +100,7 @@ def load_polytope_file(path: str) -> LoadedInput:
         p = model.from_coords(dim, verts)
         gram = None
         if "gram" in doc:
-            gram = _rational_matrix(doc["gram"], path, "gram")
-            if len(gram) != dim or any(len(row) != dim for row in gram):
-                raise InputError(f"{path}: gram must be {dim}x{dim}")
-            if any(gram[i][j] != gram[j][i] for i in range(dim) for j in range(i)):
-                raise InputError(f"{path}: gram must be symmetric")
-            if not exact.is_positive_definite(gram):
-                raise NotPositiveDefinite(f"{path}: gram must be positive definite")
+            gram = model._validate_gram_shape(p, _rational_matrix(doc["gram"], path, "gram"))
         return LoadedInput(digest=digest, polytope=p, gram=gram)
     dm = _rational_matrix(doc["distances"], path, "distances")
     p, gram = model.from_distances(dm)

@@ -4,8 +4,8 @@ The central object is the linear system S(P) on unordered vertex pairs:
 for every dependency y and every probe vertex u it has the equation
 row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
 a second route to the rank of the polytope.  face_system builds the rows
-from the paper's dependencies, p.frame.dependencies, the ones rank_of
-builds its form constraints from, and emits them in the order
+from the supports of the paper's dependencies, p.frame.dependencies, the
+ones rank_of builds its form constraints from, and emits them in the order
 FaceSystem.dimension eliminates them; exact.sparse_rank takes their rank by
 fraction-free integer elimination.
 face_system leaves out row (y, u) when u is the leading vertex of another
@@ -36,11 +36,12 @@ class FaceSystem:
     rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
     Pair indices follow vertex_pairs(nvertices) order; dependency indices
     point into p.frame.dependencies of the polytope the rows were built
-    from.  There is a row (y, u) for every dependency y and every probe
-    vertex u except when u is the leading vertex (first nonzero entry) of a
-    dependency and lies below the leading vertex of y.  The rows left out
-    lie in the span of the others (see face_system), so the rank is that of
-    the full system.  With k dependencies on nvertices vertices there are
+    from, and row (y, u) holds y's support with u dropped, each vertex v
+    read as the pair {u, v}.  There is a row (y, u) for every dependency y
+    and every probe vertex u except when u is the leading vertex (first
+    vertex of the support) of a dependency and lies below the leading
+    vertex of y.  The rows left out lie in the span of the others (see
+    face_system), so the rank is that of the full system.  With k dependencies on nvertices vertices there are
     k*nvertices - k*(k-1)/2 rows, as each leads at its own vertex.  The
     rows come in elimination order: by descending probe, in dependency
     order within each probe.
@@ -152,13 +153,12 @@ def face_system(p: Polytope) -> FaceSystem:
     The rows come out from the last probe down, in dependency order within
     each probe, which is the order FaceSystem.dimension eliminates them in.
     """
-    ys = p.frame.dependencies
+    supports = p.frame.dependencies
     nv = p.nvertices
     # pidx[u][v] is the index of the pair {u, v}; rows share these int objects
     pidx = [[0] * nv for _ in range(nv)]
     for k, (i, j) in enumerate(vertex_pairs(nv)):
         pidx[i][j] = pidx[j][i] = k
-    supports = [[(v, c) for v, c in enumerate(y) if c] for y in ys]
     leads = {support[0][0] for support in supports}
     rows = []
     for u in range(nv - 1, -1, -1):

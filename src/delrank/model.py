@@ -19,10 +19,12 @@ from . import exact
 from .errors import (
     DimensionDeficient,
     DuplicateVertex,
+    InputError,
     NotCospherical,
     NotPositiveDefinite,
     NotRealizable,
     TooFewVertices,
+    WrongSize,
 )
 
 
@@ -53,25 +55,22 @@ class Frame:
     """
 
     basis: tuple[int, ...]
-    nvertices: int
     coordinates: tuple[tuple[int, tuple[Fraction, ...]], ...]
 
     @cached_property
-    def dependencies(self) -> tuple[tuple[int, ...], ...]:
+    def dependencies(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The dependency each vertex w outside the basis gives, in ascending w.
 
         Its coefficients are 1 at w and minus w's affine coordinates at the
-        basis vertices, scaled to primitive integers: supported on w and
-        basis vertices above w, and positive at w.  Built on first read, as
-        they take nvertices entries each.
+        basis vertices, scaled to primitive integers, so positive at w.
+        Each is stored as its support: the (vertex, coefficient) pairs where
+        it is nonzero, in ascending vertex order.  That is w first, then
+        basis vertices above w, at most dim + 2 pairs.  Built on first read.
         """
-        out = []
-        for w, coords in self.coordinates:
-            y = [0] * self.nvertices
-            for i, c in zip([w, *self.basis], exact.primitivize([1, *(-x for x in coords)])):
-                y[i] = c
-            out.append(tuple(y))
-        return tuple(out)
+        return tuple(
+            tuple((v, c) for v, c in zip((w, *self.basis), exact.primitivize([1, *(-x for x in coords)])) if c)
+            for w, coords in self.coordinates
+        )
 
 
 @dataclass(frozen=True)
@@ -122,11 +121,11 @@ def from_coords(dim: int, vertices) -> Polytope:
 def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
     g = exact.qmat(gram)
     if len(g) != p.dim or any(len(row) != p.dim for row in g):
-        raise ValueError("Gram form size does not match polytope dimension")
+        raise WrongSize(f"Gram form must be {p.dim}x{p.dim}")
     for i in range(p.dim):
         for j in range(i):
             if g[i][j] != g[j][i]:
-                raise ValueError("Gram form must be symmetric")
+                raise InputError("Gram form must be symmetric")
     if not exact.is_positive_definite(g):
         raise NotPositiveDefinite("Gram form must be positive definite")
     return g
@@ -208,21 +207,7 @@ def _frame(p: Polytope) -> Frame:
     coordinates = tuple(
         (last - c, tuple(row[c] for row in rows)) for c in range(last, -1, -1) if c not in pivset
     )
-    return Frame(basis=tuple(last - c for c in reversed(pivots)), nvertices=p.nvertices, coordinates=coordinates)
-
-
-def affine_coordinates(p: Polytope, basis: list[int], others: list[int]) -> list[list[Fraction]] | None:
-    """Affine coordinates of each vertex in others over the vertices in basis.
-
-    One reduced echelon form of the lifted vertices (v, 1), basis columns
-    first and the others as right-hand sides.  None when the basis columns
-    are not all pivots, that is when basis is affinely dependent.
-    """
-    cols = basis + others
-    red, pivots = exact.rref(_lifted(p, cols))
-    if pivots[: len(basis)] != list(range(len(basis))):
-        return None
-    return [[red[r][c] for r in range(len(basis))] for c in range(len(basis), len(cols))]
+    return Frame(basis=tuple(last - c for c in reversed(pivots)), coordinates=coordinates)
 
 
 def circumcenter(p: Polytope, gram) -> Circumdata:

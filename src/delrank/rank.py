@@ -30,9 +30,11 @@ def bspace_constraints(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
     """Constraint rows on symmetric forms, one per paper dependency.
 
     The dependencies are the polytope's frame's (p.frame.dependencies), one
-    per vertex outside the affine basis.  Entries follow sym_columns(p.dim);
-    off-diagonal columns carry the doubled coefficient, so a row dotted with
-    upper-triangle coordinates equals the full symmetric contraction.
+    per vertex outside the affine basis.  Each row combines the vertex
+    quadrics its dependency's support names, at most dim + 2 of them.
+    Entries follow sym_columns(p.dim); off-diagonal columns carry the
+    doubled coefficient, so a row dotted with upper-triangle coordinates
+    equals the full symmetric contraction.
     """
     cols = sym_columns(p.dim)
     # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
@@ -44,9 +46,8 @@ def bspace_constraints(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
     rows = []
     for y in p.frame.dependencies:
         acc = [0] * len(cols)
-        for q, c in zip(quads, y):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, q)]
+        for v, c in y:
+            acc = [a + c * b for a, b in zip(acc, quads[v])]
         rows.append(tuple(Fraction(a, k * k) for a in acc))
     return tuple(rows)
 

@@ -183,6 +183,17 @@ def mat_mul(a, b):
     return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
+def vertex_vectors(p, supports):
+    """Dependencies given as supports ((vertex, coefficient), ...) spread to int tuples indexed by vertex."""
+    out = []
+    for y in supports:
+        vec = [0] * p.nvertices
+        for v, c in y:
+            vec[v] = c
+        out.append(tuple(vec))
+    return tuple(out)
+
+
 def dense_face_rows(fs):
     """The rows of a FaceSystem as dense Fraction vectors over its pairs."""
     out = []

@@ -17,6 +17,7 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     solve_basis_dependencies,
+    vertex_vectors,
 )
 
 
@@ -67,15 +68,15 @@ def test_dependency_vectors_primitive_first_positive():
 
 
 def test_basis_dependencies_square(square):
-    assert square.frame.dependencies == ((1, -1, -1, 1),)
+    assert square.frame.dependencies == (((0, 1), (1, -1), (2, -1), (3, 1)),)
     # the square has one dependency up to scale, so another basis gives it too
-    assert square.frame.dependencies == solve_basis_dependencies(square, [0, 1, 2])
+    assert vertex_vectors(square, square.frame.dependencies) == solve_basis_dependencies(square, [0, 1, 2])
 
 
 def test_basis_dependencies_cross3():
     p = dr.cross_polytope(3)
     assert p.frame.basis == (2, 3, 4, 5)
-    out = p.frame.dependencies
+    out = vertex_vectors(p, p.frame.dependencies)
     assert out == ((1, 0, -1, 1, 0, -1), (0, 1, -1, 0, 1, -1))
     for w, y in zip((0, 1), out):
         assert y[w] > 0
@@ -90,7 +91,7 @@ def test_basis_dependencies_span_the_module():
         module = [list(y) for y in dr.dependency_module(p)]
         if not module:
             continue
-        vdeps = [list(y) for y in p.frame.dependencies]
+        vdeps = [list(y) for y in vertex_vectors(p, p.frame.dependencies)]
         assert len(vdeps) == len(module)
         assert exact.rank(module) == exact.rank(vdeps) == exact.rank(module + vdeps), name
 
@@ -115,7 +116,7 @@ def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
     basis = p.frame.basis
-    vdeps = p.frame.dependencies
+    vdeps = vertex_vectors(p, p.frame.dependencies)
     assert vdeps == solve_basis_dependencies(p, basis), name
     others = [w for w in range(p.nvertices) if w not in basis]
     assert len(vdeps) == len(others) == p.nvertices - p.dim - 1
@@ -152,10 +153,10 @@ def test_dependency_module_matches_the_hermite_kernel(seed, name):
 def test_dependency_module_takes_the_frame_only_when_it_is_integral(monkeypatch):
     calls = count_calls(monkeypatch, exact, "integral_kernel")
     hc = dr.half_cube(5)
-    assert dr.dependency_module(hc) == hc.frame.dependencies
+    assert dr.dependency_module(hc) == vertex_vectors(hc, hc.frame.dependencies)
     assert calls == []
     halves = dr.from_coords(2, [[1, 1], [0, 0], [2, 0], [0, 2]])
-    assert halves.frame.dependencies == ((2, 0, -1, -1),)
+    assert halves.frame.dependencies == (((0, 2), (2, -1), (3, -1)),)
     assert dr.dependency_module(halves) == ((2, 0, -1, -1),)
     assert len(calls) == 1
 

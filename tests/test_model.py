@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     solve_basis_dependencies,
+    vertex_vectors,
 )
 
 SQUARE_D = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
@@ -63,10 +65,22 @@ FRAME_INSTANCES = {
 
 
 def _assert_frame_matches_the_oracles(p, name):
-    """The frame's basis is the incremental scan's, its dependencies those of one solve per vertex."""
+    """The frame's basis is the incremental scan's, its dependencies those of one solve per vertex.
+
+    Each dependency is its support: w first and positive, then basis
+    vertices above w, content 1.
+    """
     basis = incremental_affine_basis(p)
     assert p.frame.basis == tuple(basis), name
-    assert p.frame.dependencies == solve_basis_dependencies(p, basis), name
+    assert vertex_vectors(p, p.frame.dependencies) == solve_basis_dependencies(p, basis), name
+    for y in p.frame.dependencies:
+        vs = [v for v, _ in y]
+        (w, lead), rest = y[0], y[1:]
+        assert len(y) <= p.dim + 2, name
+        assert all(a < b for a, b in zip(vs, vs[1:])), name
+        assert w not in basis and lead > 0, name
+        assert all(v in basis and v > w and c for v, c in rest), name
+        assert gcd(*(c for _, c in y)) == 1, name
 
 
 @settings(max_examples=60)
@@ -86,7 +100,7 @@ def test_affine_basis_indices_matches_the_incremental_scan_on_the_families():
 def test_frame_is_cached_outside_equality_and_hashing(square):
     frame = square.frame
     assert square.frame is frame
-    assert (frame.basis, frame.dependencies) == ((1, 2, 3), ((1, -1, -1, 1),))
+    assert (frame.basis, vertex_vectors(square, frame.dependencies)) == ((1, 2, 3), ((1, -1, -1, 1),))
     assert frame.dependencies is frame.dependencies
     fresh = dr.from_coords(2, square.vertices)
     assert fresh == square and hash(fresh) == hash(square)
@@ -124,6 +138,13 @@ def test_circumcenter_square(square):
     cd = dr.circumcenter(square, [[1, 0], [0, 1]])
     assert cd.center == (Fraction(1, 2), Fraction(1, 2))
     assert cd.radius_sq == Fraction(1, 2)
+
+
+def test_gram_form_shape_errors_are_domain_errors(square):
+    with pytest.raises(dr.WrongSize):
+        dr.circumcenter(square, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(dr.InputError):
+        dr.circumcenter(square, [[1, 2], [3, 1]])
 
 
 def test_circumcenter_not_cospherical(square):

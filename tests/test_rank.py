@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     reduction_instance,
+    vertex_vectors,
 )
 
 
@@ -103,6 +105,15 @@ def test_rank_of_known(square):
     assert dr.rank_of(dr.half_cube(5)) == 5
 
 
+def test_rank_of_at_a_thousand_vertices():
+    """cube(10) has 1,024 vertices and half_cube(10) 512, beyond the corpus; both have the paper's rank 10."""
+    cube, half_cube = dr.cube(10), dr.half_cube(10)
+    start = time.perf_counter()
+    assert dr.rank_of(cube) == dr.rank_of(half_cube) == 10
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"rank_of took {elapsed:.2f}s"
+
+
 def test_constraint_rows_vanish_on_compatible_forms():
     """Contracting any row with a form that realizes the polytope gives zero."""
     for name, p, g in gram_corpus():
@@ -115,7 +126,7 @@ def test_constraint_rows_vanish_on_compatible_forms():
 
 def _assert_fraction_rows_equal(p, name):
     rows = dr.bspace_constraints(p)
-    assert rows == fraction_bspace_rows(p, p.frame.dependencies), name
+    assert rows == fraction_bspace_rows(p, vertex_vectors(p, p.frame.dependencies)), name
     assert all(type(x) is Fraction for row in rows for x in row), name
     # rows over the Hermite module span the same constraints
     module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
