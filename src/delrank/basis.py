@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .errors import AffinelyDependent, InternalError, WrongSize
+from .errors import AffinelyDependent, InputError, InternalError, WrongSize
 from .model import Polytope, _lifted, differences
 
 Z_BASIC = "Z_BASIC"
@@ -40,7 +40,7 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
     coordinates in the pivot rows.
     """
     if ring not in ("Q", "Z"):
-        raise ValueError("ring must be 'Q' or 'Z'")
+        raise InputError("ring must be 'Q' or 'Z'")
     idx = list(subset)
     if len(idx) != p.dim + 1 or len(set(idx)) != len(idx):
         raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
@@ -63,7 +63,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     of budget leaves the question UNDECIDED.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise InputError("budget must be >= 1")
     n, size = p.nvertices, p.dim + 1
     lifted = [list(v) + [Fraction(1)] for v in p.vertices]
 

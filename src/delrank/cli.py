@@ -46,8 +46,11 @@ def _parse_rational(value) -> Fraction:
     if match is None:
         raise InputError(f"not a rational string: {value!r}")
     num, den = match.groups()
-    # Fraction(n) skips the gcd normalisation that Fraction(n, 1) pays
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    try:
+        # Fraction(n) skips the gcd normalisation that Fraction(n, 1) pays
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    except ValueError as e:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise InputError(str(e)) from e
 
 
 def _rat(x) -> str:
@@ -74,7 +77,7 @@ def load_polytope_file(path: str) -> LoadedInput:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a path with a NUL byte
         raise InputError(f"cannot read {path}: {e}") from e
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
@@ -349,7 +352,7 @@ def main(argv=None) -> int:
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
-    except (DelrankError, ValueError, OSError) as e:
+    except (DelrankError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
     except Exception as e:

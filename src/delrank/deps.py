@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact
-from .errors import InternalError, SumNotZero
+from .errors import InternalError, SumNotZero, WrongSize
 from .model import Polytope, _lifted
 
 
@@ -53,7 +53,7 @@ def check_dist_system(dm, y) -> bool:
     """Whether sum_v y(v) d(u, v) = 0 holds for every probe vertex u."""
     d = exact.qmat(dm)
     if len(y) != len(d):
-        raise ValueError("coefficient count does not match matrix size")
+        raise WrongSize("coefficient count does not match matrix size")
     for row in d:
         if sum((c * x for c, x in zip(y, row)), Fraction(0)) != 0:
             return False
@@ -64,7 +64,7 @@ def check_negative_type(dm, y) -> bool:
     """Whether sum_{u,v} y(u) y(v) d(u, v) = 0.  Requires sum(y) = 0."""
     d = exact.qmat(dm)
     if len(y) != len(d):
-        raise ValueError("coefficient count does not match matrix size")
+        raise WrongSize("coefficient count does not match matrix size")
     if sum(y) != 0:
         raise SumNotZero("dependency coefficients must sum to zero")
     total = Fraction(0)

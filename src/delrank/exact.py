@@ -14,41 +14,49 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InputError, WrongSize
+
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 IntVec = list[int]
 IntMat = list[list[int]]
 
 
+def _width(m) -> int:
+    """The common length of the rows of m, 0 when it has none; WrongSize when the lengths differ."""
+    w = len(m[0]) if m else 0
+    if any(len(row) != w for row in m):
+        raise WrongSize("ragged matrix")
+    return w
+
+
 def qmat(rows) -> Mat:
     m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    if m:
-        w = len(m[0])
-        if any(len(row) != w for row in m):
-            raise ValueError("ragged matrix")
+    _width(m)
     return m
 
 
-def _scaled_row(row) -> IntVec:
-    """The row times the lcm of its denominators: an integer row with the same RREF."""
-    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    s = lcm(*(x.denominator for x in q))
-    return [x.numerator * (s // x.denominator) for x in q]
+def over_common_denominator(m) -> tuple[IntMat, int]:
+    """Integer rows a and the least s > 0 with m = a / s, entrywise.
+
+    s is the lcm of all denominators of m, so it scales every row by the
+    same factor: the result keeps the kernel, the row space, ratios of
+    entries across rows, and every comparison between them.
+    """
+    q = qmat(m)
+    s = lcm(*(x.denominator for row in q for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in q], s
 
 
 def _int_rows(m) -> tuple[list[dict[int, int]], int]:
     """Each row times the lcm of its denominators, as a {column: entry} dict of its nonzero entries; and the row length."""
+    ncols = _width(m)
     rows = []
-    ncols = None
     for row in m:
         q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        if ncols is None:
-            ncols = len(q)
-        elif len(q) != ncols:
-            raise ValueError("ragged matrix")
         s = lcm(*(x.denominator for x in q))
         rows.append({j: x.numerator * (s // x.denominator) for j, x in enumerate(q) if x})
-    return rows, ncols or 0
+    return rows, ncols
 
 
 def _step(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -149,7 +157,7 @@ def solve(a, b) -> Vec | None:
     """One exact solution of a x = b with free variables set to 0, or None."""
     bv = list(b)
     if len(a) != len(bv):
-        raise ValueError("size mismatch")
+        raise WrongSize("size mismatch")
     ncols = len(a[0]) if a else 0
     red, pivots = rref([[*row, x] for row, x in zip(a, bv)])
     if ncols in pivots:
@@ -171,7 +179,7 @@ def is_positive_definite(g) -> bool:
     """
     rows, n = _int_rows(g)
     if len(rows) != n:
-        raise ValueError("non-square form")
+        raise WrongSize("non-square form")
     pivots: dict[int, dict[int, int]] = {}
     for c, r in enumerate(rows):
         while r and (k := min(r)) < c:
@@ -184,13 +192,12 @@ def is_positive_definite(g) -> bool:
 
 def _as_int_matrix(m) -> IntMat:
     out = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+    _width(out)
     for row in out:
-        if len(row) != len(out[0]):
-            raise ValueError("ragged matrix")
         for k, x in enumerate(row):
             if type(x) is not int:
                 if x.denominator != 1:
-                    raise ValueError("integer matrix expected")
+                    raise InputError("integer matrix expected")
                 row[k] = x.numerator
     return out
 
@@ -241,10 +248,9 @@ def covolume(rows) -> Fraction:
     That is |det| of any Z-basis of the lattice, read off the Hermite form
     of the rows scaled to integers; 0 when the rows do not span Q^n.
     """
-    m = qmat(rows)
-    n = len(m[0]) if m else 0
-    scale = lcm(*(x.denominator for row in m for x in row))
-    h = hermite_normal_form([[x.numerator * (scale // x.denominator) for x in row] for row in m])
+    a, scale = over_common_denominator(rows)
+    n = len(a[0]) if a else 0
+    h = hermite_normal_form(a)
     d = Fraction(1)
     for i in range(n):
         # a full-rank Hermite form has its pivots on the diagonal; otherwise
@@ -264,10 +270,8 @@ def integral_kernel(m) -> list[IntVec]:
     Hermite form.  Each vector comes out primitive with positive leading
     entry.
     """
-    a = [_scaled_row(row) for row in m]
+    a, _ = over_common_denominator(m)
     ncols = len(a[0]) if a else 0
-    if any(len(row) != ncols for row in a):
-        raise ValueError("ragged matrix")
     h = hermite_normal_form([[*col, *(int(i == j) for j in range(ncols))] for i, col in enumerate(zip(*a))])
     return [row[len(a):] for row in h if not any(row[: len(a)])]
 
@@ -278,10 +282,10 @@ def primitivize(v) -> IntVec:
     Clears denominators, divides by the content, and flips sign so the
     first nonzero entry is positive.  Rejects the zero vector.
     """
-    ints = _scaled_row(v)
+    (ints,), _ = over_common_denominator([v])
     g = gcd(*ints)
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise InputError("zero vector has no primitive form")
     if next(x for x in ints if x) < 0:
         g = -g
     return [x // g for x in ints]

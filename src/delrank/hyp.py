@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .errors import SumNotOne
+from .errors import SumNotOne, WrongSize
 from .model import Polytope, _distance_matrix, circumcenter, from_coords
 
 
@@ -74,7 +74,7 @@ def eval_hypermetric(dm, b) -> Fraction:
     """sum over unordered pairs of b(u) b(v) d(u, v).  Requires sum(b) = 1."""
     d = exact.qmat(dm)
     if len(b) != len(d):
-        raise ValueError("coefficient count does not match matrix size")
+        raise WrongSize("coefficient count does not match matrix size")
     if sum(b) != 1:
         raise SumNotOne("representation coefficients must sum to one")
     total = Fraction(0)
@@ -90,7 +90,7 @@ def eval_hypermetric(dm, b) -> Fraction:
 def representation_point(p: Polytope, b) -> tuple[tuple[Fraction, ...], bool]:
     """Affine combination sum b(v) v and whether it is a vertex of p."""
     if len(b) != p.nvertices:
-        raise ValueError("coefficient count does not match vertex count")
+        raise WrongSize("coefficient count does not match vertex count")
     if sum(b) != 1:
         raise SumNotOne("representation coefficients must sum to one")
     pt = tuple(
@@ -182,6 +182,6 @@ def restricted_face_dimension(p: Polytope, subset) -> int:
     """
     idx = sorted(set(subset))
     if any(not 0 <= i < p.nvertices for i in idx):
-        raise ValueError("subset index out of range")
+        raise WrongSize("subset index out of range")
     sub = from_coords(p.dim, [p.vertices[i] for i in idx])
     return face_dimension(sub)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import exact
 from .errors import (
@@ -154,10 +153,8 @@ def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
 
 def _distance_matrix(p: Polytope, g: list[list[Fraction]]) -> list[list[Fraction]]:
     """distance_matrix under a Fraction form that is already validated."""
-    s = lcm(*(x.denominator for row in g for x in row))
-    w = [[x.numerator * (s // x.denominator) for x in row] for row in g]
-    k = lcm(*(x.denominator for v in p.vertices for x in v))
-    xs = [[x.numerator * (k // x.denominator) for x in v] for v in p.vertices]
+    w, s = exact.over_common_denominator(g)
+    xs, k = exact.over_common_denominator(p.vertices)
     ys = [[sum(a * b for a, b in zip(row, x)) for row in w] for x in xs]
     norms = [sum(a * b for a, b in zip(x, y)) for x, y in zip(xs, ys)]
     scale = s * k * k
@@ -175,16 +172,16 @@ def validate_distance_matrix(dm) -> list[list[Fraction]]:
     """The matrix as Fractions, once it is square and symmetric with zero diagonal and positive entries off it."""
     d = exact.qmat(dm)
     n = len(d)
-    if any(len(row) != n for row in d):
-        raise ValueError("distance matrix must be square")
+    if d and len(d[0]) != n:
+        raise WrongSize("distance matrix must be square")
     for i in range(n):
         if d[i][i] != 0:
-            raise ValueError("distance matrix diagonal must be zero")
+            raise InputError("distance matrix diagonal must be zero")
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
-                raise ValueError("distance matrix must be symmetric")
+                raise InputError("distance matrix must be symmetric")
             if d[i][j] <= 0:
-                raise ValueError("off-diagonal squared distances must be positive")
+                raise InputError("off-diagonal squared distances must be positive")
     return d
 
 
@@ -275,9 +272,8 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     check only; it can never prove global emptiness.
     """
     if window < 0:
-        raise ValueError("window must be >= 0")
+        raise InputError("window must be >= 0")
     cd = circumcenter(p, gram)  # validates the form
-    g = exact.qmat(gram)
     n = p.dim
     los = []
     his = []
@@ -285,13 +281,9 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
         vals = [v[k] for v in p.vertices]
         los.append(math.ceil(min(vals)) - window)
         his.append(math.floor(max(vals)) + window)
-    scale = lcm(
-        *(x.denominator for row in g for x in row),
-        *(x.denominator for x in cd.center),
-        cd.radius_sq.denominator,
-    )
-    w = [[int(scale * x) for x in row] for row in g]
-    cc = [int(scale * x) for x in cd.center]
+    # one scale for the form, the center and the radius (a row of copies of
+    # it), so the scan below runs in integers
+    (*w, cc, _), scale = exact.over_common_denominator([*gram, cd.center, [cd.radius_sq] * n])
     threshold = int(scale**3 * cd.radius_sq)
     int_vertices = {
         tuple(int(x) for x in v) for v in p.vertices if all(x.denominator == 1 for x in v)
@@ -342,8 +334,7 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
         raise TooFewVertices("need at least 2 vertices")
     # e = t d in integers; a[i][j] = 2 t <v_i - v_0, v_j - v_0>, whose RREF
     # is that of the vertex Gram matrix
-    t = lcm(*(x.denominator for row in d for x in row))
-    e = [[x.numerator * (t // x.denominator) for x in row] for row in d]
+    e, t = exact.over_common_denominator(d)
     a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
     red, chosen = exact.rref(a)
     n = len(chosen)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import exact
 # dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
@@ -38,11 +37,8 @@ def bspace_constraints(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
     """
     cols = sym_columns(p.dim)
     # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
-    k = lcm(*(x.denominator for v in p.vertices for x in v))
-    quads = []
-    for v in p.vertices:
-        x = [a.numerator * (k // a.denominator) for a in v]
-        quads.append([x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols])
+    xs, k = exact.over_common_denominator(p.vertices)
+    quads = [[x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols] for x in xs]
     rows = []
     for y in p.frame.dependencies:
         acc = [0] * len(cols)
@@ -114,7 +110,7 @@ def nrd(polytopes) -> int:
     """
     ps = list(polytopes)
     if not ps:
-        raise ValueError("need at least one polytope")
+        raise WrongSize("need at least one polytope")
     n = ps[0].dim
     if any(p.dim != n for p in ps):
         raise WrongSize("all polytopes must share the same dimension")
@@ -155,34 +151,28 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
     axis = n - 1 if hyperplane_axis is None else hyperplane_axis
     if not 0 <= axis < n:
         raise WrongSize("hyperplane axis out of range")
-    failed: list[str] = []
-    details: list[str] = []
 
     circumcenter(p, gram)  # raises NotCospherical on bad input
     vset = set(p.vertices)
     zero = tuple(Fraction(0) for _ in range(n))
     units = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
 
+    # the reasons hypothesis cs fails come first in details
+    details: list[str] = []
     if any(x.denominator != 1 for v in p.vertices for x in v):
-        failed.append("cs")
         details.append("vertex coordinates are not all integral")
     if zero not in vset or any(u not in vset for u in units):
-        if "cs" not in failed:
-            failed.append("cs")
         details.append("origin or some unit coordinate vector is not a vertex")
     symmetric, pairing = is_centrally_symmetric(p)
     if not symmetric:
-        if "cs" not in failed:
-            failed.append("cs")
         details.append("polytope is not centrally symmetric")
+    failed = ["cs"] if details else []
 
-    section_idx = [i for i, v in enumerate(p.vertices) if v[axis] == 0]
-    section_pts = [tuple(x for k, x in enumerate(v) if k != axis) for i, v in enumerate(p.vertices) if v[axis] == 0]
+    in_section = [v for v in p.vertices if v[axis] == 0]
     section: Polytope | None = None
     try:
-        section = from_coords(n - 1, section_pts)
+        section = from_coords(n - 1, [v[:axis] + v[axis + 1:] for v in in_section])
     except DelrankError as e:
-        section = None
         failed.append("h2")
         details.append(f"section is not a full-dimensional polytope in the hyperplane: {e}")
     if section is not None:
@@ -194,7 +184,7 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
     if symmetric:
         doubled = tuple(x + y for x, y in zip(p.vertices[0], p.vertices[pairing[0]]))
         z_axis = doubled[axis]
-        section_set = {p.vertices[i] for i in section_idx}
+        section_set = set(in_section)
         mirror_set = {tuple(d - x for d, x in zip(doubled, v)) for v in section_set}
         unit_axis = units[axis]
         if unit_axis in mirror_set:

@@ -16,7 +16,7 @@ def test_is_affine_basis_square(square):
     assert dr.is_affine_basis(square, [0, 1, 2], ring="Q")
     assert dr.is_affine_basis(square, [0, 1, 2], ring="Z")
     assert dr.is_affine_basis(square, [1, 2, 3], ring="Z")
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.is_affine_basis(square, [0, 1, 2], ring="R")
     with pytest.raises(dr.WrongSize):
         dr.is_affine_basis(square, [0, 1])
@@ -61,7 +61,7 @@ def test_classify_basicity_budget_exhaustion():
     assert not cls.exhaustive
     assert cls.tested == 2
     assert "budget" in cls.note
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.classify_basicity(p, budget=0)
 
 

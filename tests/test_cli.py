@@ -1,6 +1,8 @@
 """Command line wiring: exit codes, JSON shapes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import subprocess
@@ -154,6 +156,8 @@ BAD_FILES = [
         "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
         "gram": [["0", "0"], ["0", "0"]],
     },
+    # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
+    {"dim": 1, "vertices": [["1" + "0" * 4999], ["0"]]},
 ]
 
 
@@ -180,14 +184,16 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
 
 
 def test_other_exceptions_exit_four(square_file, capsys, monkeypatch):
-    def broken(p):
-        raise ZeroDivisionError("division by zero")
+    # only the error class decides: a ValueError from inside the library is a bug, not bad input
+    for exc in (ZeroDivisionError("division by zero"), ValueError("lost a row")):
+        def broken(p):
+            raise exc
 
-    monkeypatch.setattr(rank, "rank_of", broken)
-    code, out, err = run(["rank", square_file, "--method", "bspace"], capsys)
-    assert code == 4
-    assert out == ""
-    assert err == "internal error: ZeroDivisionError: division by zero\n"
+        monkeypatch.setattr(rank, "rank_of", broken)
+        code, out, err = run(["rank", square_file, "--method", "bspace"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
@@ -196,6 +202,91 @@ def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
     code, out, err = run(["rank", str(path)], capsys)
     assert code == 2
     assert err.startswith("invalid input:")
+
+
+FUZZ_COMMANDS = [["rank"], ["deps"], ["basicity"], ["verify", "--window", "0"], ["report", "--window", "0"]]
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "vertices", "gram", "distances"]) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _squared_distances(points, gram):
+    diffs = [[[a - b for a, b in zip(u, v)] for v in points] for u in points]
+    return [[sum(gram[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x))) for x in row] for row in diffs]
+
+
+@st.composite
+def near_valid_files(draw):
+    """A small polytope file, often broken in one of the ways the loader must reject."""
+    small = st.integers(-9, 9)
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=2, max_size=6, unique_by=tuple))
+    gram = draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    form = draw(st.sampled_from(["positive definite", "positive definite", "symmetric", "arbitrary"]))
+    if form != "arbitrary":
+        gram = [[gram[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]
+    if form == "positive definite":
+        # each diagonal entry above its row's off-diagonal sum
+        for i, row in enumerate(gram):
+            row[i] = 1 + sum(abs(x) for k, x in enumerate(row) if k != i)
+    fault = draw(st.sampled_from(
+        ["none", "ragged", "duplicate", "dim", "asymmetric", "nonpositive", "diagonal", "near-singular"]
+    ))
+    if fault == "duplicate":
+        points.append(list(draw(st.sampled_from(points))))
+    if draw(st.booleans()):
+        doc = {"dim": dim, "vertices": points}
+        if draw(st.booleans()):
+            doc["gram"] = gram
+        key = draw(st.sampled_from(sorted(doc.keys() - {"dim"})))
+    else:
+        doc = {"dim": dim, "distances": _squared_distances(points, gram)}
+        key = "distances"
+    m = doc[key]
+    i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+    if fault == "ragged":
+        m[i] = m[i][:-1] if draw(st.booleans()) else m[i] + [1]
+    elif fault == "dim":
+        doc["dim"] = dim + draw(st.sampled_from([-1, 1]))
+    elif key == "vertices":
+        pass
+    elif fault == "asymmetric":
+        m[i][j] += draw(st.integers(1, 9))
+    elif fault == "nonpositive":
+        m[i][j] = m[j][i] = -draw(st.integers(0, 9))
+    elif fault == "diagonal":
+        m[i][i] = draw(st.integers(1, 9))
+    elif fault == "near-singular":
+        # a small symmetric change: the entries no longer come from one form
+        step = Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(2, 9)))
+        m[i][j] += step
+        if i != j:
+            m[j][i] += step
+    return {k: v if k == "dim" else [[str(x) for x in row] for row in v] for k, v in doc.items()}
+
+
+@given(
+    doc=json_documents | near_valid_files(),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+def test_fuzzed_files_exit_cleanly(doc, command, tmp_path_factory):
+    # only the documented outcomes: a report, invalid input or an inconsistency, each in one stderr line
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command[0], str(path), *command[1:]])
+    text = err.getvalue()
+    assert code in (0, 2, 3), text
+    if code == 0:
+        assert text == ""
+    else:
+        assert text.startswith("invalid input:" if code == 2 else "inconsistency:")
+        assert text.count("\n") == 1 and text.endswith("\n")
 
 
 def test_missing_and_unparsable_files(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_check_dist_system_square(square):
     d = dr.distance_matrix(square, [[1, 0], [0, 1]])
     assert dr.check_dist_system(d, [1, -1, -1, 1])
     assert not dr.check_dist_system(d, [1, 0, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         dr.check_dist_system(d, [1, -1, -1])
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import delrank as dr
 from delrank import exact
 from tests.helpers import (
     dict_sparse_rank,
@@ -66,8 +67,17 @@ def test_qmat_keeps_fractions():
     assert m == [[third, 2], [Fraction(1, 2), Fraction(1, 4)]]
     assert m[0][0] is third
     assert all(type(x) is Fraction for row in m for x in row)
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         exact.qmat([[1, 2], [3]])
+
+
+def test_over_common_denominator():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert exact.over_common_denominator([[half, 1], [third, 0]]) == ([[3, 6], [2, 0]], 6)
+    assert exact.over_common_denominator([["-1/4"], [2]]) == ([[-1], [8]], 4)
+    assert exact.over_common_denominator([]) == ([], 1)
+    with pytest.raises(dr.WrongSize):
+        exact.over_common_denominator([[half], [1, 2]])
 
 
 def test_is_positive_definite():
@@ -228,9 +238,9 @@ def test_hnf_edge_cases():
     assert exact.hermite_normal_form([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
     assert _check_transform([[0]]) == ([[0]], [[1]])
     assert exact.hermite_normal_form([[Fraction(4, 2), 3]]) == [[2, 3]]
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         exact.hermite_normal_form([[Fraction(1, 2)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         exact.hermite_normal_form([[1, 2], [3]])
 
 
@@ -301,7 +311,7 @@ def test_primitivize():
     assert exact.primitivize([Fraction(1, 2), Fraction(-1, 2), 1]) == [1, -1, 2]
     assert exact.primitivize([3, 6, 9]) == [1, 2, 3]
     assert exact.primitivize([-2, 4]) == [1, -2]
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         exact.primitivize([0, 0])
 
 

@@ -37,7 +37,7 @@ def test_eval_hypermetric_square(square):
     assert dr.eval_hypermetric(d, [1, 0, 0, 0]) == 0
     with pytest.raises(dr.SumNotOne):
         dr.eval_hypermetric(d, [1, 1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         dr.eval_hypermetric(d, [1, 0, 0])
 
 
@@ -130,7 +130,7 @@ def test_restricted_face_dimension(square):
     assert dr.restricted_face_dimension(square, [0, 1, 2]) == 3
     assert dr.restricted_face_dimension(square, [1, 2, 3]) == 3
     assert dr.restricted_face_dimension(square, [0, 1, 2, 3]) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         dr.restricted_face_dimension(square, [0, 1, 9])
     with pytest.raises(dr.TooFewVertices):
         dr.restricted_face_dimension(square, [0, 1])

@@ -124,13 +124,13 @@ def test_distance_matrix(square):
 
 
 def test_validate_distance_matrix_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         dr.validate_distance_matrix([[0, 1], [1, 0], [1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.validate_distance_matrix([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.validate_distance_matrix([[1, 1], [1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.validate_distance_matrix([[0, -1], [-1, 0]])
 
 
@@ -143,6 +143,8 @@ def test_circumcenter_square(square):
 def test_gram_form_shape_errors_are_domain_errors(square):
     with pytest.raises(dr.WrongSize):
         dr.circumcenter(square, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(dr.WrongSize):
+        dr.circumcenter(square, [[1, 0], [0]])
     with pytest.raises(dr.InputError):
         dr.circumcenter(square, [[1, 2], [3, 1]])
 
@@ -243,7 +245,7 @@ def test_verify_empty_sphere_window_zero(square):
     assert rep.box == ((0, 1), (0, 1))
     assert rep.points_checked == 4
     assert rep.ok()
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.InputError):
         dr.verify_empty_sphere(square, [[1, 0], [0, 1]], window=-1)
 
 

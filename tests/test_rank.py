@@ -305,7 +305,7 @@ def test_nrd(square):
     assert dr.nrd([square, dr.translate(square, [3, 5])]) == 2
     sheared = dr.transform_basis(square, [[1, 1], [0, 1]])
     assert dr.nrd([square, sheared]) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(dr.WrongSize):
         dr.nrd([])
     with pytest.raises(dr.WrongSize):
         dr.nrd([square, dr.simplex(3)])
