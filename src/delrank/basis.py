@@ -9,7 +9,6 @@ completed search is a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exact
 from .errors import AffinelyDependent, InputError, InternalError, WrongSize
@@ -65,7 +64,9 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     if budget < 1:
         raise InputError("budget must be >= 1")
     n, size = p.nvertices, p.dim + 1
-    lifted = [list(v) + [Fraction(1)] for v in p.vertices]
+    # k (v, 1) in integers, k the vertices' common denominator: same rank as (v, 1)
+    xs, k = exact.over_common_denominator(p.vertices)
+    lifted = [[*x, k] for x in xs]
 
     def independent(prefix: list[int]):
         for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):

@@ -50,7 +50,8 @@ def _parse_rational(value) -> Fraction:
         # Fraction(n) skips the gcd normalisation that Fraction(n, 1) pays
         return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ValueError as e:  # int() refuses more digits than sys.get_int_max_str_digits()
-        raise InputError(str(e)) from e
+        digits = max(len(num.lstrip("-")), len(den or ""))
+        raise InputError(f"a number has {digits} digits, more than the limit of {sys.get_int_max_str_digits()}") from e
 
 
 def _rat(x) -> str:

@@ -169,25 +169,20 @@ def solve(a, b) -> Vec | None:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester test: fraction-free elimination without row swaps.
+    """Sylvester's criterion, read off the pivots of one _echelon pass.
 
-    Rows are scaled to integers by positive factors, and row c is reduced
-    by _step against the pivot rows of columns 0..c-1 in turn.  Those
-    pivots are positive, so each step scales the row by a positive factor
-    and its entry at c keeps the sign of the ratio of successive leading
-    minors, which must all be positive.
+    The form is positive definite exactly when row c starts the pivot of
+    column c, for c = 0..n-1 in row order, and every pivot entry is
+    positive.  Row c is then reduced without row swaps against the pivots
+    of columns 0..c-1 in turn; while those are positive, each step scales
+    the row by a positive factor, so its entry at c keeps the sign of the
+    ratio of successive leading minors.
     """
     rows, n = _int_rows(g)
     if len(rows) != n:
         raise WrongSize("non-square form")
-    pivots: dict[int, dict[int, int]] = {}
-    for c, r in enumerate(rows):
-        while r and (k := min(r)) < c:
-            r = _step(r, pivots[k], k)
-        if r.get(c, 0) <= 0:
-            return False
-        pivots[c] = r
-    return True
+    pivots = _echelon(rows)
+    return list(pivots) == list(range(n)) and all(pivots[c][c] > 0 for c in range(n))
 
 
 def _as_int_matrix(m) -> IntMat:

@@ -6,7 +6,7 @@ row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
 a second route to the rank of the polytope.  face_system builds the rows
 from the supports of the paper's dependencies, p.frame.dependencies, the
 ones rank_of builds its form constraints from, and emits them in the order
-FaceSystem.dimension eliminates them; exact.sparse_rank takes their rank by
+face_dimension eliminates them; exact.sparse_rank takes their rank by
 fraction-free integer elimination.
 face_system leaves out row (y, u) when u is the leading vertex of another
 dependency and lies below the leading vertex of y: a symmetry of the pair
@@ -27,47 +27,6 @@ from .model import Polytope, _distance_matrix, circumcenter, from_coords
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
     """The unordered vertex pairs (i, j), i < j, in lex order: the columns of the pair system."""
     return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-
-
-@dataclass(frozen=True)
-class FaceSystem:
-    """Sparse equation system on unordered vertex pairs.
-
-    rows[k] is ((dependency index, probe vertex), {pair index: coefficient}).
-    Pair indices follow vertex_pairs(nvertices) order; dependency indices
-    point into p.frame.dependencies of the polytope the rows were built
-    from, and row (y, u) holds y's support with u dropped, each vertex v
-    read as the pair {u, v}.  There is a row (y, u) for every dependency y
-    and every probe vertex u except when u is the leading vertex (first
-    vertex of the support) of a dependency and lies below the leading
-    vertex of y.  The rows left out lie in the span of the others (see
-    face_system), so the rank is that of the full system.  With k dependencies on nvertices vertices there are
-    k*nvertices - k*(k-1)/2 rows, as each leads at its own vertex.  The
-    rows come in elimination order: by descending probe, in dependency
-    order within each probe.
-    """
-
-    nvertices: int
-    rows: tuple[tuple[tuple[int, int], dict[int, int]], ...]
-
-    def dimension(self) -> int:
-        """Dimension of the solution space of the pair system S(P).
-
-        Equals nvertices*(nvertices-1)/2 minus the exact.sparse_rank of the
-        rows.  For a simplex the system is empty and the value is
-        dim*(dim+1)/2.
-
-        The rows are eliminated in their order.  Row (y, u) lives on the
-        pairs that contain u.  Of these, the pairs (v, u) with v < u are
-        new to the elimination when the probes come from the last one
-        down, and in lex column order they precede the pairs (u, w) that
-        higher probes already pivoted on.  So a row pivots on a fresh pair
-        at the leading vertex of y, and each dependency leads at its own
-        vertex.  This keeps fill and entry growth far below the
-        dependency-major order of rows.
-        """
-        nv = self.nvertices
-        return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in self.rows])
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -131,15 +90,18 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
     )
 
 
-def face_system(p: Polytope) -> FaceSystem:
-    """System rows (y, u) over the paper's dependencies, without the redundant ones.
+def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
+    """Rows ((y, u), {pair index: coefficient}) of S(P), without the redundant ones.
 
-    The dependencies are those of the polytope's frame (p.frame), the
+    y indexes the dependencies of the polytope's frame (p.frame), the
     paper's dependencies over the last affine basis, so each leads at its
-    own vertex.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y) for the
-    first vertex where y is nonzero.  Row (y, u) is left out when
-    u = lead(y') for some other dependency y' and u < lead(y).  Proof that
-    this keeps the rank: take y, y' with l' = lead(y') < lead(y).
+    own vertex; u is the probe vertex.  Row (y, u) holds y's support with u
+    dropped, each vertex v read as the pair {u, v}, with pair indices in
+    vertex_pairs order.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y)
+    for the first vertex where y is nonzero.  Row (y, u) is left out when
+    u = lead(y') for some other dependency y' and u < lead(y), so with k
+    dependencies on nv vertices there are k*nv - k*(k-1)/2 rows.  Proof
+    that this keeps the rank: take y, y' with l' = lead(y') < lead(y).
 
     - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
       sum_{a != b} y(a) y'(b) d{a, b}, so they are the same linear form.
@@ -150,8 +112,16 @@ def face_system(p: Polytope) -> FaceSystem:
     - By descending induction on the probe, the kept rows span every row.
 
     The argument needs no unit pivots, no Z-basis and no vertex order.
-    The rows come out from the last probe down, in dependency order within
-    each probe, which is the order FaceSystem.dimension eliminates them in.
+
+    The rows come out in the order face_dimension eliminates them: from
+    the last probe down, in dependency order within each probe.  Row
+    (y, u) lives on the pairs that contain u.  Of these, the pairs (v, u)
+    with v < u are new to the elimination when the probes come from the
+    last one down, and in lex column order they precede the pairs (u, w)
+    that higher probes already pivoted on.  So a row pivots on a fresh
+    pair at the leading vertex of y, and each dependency leads at its own
+    vertex.  This keeps fill and entry growth far below the
+    dependency-major order of rows.
     """
     supports = p.frame.dependencies
     nv = p.nvertices
@@ -167,12 +137,18 @@ def face_system(p: Polytope) -> FaceSystem:
             if u < support[0][0] and u in leads:
                 continue
             rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
-    return FaceSystem(nvertices=nv, rows=tuple(rows))
+    return tuple(rows)
 
 
 def face_dimension(p: Polytope) -> int:
-    """Dimension of the solution space of the pair system S(P); see FaceSystem.dimension."""
-    return face_system(p).dimension()
+    """Dimension of the solution space of the pair system S(P).
+
+    Equals nv*(nv-1)/2 minus the exact.sparse_rank of the face_system
+    rows, eliminated in their order.  For a simplex the system is empty
+    and the value is dim*(dim+1)/2.
+    """
+    nv = p.nvertices
+    return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in face_system(p)])
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -281,6 +282,9 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
         vals = [v[k] for v in p.vertices]
         los.append(math.ceil(min(vals)) - window)
         his.append(math.floor(max(vals)) + window)
+    count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if count > sys.maxsize:
+        raise InputError(f"the scan box holds more than {sys.maxsize} integer points")
     # one scale for the form, the center and the radius (a row of copies of
     # it), so the scan below runs in integers
     (*w, cc, _), scale = exact.over_common_denominator([*gram, cd.center, [cd.radius_sq] * n])
@@ -290,9 +294,7 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     }
     strict: list[tuple[int, ...]] = []
     on_sphere: list[tuple[int, ...]] = []
-    count = 0
     for z in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        count += 1
         u = [scale * z[k] - cc[k] for k in range(n)]
         s = 0
         for i in range(n):
@@ -340,9 +342,11 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     n = len(chosen)
     if n == 0:
         raise DimensionDeficient("all vertices coincide with vertex 0")
-    gram = [[Fraction(a[r][c], 2 * t) for c in chosen] for r in chosen]
-    if not exact.is_positive_definite(gram):
+    # the chosen submatrix of a is 2 t times the Gram form
+    sub = [[a[r][c] for c in chosen] for r in chosen]
+    if not exact.is_positive_definite(sub):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
+    gram = [[Fraction(x, 2 * t) for x in row] for row in sub]
     coords = [[Fraction(0)] * n] + [[red[r][k] for r in range(n)] for k in range(m - 1)]
     try:
         p = from_coords(n, coords)

@@ -25,26 +25,27 @@ def sym_columns(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def bspace_constraints(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
-    """Constraint rows on symmetric forms, one per paper dependency.
+def bspace_constraints(p: Polytope) -> tuple[tuple[int, ...], ...]:
+    """Integer constraint rows on symmetric forms, one per paper dependency.
 
     The dependencies are the polytope's frame's (p.frame.dependencies), one
     per vertex outside the affine basis.  Each row combines the vertex
     quadrics its dependency's support names, at most dim + 2 of them.
     Entries follow sym_columns(p.dim); off-diagonal columns carry the
     doubled coefficient, so a row dotted with upper-triangle coordinates
-    equals the full symmetric contraction.
+    equals the full symmetric contraction.  The quadrics are those of
+    x = k v, with k the least common denominator of the vertices, so each
+    row is k^2 times the rational one: the same constraint.
     """
     cols = sym_columns(p.dim)
-    # with x = k v integral, x_i x_j = k^2 v_i v_j: accumulate in ints, divide once
-    xs, k = exact.over_common_denominator(p.vertices)
+    xs, _ = exact.over_common_denominator(p.vertices)
     quads = [[x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols] for x in xs]
     rows = []
     for y in p.frame.dependencies:
         acc = [0] * len(cols)
         for v, c in y:
             acc = [a + c * b for a, b in zip(acc, quads[v])]
-        rows.append(tuple(Fraction(a, k * k) for a in acc))
+        rows.append(tuple(acc))
     return tuple(rows)
 
 

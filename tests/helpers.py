@@ -194,11 +194,11 @@ def vertex_vectors(p, supports):
     return tuple(out)
 
 
-def dense_face_rows(fs):
-    """The rows of a FaceSystem as dense Fraction vectors over its pairs."""
+def dense_face_rows(nv, rows):
+    """Labelled face_system rows on nv vertices as dense Fraction vectors over the vertex pairs."""
     out = []
-    for _, row in fs.rows:
-        vec = [Fraction(0)] * (fs.nvertices * (fs.nvertices - 1) // 2)
+    for _, row in rows:
+        vec = [Fraction(0)] * (nv * (nv - 1) // 2)
         for c, v in row.items():
             vec[c] = Fraction(v)
         out.append(vec)
@@ -303,6 +303,20 @@ def full_system_form_dimension(p):
     vecs = exact.nullspace([list(r) for r in fs.rows])
     proj = [v[:m] for v in vecs]
     return exact.rank(proj) if proj else 0
+
+
+def quadric_rank(p):
+    """Rank as N + n + 1 - rank M, N = n(n+1)/2, M one row ((v_i v_j)_{i<=j}, v, 1) per vertex.
+
+    A form B is compatible when v -> v^T B v is affine on the vertices,
+    and the affine part is unique because they affinely span, so the
+    compatible forms match the quadrics that vanish on the vertices one
+    for one.  A third rank route: it reads no frame, no dependency and no
+    Gram form, and ranks M by Fraction Gauss-Jordan.
+    """
+    cols = sym_columns(p.dim)
+    m = [[v[i] * v[j] for i, j in cols] + [*v, 1] for v in p.vertices]
+    return len(cols) + p.dim + 1 - len(fraction_rref(m)[1])
 
 
 def fraction_distance_matrix(p, gram):

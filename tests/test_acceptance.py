@@ -94,14 +94,15 @@ def test_criterion_05_p0_suite():
 
 
 def test_criterion_06_two_routes_agree():
-    """Dependency-system rank equals hypermetric face dimension on every
-    family instance up to 128 vertices and on 50 random small configurations."""
+    """Dependency-system rank equals hypermetric face dimension and the rank
+    of the quadrics through the vertices on every family instance up to 128
+    vertices and on 50 random small configurations."""
     for name, p in helpers.family_corpus():
-        assert dr.rank_of(p) == dr.face_dimension(p), name
+        assert dr.rank_of(p) == dr.face_dimension(p) == helpers.quadric_rank(p), name
     rng = random.Random(60)
     for i in range(50):
         p = helpers.random_polytope(rng, max_dim=4)
-        assert dr.rank_of(p) == dr.face_dimension(p), f"random #{i}"
+        assert dr.rank_of(p) == dr.face_dimension(p) == helpers.quadric_rank(p), f"random #{i}"
 
 
 def test_criterion_07_invariance():

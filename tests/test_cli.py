@@ -204,6 +204,24 @@ def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
     assert err.startswith("invalid input:")
 
 
+def test_over_long_number_names_its_digits(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    for value, digits in ((f"1{'0' * limit}", limit + 1), (f"-1/1{'0' * limit}", limit + 1)):
+        path = write_json(tmp_path, "long.json", {"dim": 1, "vertices": [[value], ["0"]]})
+        code, out, err = run(["rank", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: a number has {digits} digits, more than the limit of {limit}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_scan_box_beyond_maxsize_is_invalid_input(command, tmp_path, capsys):
+    # the box from 0 to 10^3000 cannot be scanned, and itertools cannot even size it
+    path = write_json(tmp_path, "huge.json", {"dim": 1, "vertices": [["1" + "0" * 3000], ["0"]], "gram": [["1"]]})
+    code, out, err = run([command, path, "--window", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: the scan box holds more than {sys.maxsize} integer points\n"
+
+
 FUZZ_COMMANDS = [["rank"], ["deps"], ["basicity"], ["verify", "--window", "0"], ["report", "--window", "0"]]
 
 json_documents = st.recursive(

@@ -1,5 +1,5 @@
-"""Checks over the repository itself: the scripts run, the exports exist and are documented, and the
-library holds no asserts and no unused imports."""
+"""Checks over the repository itself: the scripts run, the exports exist and are documented, the
+library holds no asserts and no unused imports, and it has one elimination loop."""
 
 import ast
 import importlib.util
@@ -78,3 +78,34 @@ def test_library_has_no_unused_imports():
 def test_unused_import_scan_sees_plain_and_marked_imports():
     source = "import os\nfrom math import gcd, lcm\nfrom .deps import f  # noqa: F401\nx = lcm(1, 2)\n"
     assert _unused_imports(source) == ["gcd:2", "os:1"]
+
+
+def _step_users(source, module):
+    """module.function for every function that names _step, innermost first; <module> outside any function."""
+    tree = ast.parse(source)
+    owner = {}
+    # ast.walk is breadth first, so a nested function overwrites its outer one
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(fn):
+                owner[node] = getattr(fn, "name", "<lambda>")
+    return sorted(
+        f"{module}.{owner.get(node, '<module>')}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_step") or (isinstance(node, ast.Attribute) and node.attr == "_step")
+    )
+
+
+def test_step_runs_only_in_the_echelon_loop():
+    # one elimination loop: _echelon reduces the rows and rref clears its pivot rows back
+    found = {
+        user
+        for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
+        for user in _step_users(path.read_text(), path.stem)
+    }
+    assert found == {"exact._echelon", "exact.rref"}
+
+
+def test_step_scan_sees_calls_and_aliases():
+    source = "def f(r):\n    return _step(r, r, 0)\n\ndef g():\n    h = exact._step\n    return lambda r: _step(r, r, 0)\n"
+    assert _step_users(source, "m") == ["m.<lambda>", "m.f", "m.g"]

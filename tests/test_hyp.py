@@ -74,27 +74,29 @@ def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
 
 
 def test_face_system_square(square):
-    fs = dr.face_system(square)
-    assert fs.nvertices == 4
-    assert len(fs.rows) == 4
-    assert len(dr.vertex_pairs(fs.nvertices)) == 6
-    dense = dense_face_rows(fs)
+    rows = dr.face_system(square)
+    assert len(rows) == 4
+    assert len(dr.vertex_pairs(square.nvertices)) == 6
+    dense = dense_face_rows(square.nvertices, rows)
     assert exact.rank(dense) == 4
-    assert [label for label, _ in fs.rows] == [(0, 3), (0, 2), (0, 1), (0, 0)]
+    assert [label for label, _ in rows] == [(0, 3), (0, 2), (0, 1), (0, 0)]
+    full = dict(all_face_rows(square, vertex_vectors(square, square.frame.dependencies)))
+    assert all(full[label] == row for label, row in rows)
     # row for probe u=0 with y=(1,-1,-1,1): -d(0,1) - d(0,2) + d(0,3)
-    (yi, u), row = fs.rows[-1]
+    (yi, u), row = rows[-1]
     assert (yi, u) == (0, 0)
     assert row == {0: -1, 1: -1, 2: 1}
 
 
 def test_face_system_records_its_module_and_dimension(square):
     for p in (square, dr.simplex(3), dr.half_cube(4), dr.from_coords(0, [()])):
-        fs = dr.face_system(p)
+        rows = dr.face_system(p)
         ys = vertex_vectors(p, p.frame.dependencies)
         module = list(dr.dependency_module(p))
         assert exact.rank(list(ys) + module) == exact.rank(module) == len(module)
-        assert {yi for (yi, _), _ in fs.rows} == set(range(len(ys)))
-        assert fs.dimension() == dr.face_dimension(p)
+        assert {yi for (yi, _), _ in rows} == set(range(len(ys)))
+        nv = p.nvertices
+        assert dr.face_dimension(p) == nv * (nv - 1) // 2 - dict_sparse_rank([row for _, row in all_face_rows(p, ys)])
 
 
 def test_face_dimension_known_values(square):
@@ -108,9 +110,9 @@ def test_face_dimension_known_values(square):
 def test_structured_rows_match_dense_rank():
     """The sparse face_system rows must have the same rank as the dense system."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
-        fs = dr.face_system(p)
-        dense_rank = len(fraction_rref(dense_face_rows(fs))[1])
-        assert exact.sparse_rank([row for _, row in fs.rows]) == dense_rank
+        rows = dr.face_system(p)
+        dense_rank = len(fraction_rref(dense_face_rows(p.nvertices, rows))[1])
+        assert exact.sparse_rank([row for _, row in rows]) == dense_rank
         npairs = p.nvertices * (p.nvertices - 1) // 2
         assert dr.face_dimension(p) == npairs - dense_rank
 
@@ -150,16 +152,18 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     p = make(rng)
     verts = list(p.vertices)
     rng.shuffle(verts)
-    fs = dr.face_system(dr.from_coords(p.dim, verts))
-    expected = len(fraction_rref(dense_face_rows(fs))[1])
+    q = dr.from_coords(p.dim, verts)
+    labelled = dr.face_system(q)
+    nv = q.nvertices
+    expected = len(fraction_rref(dense_face_rows(nv, labelled))[1])
     # face_system emits the rows in elimination order: descending probe, dependency order within it
-    assert list(fs.rows) == sorted(fs.rows, key=lambda r: (-r[0][1], r[0][0]))
-    dependency_major = [row for _, row in sorted(fs.rows, key=lambda r: r[0])]
-    probe_descending = [row for _, row in fs.rows]
+    assert list(labelled) == sorted(labelled, key=lambda r: (-r[0][1], r[0][0]))
+    dependency_major = [row for _, row in sorted(labelled, key=lambda r: r[0])]
+    probe_descending = [row for _, row in labelled]
     drawn = rng.sample(dependency_major, len(dependency_major))
     for rows in (dependency_major, probe_descending, drawn):
         assert exact.sparse_rank(rows) == expected
-    assert fs.dimension() == fs.nvertices * (fs.nvertices - 1) // 2 - expected
+    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - expected
 
 
 def _transformed(build, n):
@@ -184,17 +188,17 @@ def test_face_system_drops_only_redundant_rows(seed, name):
     verts = list(p.vertices)
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
-    fs = dr.face_system(p)
+    rows = dr.face_system(p)
     full = all_face_rows(p, vertex_vectors(p, p.frame.dependencies))
     k, nv = len(p.frame.dependencies), p.nvertices
     assert len(full) == k * nv
-    assert len(fs.rows) == k * nv - k * (k - 1) // 2
+    assert len(rows) == k * nv - k * (k - 1) // 2
     oracle = dict(full)
-    assert all(oracle[label] == row for label, row in fs.rows)
+    assert all(oracle[label] == row for label, row in rows)
     # the full system over the Hermite module, a dependency family face_system does not build
     module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
-    assert exact.sparse_rank([row for _, row in fs.rows]) == module_rank
-    assert fs.dimension() == nv * (nv - 1) // 2 - module_rank
+    assert exact.sparse_rank([row for _, row in rows]) == module_rank
+    assert dr.face_dimension(p) == nv * (nv - 1) // 2 - module_rank
 
 
 def test_face_rows_vanish_on_family_distances():
@@ -204,7 +208,6 @@ def test_face_rows_vanish_on_family_distances():
             continue
         ident = [[int(i == j) for j in range(p.dim)] for i in range(p.dim)]
         d = dr.distance_matrix(p, ident)
-        fs = dr.face_system(p)
-        flat = [d[i][j] for i, j in dr.vertex_pairs(fs.nvertices)]
-        for _, row in fs.rows:
+        flat = [d[i][j] for i, j in dr.vertex_pairs(p.nvertices)]
+        for _, row in dr.face_system(p):
             assert sum(Fraction(c) * flat[k] for k, c in row.items()) == 0, name

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from tests.helpers import (
     full_system_form_dimension,
     gram_corpus,
     module_form_space,
+    quadric_rank,
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
@@ -54,10 +56,11 @@ def test_sparse_rank_matches_dense_on_families():
 
 
 def test_sparse_rank_scales_fractional_rows(p0data):
-    # p0 has half-integral coordinates, so its rows carry denominators
-    rows = dr.bspace_constraints(p0data.polytope)
+    # p0 has half-integral coordinates, so its rows from the Fraction oracle carry denominators
+    p = p0data.polytope
+    rows = fraction_bspace_rows(p, vertex_vectors(p, p.frame.dependencies))
     assert any(x.denominator != 1 for row in rows for x in row)
-    assert exact.rank(rows) == len(fraction_rref(rows)[1])
+    assert exact.rank(rows) == len(fraction_rref(rows)[1]) == exact.rank(dr.bspace_constraints(p))
 
 
 def test_sparse_rank_skips_zero_rows(square):
@@ -126,8 +129,11 @@ def test_constraint_rows_vanish_on_compatible_forms():
 
 def _assert_fraction_rows_equal(p, name):
     rows = dr.bspace_constraints(p)
-    assert rows == fraction_bspace_rows(p, vertex_vectors(p, p.frame.dependencies)), name
-    assert all(type(x) is Fraction for row in rows for x in row), name
+    # the integer rows are k^2 times the Fraction rows, k the vertices' common denominator
+    k = lcm(*(x.denominator for v in p.vertices for x in v))
+    fraction_rows = fraction_bspace_rows(p, vertex_vectors(p, p.frame.dependencies))
+    assert rows == tuple(tuple(k * k * x for x in row) for row in fraction_rows), name
+    assert all(type(x) is int for row in rows for x in row), name
     # rows over the Hermite module span the same constraints
     module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
     assert exact.rank(rows + module_rows) == exact.rank(rows) == exact.rank(module_rows), name
@@ -248,6 +254,29 @@ def test_full_system_matches_rank_everywhere():
         if p.nvertices > 16:
             continue
         assert full_system_form_dimension(p) == dr.rank_of(p), name
+
+
+QUADRIC_BASES = dict(family_corpus())
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(QUADRIC_BASES) + ["random", "half_integer"]),
+       st.booleans(), st.booleans())
+def test_quadric_rank_matches_both_routes(seed, name, transform, relabel):
+    """The quadrics through the vertices read no frame, so a wrong frame cannot move them with both routes."""
+    rng = random.Random(seed)
+    if name == "random":
+        p = random_polytope(rng)
+    elif name == "half_integer":
+        p = random_half_integer_polytope(rng)
+    else:
+        p = QUADRIC_BASES[name]
+    if transform:
+        p = dr.transform_basis(p, random_unimodular(p.dim, rng))
+    if relabel:
+        p = dr.from_coords(p.dim, rng.sample(p.vertices, p.nvertices))
+    expected = quadric_rank(p)
+    assert dr.rank_of(p) == expected
+    assert dr.face_dimension(p) == expected
 
 
 def test_is_extreme():
