@@ -46,9 +46,9 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
     if any(not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
     others = [] if ring == "Q" else [w for w in range(p.nvertices) if w not in idx]
-    red, pivots = exact.rref(_lifted(p, idx + others))
+    red, pivots, d = exact.rref(_lifted(p, idx + others))
     k = len(idx)
-    return pivots[:k] == list(range(k)) and all(x.denominator == 1 for row in red[:k] for x in row[k:])
+    return pivots[:k] == list(range(k)) and all(x % d == 0 for row in red[:k] for x in row[k:])
 
 
 def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
@@ -65,7 +65,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
         raise InputError("budget must be >= 1")
     n, size = p.nvertices, p.dim + 1
     # k (v, 1) in integers, k the vertices' common denominator: same rank as (v, 1)
-    xs, k = exact.over_common_denominator(p.vertices)
+    xs, k = p._int_coords
     lifted = [[*x, k] for x in xs]
 
     def independent(prefix: list[int]):

@@ -25,10 +25,6 @@ class DimensionDeficient(DelrankError):
     """Vertices do not affinely span the stated dimension."""
 
 
-class NotRealizable(DelrankError):
-    """A distance matrix admits no exact rational realization."""
-
-
 class NotPositiveDefinite(DelrankError):
     """A quadratic form fails the positive definiteness check."""
 

@@ -6,7 +6,9 @@ share one fraction-free elimination, _echelon, which reduces each row in
 turn against the pivot row at its leftmost column; no pivot is chosen by a
 magnitude heuristic.  rref is canonical even so, because a reduced echelon
 form depends only on the row space.  hermite_normal_form is the one
-elimination over Z.
+elimination over Z.  Rational input enters through over_common_denominator
+as integers over one denominator, and rref hands its result back in the
+same format; nullspace and solve divide by that denominator.
 """
 
 from __future__ import annotations
@@ -41,22 +43,23 @@ def over_common_denominator(m) -> tuple[IntMat, int]:
 
     s is the lcm of all denominators of m, so it scales every row by the
     same factor: the result keeps the kernel, the row space, ratios of
-    entries across rows, and every comparison between them.
+    entries across rows, and every comparison between them.  Integer rows
+    pass through as they are, with s = 1.  This is the one way rational
+    input enters the kernel.
     """
-    q = qmat(m)
-    s = lcm(*(x.denominator for row in q for x in row))
+    a = [list(row) for row in m]
+    _width(a)
+    if {type(x) for row in a for x in row} <= {int}:
+        return a, 1
+    q = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in a]
+    s = lcm(*{x.denominator for row in q for x in row})
     return [[x.numerator * (s // x.denominator) for x in row] for row in q], s
 
 
 def _int_rows(m) -> tuple[list[dict[int, int]], int]:
-    """Each row times the lcm of its denominators, as a {column: entry} dict of its nonzero entries; and the row length."""
-    ncols = _width(m)
-    rows = []
-    for row in m:
-        q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        s = lcm(*(x.denominator for x in q))
-        rows.append({j: x.numerator * (s // x.denominator) for j, x in enumerate(q) if x})
-    return rows, ncols
+    """The rows of m over their common denominator as {column: entry} dicts of the nonzero entries; and the row length."""
+    a, _ = over_common_denominator(m)
+    return [{j: x for j, x in enumerate(row) if x} for row in a], len(a[0]) if a else 0
 
 
 def _step(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -100,14 +103,15 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
+def rref(m) -> tuple[IntMat, list[int], int]:
+    """Reduced row echelon form in integers; returns (R, pivot column indices, d).
 
-    The rows are scaled to integers and brought to echelon form by
+    R holds the nonzero rows of the reduced echelon form times d, where
+    d > 0 is the lcm of their pivots, so R[i][pivots[i]] == d and every
+    entry is an integer.  The rows are brought to echelon form by
     _echelon; then each pivot row, last first, is cleared at the later
-    pivots, and only the result is made of fractions.  The nonzero rows of
-    a reduced echelon form depend only on the row space, so R is canonical:
-    its pivot rows in column order, then one zero row per dependent row.
+    pivots.  The nonzero rows of a reduced echelon form depend only on the
+    row space, so R and d are canonical.
     """
     rows, ncols = _int_rows(m)
     echelon = _echelon(rows)
@@ -118,14 +122,13 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
             if c in r:
                 r = _step(r, echelon[c], c)
         echelon[pivots[i]] = r
-    zero = Fraction(0)
+    d = lcm(*(echelon[c][c] for c in pivots))
     red = []
     for c in pivots:
         r = echelon[c]
-        pv = r[c]
-        red.append([Fraction(r[j], pv) if j in r else zero for j in range(ncols)])
-    red += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
-    return red, pivots
+        f = d // r[c]
+        red.append([r[j] * f if j in r else 0 for j in range(ncols)])
+    return red, pivots, d
 
 
 def rank(m) -> int:
@@ -138,8 +141,8 @@ def nullspace(m) -> list[Vec]:
     Each basis vector has entry 1 at its free column and zeros at the other
     free columns, so the output is canonical.
     """
-    red, pivots = rref(m)
-    ncols = len(red[0]) if red else 0
+    red, pivots, d = rref(m)
+    ncols = len(m[0]) if m else 0
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -147,8 +150,8 @@ def nullspace(m) -> list[Vec]:
             continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+        for row, c in zip(red, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(v)
     return basis
 
@@ -159,12 +162,12 @@ def solve(a, b) -> Vec | None:
     if len(a) != len(bv):
         raise WrongSize("size mismatch")
     ncols = len(a[0]) if a else 0
-    red, pivots = rref([[*row, x] for row, x in zip(a, bv)])
+    red, pivots, d = rref([[*row, x] for row, x in zip(a, bv)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
+    for row, c in zip(red, pivots):
+        x[c] = Fraction(row[ncols], d)
     return x
 
 
@@ -186,15 +189,10 @@ def is_positive_definite(g) -> bool:
 
 
 def _as_int_matrix(m) -> IntMat:
-    out = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
-    _width(out)
-    for row in out:
-        for k, x in enumerate(row):
-            if type(x) is not int:
-                if x.denominator != 1:
-                    raise InputError("integer matrix expected")
-                row[k] = x.numerator
-    return out
+    a, s = over_common_denominator(m)
+    if s != 1:
+        raise InputError("integer matrix expected")
+    return a
 
 
 def hermite_normal_form(m) -> IntMat:
@@ -269,21 +267,6 @@ def integral_kernel(m) -> list[IntVec]:
     ncols = len(a[0]) if a else 0
     h = hermite_normal_form([[*col, *(int(i == j) for j in range(ncols))] for i, col in enumerate(zip(*a))])
     return [row[len(a):] for row in h if not any(row[: len(a)])]
-
-
-def primitivize(v) -> IntVec:
-    """Scale a rational vector to a primitive integer vector.
-
-    Clears denominators, divides by the content, and flips sign so the
-    first nonzero entry is positive.  Rejects the zero vector.
-    """
-    (ints,), _ = over_common_denominator([v])
-    g = gcd(*ints)
-    if g == 0:
-        raise InputError("zero vector has no primitive form")
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return [x // g for x in ints]
 
 
 def sparse_rank(rows) -> int:

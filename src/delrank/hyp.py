@@ -77,8 +77,8 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
     the way in (distance data comes from the Gram form), emptiness is not.
     """
     circumcenter(p, gram)  # checks the form, and raises NotCospherical on bad input
-    d = _distance_matrix(p, exact.qmat(gram))
-    val = eval_hypermetric(d, b)
+    num, scale = _distance_matrix(p, *exact.over_common_denominator(gram))
+    val = eval_hypermetric(num, b) / scale
     pt, isv = representation_point(p, b)
     return LemmaHyReport(
         value=val,

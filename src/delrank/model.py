@@ -14,15 +14,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from . import exact
 from .errors import (
+    DelrankError,
     DimensionDeficient,
     DuplicateVertex,
     InputError,
+    InternalError,
     NotCospherical,
     NotPositiveDefinite,
-    NotRealizable,
     TooFewVertices,
     WrongSize,
 )
@@ -42,6 +44,11 @@ class Polytope:
         """The last affine basis and the paper's dependencies over it; see Frame."""
         return _frame(self)
 
+    @cached_property
+    def _int_coords(self) -> tuple[list[list[int]], int]:
+        """The vertices as integer rows x = k v, and k: their least common denominator."""
+        return exact.over_common_denominator(self.vertices)
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -50,27 +57,30 @@ class Frame:
     basis holds the sorted pivot vertices: each vertex not affinely spanned
     by the ones after it.  The non-pivot columns are the affine coordinates
     of every other vertex w over the basis vertices above w; coordinates
-    holds them as (w, coefficients over basis) in ascending w.  On a
-    polytope that spans its dimension there are dim + 1 basis vertices.
+    holds them as (w, numerators over basis) in ascending w, all over the
+    one denominator of the reduced form.  On a polytope that spans its
+    dimension there are dim + 1 basis vertices.
     """
 
     basis: tuple[int, ...]
-    coordinates: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    coordinates: tuple[tuple[int, tuple[int, ...]], ...]
+    denominator: int
 
     @cached_property
     def dependencies(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The dependency each vertex w outside the basis gives, in ascending w.
 
-        Its coefficients are 1 at w and minus w's affine coordinates at the
-        basis vertices, scaled to primitive integers, so positive at w.
-        Each is stored as its support: the (vertex, coefficient) pairs where
-        it is nonzero, in ascending vertex order.  That is w first, then
-        basis vertices above w, at most dim + 2 pairs.  Built on first read.
+        Its coefficients are the denominator at w and minus w's coordinate
+        numerators at the basis vertices, divided by their gcd: primitive,
+        and positive at w.  Each is stored as its support: the (vertex,
+        coefficient) pairs where it is nonzero, in ascending vertex order.
+        That is w first, then basis vertices above w, at most dim + 2 pairs.
         """
-        return tuple(
-            tuple((v, c) for v, c in zip((w, *self.basis), exact.primitivize([1, *(-x for x in coords)])) if c)
-            for w, coords in self.coordinates
-        )
+        out = []
+        for w, coords in self.coordinates:
+            g = gcd(self.denominator, *coords)
+            out.append(((w, self.denominator // g), *((v, -x // g) for v, x in zip(self.basis, coords) if x)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -144,29 +154,26 @@ def norm_sq(g, u) -> Fraction:
 
 
 def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
-    """Squared-distance matrix of the vertex set under the Gram form.
+    """Squared-distance matrix of the vertex set under the Gram form."""
+    num, scale = _distance_matrix(p, *exact.over_common_denominator(_validate_gram_shape(p, gram)))
+    return [[Fraction(x, scale) for x in row] for row in num]
 
-    Runs in integers: with W = s G and X = k V integral, entry (i, j) is
-    (n_i + n_j - 2 <x_i, W x_j>) / (s k^2), where n_i = <x_i, W x_i>.
+
+def _distance_matrix(p: Polytope, w: list[list[int]], s: int) -> tuple[list[list[int]], int]:
+    """Squared distances under the validated form W / s, W integral, as numerators over one denominator.
+
+    With X = k V integral, numerator (i, j) is n_i + n_j - 2 <x_i, W x_j>,
+    where n_i = <x_i, W x_i>, and the denominator is s k^2.
     """
-    return _distance_matrix(p, _validate_gram_shape(p, gram))
-
-
-def _distance_matrix(p: Polytope, g: list[list[Fraction]]) -> list[list[Fraction]]:
-    """distance_matrix under a Fraction form that is already validated."""
-    w, s = exact.over_common_denominator(g)
-    xs, k = exact.over_common_denominator(p.vertices)
+    xs, k = p._int_coords
     ys = [[sum(a * b for a, b in zip(row, x)) for row in w] for x in xs]
     norms = [sum(a * b for a, b in zip(x, y)) for x, y in zip(xs, ys)]
-    scale = s * k * k
     n = p.nvertices
-    d = [[Fraction(0)] * n for _ in range(n)]
+    num = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            val = Fraction(norms[i] + norms[j] - 2 * sum(a * b for a, b in zip(xs[i], ys[j])), scale)
-            d[i][j] = val
-            d[j][i] = val
-    return d
+            num[i][j] = num[j][i] = norms[i] + norms[j] - 2 * sum(a * b for a, b in zip(xs[i], ys[j]))
+    return num, s * k * k
 
 
 def validate_distance_matrix(dm) -> list[list[Fraction]]:
@@ -191,21 +198,22 @@ def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
     return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
 
 
-def _lifted(p: Polytope, cols) -> list[list]:
-    """The vertices in cols lifted to (v, 1), one column each."""
-    return [*([p.vertices[i][k] for i in cols] for k in range(p.dim)), [1] * len(cols)]
+def _lifted(p: Polytope, cols) -> list[list[int]]:
+    """The vertices in cols lifted to k (v, 1), one integer column each, k their common denominator."""
+    xs, k = p._int_coords
+    return [*([xs[i][j] for i in cols] for j in range(p.dim)), [k] * len(cols)]
 
 
 def _frame(p: Polytope) -> Frame:
     last = p.nvertices - 1
-    red, pivots = exact.rref(_lifted(p, range(last, -1, -1)))
+    red, pivots, d = exact.rref(_lifted(p, range(last, -1, -1)))
     # pivot c is vertex last - c, so the reversed pivot rows follow the sorted basis
-    rows = red[: len(pivots)][::-1]
+    rows = red[::-1]
     pivset = set(pivots)
     coordinates = tuple(
         (last - c, tuple(row[c] for row in rows)) for c in range(last, -1, -1) if c not in pivset
     )
-    return Frame(basis=tuple(last - c for c in reversed(pivots)), coordinates=coordinates)
+    return Frame(basis=tuple(last - c for c in reversed(pivots)), coordinates=coordinates, denominator=d)
 
 
 def circumcenter(p: Polytope, gram) -> Circumdata:
@@ -322,13 +330,19 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
 def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     """Reconstruct (polytope, Gram form) from an exact squared-distance matrix.
 
-    Vertex 0 becomes the origin.  One reduced row echelon form of the
-    vertex Gram matrix gives everything: its pivot columns are the first
-    vertices whose pairwise form is nonsingular, which become unit
-    coordinate vectors, the form restricted to them is the Gram matrix, and
-    column k of the reduced rows holds the coordinates of vertex k + 1.
-    The full distance matrix is recomputed and compared entry by entry, so
-    the result is exact or an error.
+    Vertex 0 becomes the origin.  One reduced row echelon form R of the
+    vertex Gram matrix A, A[i][j] = <v_i - v_0, v_j - v_0> for i, j >= 1,
+    gives everything: its pivot columns C become unit coordinate vectors,
+    A[C, C] is the Gram form, and column k of R holds the coordinates of
+    vertex k.  Bad input fails as such; once the form passes the definite
+    check, the realization is exact.  Proof: the columns C span those of
+    A, so A = A[:, C] R, and A is symmetric, so A = R^T A[C, C] R.  So
+    A[C, C] is nonsingular and the coordinates reproduce A, and with it
+    every distance d(i, j) = A[i][i] + A[j][j] - 2 A[i][j] (A is 0 at v_0).
+    The distances are positive, so the vertices are distinct, and the
+    origin and the unit vectors span the dimension.  There is a pivot,
+    since A[1][1] = d(1, 0) > 0.  So a rejection by from_coords or a
+    failed re-check of every distance is an InternalError.
     """
     d = validate_distance_matrix(dm)
     m = len(d)
@@ -338,21 +352,19 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     # is that of the vertex Gram matrix
     e, t = exact.over_common_denominator(d)
     a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
-    red, chosen = exact.rref(a)
+    red, chosen, den = exact.rref(a)
     n = len(chosen)
-    if n == 0:
-        raise DimensionDeficient("all vertices coincide with vertex 0")
     # the chosen submatrix of a is 2 t times the Gram form
     sub = [[a[r][c] for c in chosen] for r in chosen]
     if not exact.is_positive_definite(sub):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
-    gram = [[Fraction(x, 2 * t) for x in row] for row in sub]
-    coords = [[Fraction(0)] * n] + [[red[r][k] for r in range(n)] for k in range(m - 1)]
+    coords = [[Fraction(0)] * n] + [[Fraction(row[k], den) for row in red] for k in range(m - 1)]
     try:
         p = from_coords(n, coords)
-    except DuplicateVertex as e:
-        raise NotRealizable(str(e)) from e
-    # the form passed is_positive_definite above and is symmetric because d is
-    if _distance_matrix(p, gram) != d:
-        raise NotRealizable("reconstructed coordinates do not reproduce the distance matrix")
-    return p, gram
+    except DelrankError as err:
+        raise InternalError(f"reconstructed coordinates are rejected: {err}") from err
+    # distances num / scale under the form sub / 2t, against the input e / t
+    num, scale = _distance_matrix(p, sub, 2 * t)
+    if any(x * t != y * scale for xrow, yrow in zip(num, e) for x, y in zip(xrow, yrow)):
+        raise InternalError("reconstructed coordinates do not reproduce the distance matrix")
+    return p, [[Fraction(x, 2 * t) for x in row] for row in sub]

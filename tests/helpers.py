@@ -4,7 +4,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import delrank as dr
 from delrank import exact, model
@@ -377,6 +377,23 @@ def circumcenter_symmetry(p, gram):
     return True, pairing
 
 
+def primitivize(v):
+    """Scale a rational vector to a primitive integer vector.
+
+    Clears denominators, divides by the content, and flips sign so the
+    first nonzero entry is positive.  Rejects the zero vector.
+    """
+    q = [Fraction(x) for x in v]
+    s = lcm(*(x.denominator for x in q))
+    ints = [int(x * s) for x in q]
+    g = gcd(*ints)
+    if g == 0:
+        raise dr.InputError("zero vector has no primitive form")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
 def solve_basis_dependencies(p, basis):
     """One dependency per vertex outside the basis, by one solve per vertex."""
     a = [[p.vertices[i][k] for i in basis] for k in range(p.dim)]
@@ -390,7 +407,7 @@ def solve_basis_dependencies(p, basis):
         y[w] = Fraction(1)
         for i, c in zip(basis, x):
             y[i] = -c
-        yi = exact.primitivize(y)
+        yi = primitivize(y)
         if yi[w] < 0:
             yi = [-c for c in yi]
         out.append(tuple(yi))

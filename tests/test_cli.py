@@ -183,6 +183,24 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert not issubclass(InternalError, DelrankError)
 
 
+def test_failed_distance_recheck_exits_four(tmp_path, capsys, monkeypatch):
+    # the re-check of a distance file guards an invariant, so its failure is a bug
+    square = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
+    path = write_json(tmp_path, "square_d.json", {"dim": 2, "distances": [[str(x) for x in row] for row in square]})
+    real = model._distance_matrix
+
+    def bumped(p, w, s):
+        num, scale = real(p, w, s)
+        num[1][2] += 1
+        return num, scale
+
+    monkeypatch.setattr(model, "_distance_matrix", bumped)
+    code, out, err = run(["rank", path, "--method", "bspace"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: reconstructed coordinates do not reproduce the distance matrix\n"
+
+
 def test_other_exceptions_exit_four(square_file, capsys, monkeypatch):
     # only the error class decides: a ValueError from inside the library is a bug, not bad input
     for exc in (ZeroDivisionError("division by zero"), ValueError("lost a row")):

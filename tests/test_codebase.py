@@ -1,5 +1,6 @@
 """Checks over the repository itself: the scripts run, the exports exist and are documented, the
-library holds no asserts and no unused imports, and it has one elimination loop."""
+library holds no asserts and no unused imports, it has one elimination loop, and its integer edges
+name no Fraction."""
 
 import ast
 import importlib.util
@@ -109,3 +110,69 @@ def test_step_runs_only_in_the_echelon_loop():
 def test_step_scan_sees_calls_and_aliases():
     source = "def f(r):\n    return _step(r, r, 0)\n\ndef g():\n    h = exact._step\n    return lambda r: _step(r, r, 0)\n"
     assert _step_users(source, "m") == ["m.<lambda>", "m.f", "m.g"]
+
+
+def _functions_naming(source, module, name):
+    """{module.qualified name: whether it names `name`} for every function; a nested function's body counts for the
+    functions around it, and methods are Class.method."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    found[f"{module}.{qualified}"] = any(
+                        (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
+                        for n in ast.walk(child)
+                    )
+                visit(child, qualified + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# the layers hand each other integers over one denominator; Fractions are made
+# only where a public function returns rationals
+INTEGER_EDGES = (
+    "exact._echelon",
+    "exact._int_rows",
+    "exact.rref",
+    "model._frame",
+    "model.Frame.dependencies",
+    "model._distance_matrix",
+    "basis.is_affine_basis",
+    "basis.classify_basicity",
+    "rank.bspace_constraints",
+)
+
+
+def test_integer_edges_name_no_fraction():
+    found = {}
+    for path in sorted((ROOT / "src" / "delrank").glob("*.py")):
+        found.update(_functions_naming(path.read_text(), path.stem, "Fraction"))
+    # a renamed or deleted function reads None here, so it cannot drop out of the list unseen
+    assert {f: found.get(f) for f in INTEGER_EDGES} == dict.fromkeys(INTEGER_EDGES, False)
+
+
+def test_fraction_scan_sees_annotations_attributes_methods_and_nested_functions():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n\n"
+        "class C:\n"
+        "    def f(self):\n        return fractions.Fraction(1)\n\n"
+        "    def g(self) -> int:\n        return 1\n\n"
+        "def h(x: Fraction):\n    return x\n\n"
+        "def k():\n    def inner():\n        return Fraction(1, 2)\n    return inner\n\n"
+        "def z():\n    return 'Fraction'\n"
+    )
+    assert _functions_naming(source, "m", "Fraction") == {
+        "m.C.f": True,
+        "m.C.g": False,
+        "m.h": True,
+        "m.k": True,
+        "m.k.inner": True,
+        "m.z": False,
+    }

@@ -2,7 +2,7 @@
 
 import copy
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +15,7 @@ from tests.helpers import (
     fraction_det,
     fraction_rref,
     mat_mul,
+    primitivize,
     sylvester_positive_definite,
     transpose,
 )
@@ -80,6 +81,31 @@ def test_over_common_denominator():
         exact.over_common_denominator([[half], [1, 2]])
 
 
+def qmat_then_lcm(m):
+    """The route over_common_denominator replaced: every entry a Fraction through exact.qmat, then one lcm."""
+    q = exact.qmat(m)
+    s = lcm(*(x.denominator for row in q for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in q], s
+
+
+small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+mixed_matrices = st.integers(0, 4).flatmap(
+    lambda c: st.lists(st.lists(st.one_of(ints, small_fractions, small_fractions.map(str)), min_size=c, max_size=c), max_size=4)
+)
+
+
+@given(mixed_matrices)
+def test_over_common_denominator_passes_ints_and_matches_the_qmat_route(m):
+    a, s = exact.over_common_denominator(m)
+    assert (a, s) == qmat_then_lcm(m)
+    assert all(type(x) is int for row in a for x in row)
+    # on integer rows it is the identity, entry by entry
+    ints_only = [[x if type(x) is int else 10**30 for x in row] for row in m]
+    b, t = exact.over_common_denominator(ints_only)
+    assert t == 1
+    assert all(x is y for row, brow in zip(ints_only, b) for x, y in zip(row, brow))
+
+
 def test_is_positive_definite():
     assert exact.is_positive_definite([[1, 0], [0, 1]])
     assert not exact.is_positive_definite([[1, 2], [2, 1]])
@@ -142,9 +168,15 @@ def rational_matrices(draw):
 @given(rational_matrices(), st.data())
 def test_elimination_matches_the_fraction_rref(m, data):
     red, pivots = fraction_rref(m)
-    got = exact.rref(m)
-    assert got == (red, pivots)
-    assert all(type(x) is Fraction for row in got[0] for x in row)
+    rows, got_pivots, d = exact.rref(m)
+    assert got_pivots == pivots
+    assert all(type(x) is int for row in rows for x in row)
+    assert type(d) is int and d > 0
+    # d is the lcm of the pivots of the primitive reduced rows, the least common denominator of the oracle's
+    assert d == lcm(*(x.denominator for row in red for x in row))
+    assert [row[c] for row, c in zip(rows, pivots)] == [d] * len(pivots)
+    assert [[Fraction(x, d) for x in row] for row in rows] == red[: len(pivots)]
+    assert not any(x for row in red[len(pivots):] for x in row)
     assert exact.rank(m) == len(pivots)
     ncols = len(m[0]) if m else 0
     kernel = []
@@ -308,11 +340,11 @@ def test_integral_kernel_is_hermite_and_ignores_row_scaling(m, scales):
 
 
 def test_primitivize():
-    assert exact.primitivize([Fraction(1, 2), Fraction(-1, 2), 1]) == [1, -1, 2]
-    assert exact.primitivize([3, 6, 9]) == [1, 2, 3]
-    assert exact.primitivize([-2, 4]) == [1, -2]
+    assert primitivize([Fraction(1, 2), Fraction(-1, 2), 1]) == [1, -1, 2]
+    assert primitivize([3, 6, 9]) == [1, 2, 3]
+    assert primitivize([-2, 4]) == [1, -2]
     with pytest.raises(dr.InputError):
-        exact.primitivize([0, 0])
+        primitivize([0, 0])
 
 
 @given(int_matrices())

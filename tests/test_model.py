@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact
+from delrank import exact, model
 from tests.helpers import (
     circumcenter_symmetry,
     count_calls,
@@ -223,6 +223,29 @@ def test_from_distances_rejects():
         dr.from_distances([[0]])
 
 
+def test_from_distances_rechecks_as_an_internal_invariant(monkeypatch):
+    # a form that passes is always realized (the proof is in the docstring), so
+    # a failed re-check or rejected coordinates are bugs, not bad input
+    real = model._distance_matrix
+
+    def bumped(p, w, s):
+        num, scale = real(p, w, s)
+        num[0][1] += 1
+        return num, scale
+
+    monkeypatch.setattr(model, "_distance_matrix", bumped)
+    with pytest.raises(dr.InternalError, match="do not reproduce the distance matrix"):
+        dr.from_distances(SQUARE_D)
+    monkeypatch.setattr(model, "_distance_matrix", real)
+
+    def rejecting(dim, vertices):
+        raise dr.DuplicateVertex("vertex 3 repeats an earlier vertex")
+
+    monkeypatch.setattr(model, "from_coords", rejecting)
+    with pytest.raises(dr.InternalError, match="vertex 3 repeats"):
+        dr.from_distances(SQUARE_D)
+
+
 def test_verify_empty_sphere_square(square):
     rep = dr.verify_empty_sphere(square, [[1, 0], [0, 1]], window=2)
     assert rep.ok()
@@ -300,6 +323,10 @@ def test_distance_matrix_matches_the_fraction_oracle(seed):
     assert dr.distance_matrix(p, gram) == fraction_distance_matrix(p, gram)
 
 
+class NotRealizable(dr.DelrankError):
+    """The greedy reconstruction found no realization."""
+
+
 def greedy_from_distances(dm):
     """Reconstruction by a greedy scan of principal minors, one solve per vertex.
 
@@ -318,7 +345,7 @@ def greedy_from_distances(dm):
         if len(chosen) == n:
             break
     if len(chosen) < n:
-        raise dr.NotRealizable("no nonsingular coordinate subset found")
+        raise NotRealizable("no nonsingular coordinate subset found")
     gram = [[a[r][c] for c in chosen] for r in chosen]
     if not exact.is_positive_definite(gram):
         raise dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
@@ -326,11 +353,11 @@ def greedy_from_distances(dm):
     for k in range(m - 1):
         z = exact.solve(gram, [a[r][k] for r in chosen])
         if z is None:
-            raise dr.NotRealizable(f"vertex {k + 1} has no coordinates")
+            raise NotRealizable(f"vertex {k + 1} has no coordinates")
         coords.append(z)
     p = dr.from_coords(n, coords)
     if dr.distance_matrix(p, gram) != d:
-        raise dr.NotRealizable("coordinates do not reproduce the distances")
+        raise NotRealizable("coordinates do not reproduce the distances")
     return p, gram
 
 
