@@ -104,7 +104,8 @@ def load_polytope_file(path: str) -> LoadedInput:
         p = model.from_coords(dim, verts)
         gram = None
         if "gram" in doc:
-            gram = model._validate_gram_shape(p, _rational_matrix(doc["gram"], path, "gram"))
+            gram = _rational_matrix(doc["gram"], path, "gram")
+            model._validate_gram_shape(p, gram)
         return LoadedInput(digest=digest, polytope=p, gram=gram)
     dm = _rational_matrix(doc["distances"], path, "distances")
     p, gram = model.from_distances(dm)

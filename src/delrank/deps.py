@@ -13,11 +13,9 @@ the one the checks take.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import exact
 from .errors import InternalError, SumNotZero, WrongSize
-from .model import Polytope, _lifted
+from .model import Polytope, _lifted, _validate_distance_matrix
 
 
 def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
@@ -51,24 +49,24 @@ def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
 
 def check_dist_system(dm, y) -> bool:
     """Whether sum_v y(v) d(u, v) = 0 holds for every probe vertex u."""
-    d = exact.qmat(dm)
+    d, _ = _validate_distance_matrix(dm)
     if len(y) != len(d):
         raise WrongSize("coefficient count does not match matrix size")
     for row in d:
-        if sum((c * x for c, x in zip(y, row)), Fraction(0)) != 0:
+        if sum(c * x for c, x in zip(y, row)) != 0:
             return False
     return True
 
 
 def check_negative_type(dm, y) -> bool:
     """Whether sum_{u,v} y(u) y(v) d(u, v) = 0.  Requires sum(y) = 0."""
-    d = exact.qmat(dm)
+    d, _ = _validate_distance_matrix(dm)
     if len(y) != len(d):
         raise WrongSize("coefficient count does not match matrix size")
     if sum(y) != 0:
         raise SumNotZero("dependency coefficients must sum to zero")
-    total = Fraction(0)
+    total = 0
     for i, yi in enumerate(y):
         if yi:
-            total += yi * sum((yj * d[i][j] for j, yj in enumerate(y) if yj), Fraction(0))
+            total += yi * sum(yj * d[i][j] for j, yj in enumerate(y) if yj)
     return total == 0

@@ -19,7 +19,6 @@ from math import gcd, lcm
 from .errors import InputError, WrongSize
 
 Vec = list[Fraction]
-Mat = list[list[Fraction]]
 IntVec = list[int]
 IntMat = list[list[int]]
 
@@ -30,12 +29,6 @@ def _width(m) -> int:
     if any(len(row) != w for row in m):
         raise WrongSize("ragged matrix")
     return w
-
-
-def qmat(rows) -> Mat:
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    _width(m)
-    return m
 
 
 def over_common_denominator(m) -> tuple[IntMat, int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import SumNotOne, WrongSize
-from .model import Polytope, _distance_matrix, circumcenter, from_coords
+from .model import Polytope, _distance_matrix, _validate_distance_matrix, circumcenter, from_coords
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -31,19 +31,19 @@ def vertex_pairs(nv: int) -> list[tuple[int, int]]:
 
 def eval_hypermetric(dm, b) -> Fraction:
     """sum over unordered pairs of b(u) b(v) d(u, v).  Requires sum(b) = 1."""
-    d = exact.qmat(dm)
+    d, t = _validate_distance_matrix(dm)
     if len(b) != len(d):
         raise WrongSize("coefficient count does not match matrix size")
     if sum(b) != 1:
         raise SumNotOne("representation coefficients must sum to one")
-    total = Fraction(0)
+    total = 0
     for i, bi in enumerate(b):
         if bi:
             row = d[i]
             for j in range(i + 1, len(d)):
                 if b[j]:
                     total += bi * b[j] * row[j]
-    return total
+    return Fraction(total) / t
 
 
 def representation_point(p: Polytope, b) -> tuple[tuple[Fraction, ...], bool]:

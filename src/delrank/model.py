@@ -128,17 +128,18 @@ def from_coords(dim: int, vertices) -> Polytope:
     return p
 
 
-def _validate_gram_shape(p: Polytope, gram) -> list[list[Fraction]]:
-    g = exact.qmat(gram)
-    if len(g) != p.dim or any(len(row) != p.dim for row in g):
+def _validate_gram_shape(p: Polytope, gram) -> tuple[list[list[int]], int]:
+    """The form as integer rows W over one denominator s, once it is dim x dim, symmetric and positive definite."""
+    w, s = exact.over_common_denominator(gram)
+    if len(w) != p.dim or any(len(row) != p.dim for row in w):
         raise WrongSize(f"Gram form must be {p.dim}x{p.dim}")
     for i in range(p.dim):
         for j in range(i):
-            if g[i][j] != g[j][i]:
+            if w[i][j] != w[j][i]:
                 raise InputError("Gram form must be symmetric")
-    if not exact.is_positive_definite(g):
+    if not exact.is_positive_definite(w):
         raise NotPositiveDefinite("Gram form must be positive definite")
-    return g
+    return w, s
 
 
 def inner(g, u, v) -> Fraction:
@@ -155,7 +156,7 @@ def norm_sq(g, u) -> Fraction:
 
 def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
     """Squared-distance matrix of the vertex set under the Gram form."""
-    num, scale = _distance_matrix(p, *exact.over_common_denominator(_validate_gram_shape(p, gram)))
+    num, scale = _distance_matrix(p, *_validate_gram_shape(p, gram))
     return [[Fraction(x, scale) for x in row] for row in num]
 
 
@@ -176,9 +177,10 @@ def _distance_matrix(p: Polytope, w: list[list[int]], s: int) -> tuple[list[list
     return num, s * k * k
 
 
-def validate_distance_matrix(dm) -> list[list[Fraction]]:
-    """The matrix as Fractions, once it is square and symmetric with zero diagonal and positive entries off it."""
-    d = exact.qmat(dm)
+def _validate_distance_matrix(dm) -> tuple[list[list[int]], int]:
+    """The matrix as integer rows D over one denominator t, once it is square and symmetric with zero diagonal and
+    positive entries off it."""
+    d, t = exact.over_common_denominator(dm)
     n = len(d)
     if d and len(d[0]) != n:
         raise WrongSize("distance matrix must be square")
@@ -190,7 +192,7 @@ def validate_distance_matrix(dm) -> list[list[Fraction]]:
                 raise InputError("distance matrix must be symmetric")
             if d[i][j] <= 0:
                 raise InputError("off-diagonal squared distances must be positive")
-    return d
+    return d, t
 
 
 def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
@@ -220,25 +222,30 @@ def circumcenter(p: Polytope, gram) -> Circumdata:
     """Center and squared radius of the sphere through all vertices.
 
     Solves the n equations fixing the center against an affine basis, then
-    checks every remaining vertex exactly.
+    checks every remaining vertex exactly.  The form comes in as W = s G,
+    W integral; scaling the form does not move the center, so only the
+    squared radius is divided by s, once.  The system always has a
+    solution: the rows of U, the differences of the basis vertices, are
+    independent and W is definite, so its matrix 2 U W is nonsingular.  A
+    failed solve is therefore an InternalError.
     """
-    g = _validate_gram_shape(p, gram)
+    w, s = _validate_gram_shape(p, gram)
     basis = p.frame.basis
     v0 = p.vertices[basis[0]]
     us = differences(p, basis[0], basis[1:])
-    # rows: 2 u_i^T G x = u_i^T G u_i, unknown x = center - v0
-    a = [[2 * sum(u[k] * g[k][j] for k in range(p.dim)) for j in range(p.dim)] for u in us]
-    b = [norm_sq(g, u) for u in us]
+    # rows: 2 u_i^T W x = u_i^T W u_i, unknown x = center - v0
+    a = [[2 * sum(u[k] * w[k][j] for k in range(p.dim)) for j in range(p.dim)] for u in us]
+    b = [norm_sq(w, u) for u in us]
     x = exact.solve(a, b)
     if x is None:
-        raise NotCospherical("circumcenter system is inconsistent")
+        raise InternalError("circumcenter system is singular over an affine basis and a definite form")
     center = tuple(c + off for c, off in zip(v0, x))
-    r2 = norm_sq(g, x)
+    r2 = norm_sq(w, x)
     for i, v in enumerate(p.vertices):
         diff = [a_ - c_ for a_, c_ in zip(v, center)]
-        if norm_sq(g, diff) != r2:
+        if norm_sq(w, diff) != r2:
             raise NotCospherical(f"vertex {i} is not on the sphere through the affine basis")
-    return Circumdata(center=center, radius_sq=r2)
+    return Circumdata(center=center, radius_sq=r2 / s)
 
 
 def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
@@ -344,13 +351,12 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     since A[1][1] = d(1, 0) > 0.  So a rejection by from_coords or a
     failed re-check of every distance is an InternalError.
     """
-    d = validate_distance_matrix(dm)
-    m = len(d)
+    e, t = _validate_distance_matrix(dm)
+    m = len(e)
     if m < 2:
         raise TooFewVertices("need at least 2 vertices")
     # e = t d in integers; a[i][j] = 2 t <v_i - v_0, v_j - v_0>, whose RREF
     # is that of the vertex Gram matrix
-    e, t = exact.over_common_denominator(d)
     a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
     red, chosen, den = exact.rref(a)
     n = len(chosen)

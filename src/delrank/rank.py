@@ -81,11 +81,11 @@ def is_extreme(p: Polytope) -> bool:
 
 def transform_basis(p: Polytope, u) -> Polytope:
     """Apply an integer unimodular change of coordinates z -> U z."""
-    um = exact.qmat(u)
+    um, s = exact.over_common_denominator(u)
     n = p.dim
     if len(um) != n or any(len(row) != n for row in um):
         raise WrongSize("matrix size does not match dimension")
-    if any(x.denominator != 1 for row in um for x in row):
+    if s != 1:
         raise NotUnimodular("basis change must be integral")
     if exact.covolume(um) != 1:
         raise NotUnimodular("basis change must have determinant +-1")

@@ -319,9 +319,48 @@ def quadric_rank(p):
     return len(cols) + p.dim + 1 - len(fraction_rref(m)[1])
 
 
+def fraction_matrix(rows):
+    """Every entry as a Fraction; WrongSize when the rows differ in length."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise dr.WrongSize("ragged matrix")
+    return m
+
+
+def fraction_validate_gram_shape(p, gram):
+    """The Gram-form check on Fractions, entry by entry, as model._validate_gram_shape made it before it read integers."""
+    g = fraction_matrix(gram)
+    if len(g) != p.dim or any(len(row) != p.dim for row in g):
+        raise dr.WrongSize(f"Gram form must be {p.dim}x{p.dim}")
+    for i in range(p.dim):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                raise dr.InputError("Gram form must be symmetric")
+    if not sylvester_positive_definite(g):
+        raise dr.NotPositiveDefinite("Gram form must be positive definite")
+    return g
+
+
+def fraction_validate_distance_matrix(dm):
+    """The distance-matrix check on Fractions, entry by entry, as the library made it before it read integers."""
+    d = fraction_matrix(dm)
+    n = len(d)
+    if d and len(d[0]) != n:
+        raise dr.WrongSize("distance matrix must be square")
+    for i in range(n):
+        if d[i][i] != 0:
+            raise dr.InputError("distance matrix diagonal must be zero")
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                raise dr.InputError("distance matrix must be symmetric")
+            if d[i][j] <= 0:
+                raise dr.InputError("off-diagonal squared distances must be positive")
+    return d
+
+
 def fraction_distance_matrix(p, gram):
     """Squared distances as one Fraction inner product per vertex pair."""
-    g = exact.qmat(gram)
+    g = fraction_matrix(gram)
     n = p.nvertices
     diffs = [[[a - b for a, b in zip(u, v)] for v in p.vertices] for u in p.vertices]
     return [[model.inner(g, diffs[i][j], diffs[i][j]) for j in range(n)] for i in range(n)]

@@ -201,6 +201,17 @@ def test_failed_distance_recheck_exits_four(tmp_path, capsys, monkeypatch):
     assert err == "internal error: reconstructed coordinates do not reproduce the distance matrix\n"
 
 
+def test_singular_circumcenter_system_exits_four(tmp_path, capsys, monkeypatch):
+    # the circumcenter system is regular over an affine basis and a definite form, so a failed solve is a bug
+    doc = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]], "gram": [["1", "0"], ["0", "1"]]}
+    path = write_json(tmp_path, "square_g.json", doc)
+    monkeypatch.setattr(exact, "solve", lambda a, b: None)
+    code, out, err = run(["verify", path, "--window", "0"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: circumcenter system is singular")
+
+
 def test_other_exceptions_exit_four(square_file, capsys, monkeypatch):
     # only the error class decides: a ValueError from inside the library is a bug, not bad input
     for exc in (ZeroDivisionError("division by zero"), ValueError("lost a row")):

@@ -1,10 +1,11 @@
-"""Checks over the repository itself: the scripts run, the exports exist and are documented, the
-library holds no asserts and no unused imports, it has one elimination loop, and its integer edges
-name no Fraction."""
+"""Checks over the repository itself: the scripts and README's example run, the exports exist and are
+documented, the library holds no asserts and no unused imports, it has one elimination loop, and its
+integer edges name no Fraction."""
 
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,13 @@ def test_script_exits_zero(name, argv, capsys):
     spec.loader.exec_module(script)
     assert script.main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_readme_python_block_runs():
+    # a public name removed from the library cannot stay in the documented example unseen
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_every_exported_name_exists():
@@ -143,6 +151,10 @@ INTEGER_EDGES = (
     "model._frame",
     "model.Frame.dependencies",
     "model._distance_matrix",
+    "model._validate_gram_shape",
+    "model._validate_distance_matrix",
+    "deps.check_dist_system",
+    "deps.check_negative_type",
     "basis.is_affine_basis",
     "basis.classify_basicity",
     "rank.bspace_constraints",

@@ -177,6 +177,18 @@ def test_check_negative_type_square(square):
         dr.check_negative_type(d, [1, 0, 0, 0])
 
 
+def test_distance_checks_check_their_matrix():
+    # a non-square or asymmetric matrix is bad input, not a matrix with its extra column dropped
+    with pytest.raises(dr.WrongSize):
+        dr.check_dist_system([[0, 1, 5], [1, 0, 7]], [1, -1])
+    with pytest.raises(dr.WrongSize):
+        dr.check_negative_type([[0, 1, 5], [1, 0, 7]], [1, -1])
+    with pytest.raises(dr.InputError):
+        dr.check_dist_system([[0, 1], [2, 0]], [1, -1])
+    with pytest.raises(dr.InputError):
+        dr.check_negative_type([[0, 1], [2, 0]], [1, -1])
+
+
 def test_dependencies_satisfy_distance_checks_under_family_forms():
     for name, p, g in gram_corpus():
         d = dr.distance_matrix(p, g)

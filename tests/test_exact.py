@@ -62,16 +62,6 @@ def test_det():
     assert exact.covolume([[1, 2], [2, 4]]) == 0
 
 
-def test_qmat_keeps_fractions():
-    third = Fraction(1, 3)
-    m = exact.qmat([[third, 2], [0.5, "1/4"]])
-    assert m == [[third, 2], [Fraction(1, 2), Fraction(1, 4)]]
-    assert m[0][0] is third
-    assert all(type(x) is Fraction for row in m for x in row)
-    with pytest.raises(dr.WrongSize):
-        exact.qmat([[1, 2], [3]])
-
-
 def test_over_common_denominator():
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert exact.over_common_denominator([[half, 1], [third, 0]]) == ([[3, 6], [2, 0]], 6)
@@ -79,13 +69,6 @@ def test_over_common_denominator():
     assert exact.over_common_denominator([]) == ([], 1)
     with pytest.raises(dr.WrongSize):
         exact.over_common_denominator([[half], [1, 2]])
-
-
-def qmat_then_lcm(m):
-    """The route over_common_denominator replaced: every entry a Fraction through exact.qmat, then one lcm."""
-    q = exact.qmat(m)
-    s = lcm(*(x.denominator for row in q for x in row))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in q], s
 
 
 small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -97,7 +80,10 @@ mixed_matrices = st.integers(0, 4).flatmap(
 @given(mixed_matrices)
 def test_over_common_denominator_passes_ints_and_matches_the_qmat_route(m):
     a, s = exact.over_common_denominator(m)
-    assert (a, s) == qmat_then_lcm(m)
+    # the route it replaced: every entry a Fraction, then one lcm of their denominators
+    q = [[Fraction(x) for x in row] for row in m]
+    t = lcm(*(x.denominator for row in q for x in row))
+    assert (a, s) == ([[x.numerator * (t // x.denominator) for x in row] for row in q], t)
     assert all(type(x) is int for row in a for x in row)
     # on integer rows it is the identity, entry by entry
     ints_only = [[x if type(x) is int else 10**30 for x in row] for row in m]

@@ -41,6 +41,14 @@ def test_eval_hypermetric_square(square):
         dr.eval_hypermetric(d, [1, 0, 0])
 
 
+def test_eval_hypermetric_checks_its_matrix():
+    # a non-square or asymmetric matrix is bad input, not a matrix with its extra column dropped
+    with pytest.raises(dr.WrongSize):
+        dr.eval_hypermetric([[0, 1, 5], [1, 0, 7]], [2, -1])
+    with pytest.raises(dr.InputError):
+        dr.eval_hypermetric([[0, 1], [2, 0]], [2, -1])
+
+
 def test_representation_point(square):
     pt, isv = dr.representation_point(square, [0, 1, 1, -1])
     assert pt == (Fraction(0), Fraction(0)) and isv

@@ -15,6 +15,8 @@ from tests.helpers import (
     count_calls,
     family_corpus,
     fraction_distance_matrix,
+    fraction_validate_distance_matrix,
+    fraction_validate_gram_shape,
     gram_corpus,
     incremental_affine_basis,
     random_half_integer_polytope,
@@ -125,13 +127,13 @@ def test_distance_matrix(square):
 
 def test_validate_distance_matrix_rejects():
     with pytest.raises(dr.WrongSize):
-        dr.validate_distance_matrix([[0, 1], [1, 0], [1, 1]])
+        dr.from_distances([[0, 1], [1, 0], [1, 1]])
     with pytest.raises(dr.InputError):
-        dr.validate_distance_matrix([[0, 1], [2, 0]])
+        dr.from_distances([[0, 1], [2, 0]])
     with pytest.raises(dr.InputError):
-        dr.validate_distance_matrix([[1, 1], [1, 0]])
+        dr.from_distances([[1, 1], [1, 0]])
     with pytest.raises(dr.InputError):
-        dr.validate_distance_matrix([[0, -1], [-1, 0]])
+        dr.from_distances([[0, -1], [-1, 0]])
 
 
 def test_circumcenter_square(square):
@@ -147,6 +149,13 @@ def test_gram_form_shape_errors_are_domain_errors(square):
         dr.circumcenter(square, [[1, 0], [0]])
     with pytest.raises(dr.InputError):
         dr.circumcenter(square, [[1, 2], [3, 1]])
+
+
+def test_singular_circumcenter_system_is_an_internal_error(monkeypatch, square):
+    # over an affine basis and a definite form the system is regular, so no input can make it fail
+    monkeypatch.setattr(exact, "solve", lambda a, b: None)
+    with pytest.raises(dr.InternalError, match="circumcenter system is singular"):
+        dr.circumcenter(square, [[1, 0], [0, 1]])
 
 
 def test_circumcenter_not_cospherical(square):
@@ -407,3 +416,90 @@ def test_from_distances_then_distance_matrix_roundtrip(p0data):
     assert dr.distance_matrix(p0data.polytope, [list(r) for r in p0data.gram]) == [
         list(r) for r in p0data.distances
     ]
+
+
+ORACLE_POLYTOPES = {
+    "simplex2": lambda: dr.simplex(2),
+    "simplex3": lambda: dr.simplex(3),
+    "cube2": lambda: dr.cube(2),
+    "cube3": lambda: dr.cube(3),
+    "cross3": lambda: dr.cross_polytope(3),
+}
+BREAKS = ("none", "ragged", "non-square", "asymmetric", "diagonal", "sign", "stretch")
+rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+positive_rationals = st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 3)))
+
+
+def _drawn_form(data, n):
+    """L D L^T with L unit lower triangular, or D alone: positive definite."""
+    diagonal = data.draw(st.booleans())
+    low = [[Fraction(int(i == j)) if j >= i or diagonal else data.draw(rationals) for j in range(n)] for i in range(n)]
+    diag = [data.draw(positive_rationals) for _ in range(n)]
+    return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _broken_and_mixed(data, m):
+    """m broken in at most one place, its entries drawn as Fractions, strings or (when integral) ints."""
+    m = [list(row) for row in m]
+    how = data.draw(st.sampled_from(BREAKS))
+    i, j = data.draw(st.lists(st.integers(0, len(m) - 1), min_size=2, max_size=2, unique=True))
+    if how == "ragged":
+        m[i].pop()
+    elif how == "non-square":
+        m = [row[:-1] for row in m]
+    elif how == "asymmetric":
+        m[i][j] += 1
+    elif how == "diagonal":
+        m[i][i] = 1 - m[i][i]
+    elif how == "sign":
+        m[i][j] = m[j][i] = -m[i][j]
+    elif how == "stretch":
+        m[i][j] = m[j][i] = 4 * m[i][j] + 1
+    return [
+        [data.draw(st.sampled_from([x, str(x)] + ([int(x)] if x.denominator == 1 else []))) for x in row]
+        for row in m
+    ]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except dr.DelrankError as err:
+        return type(err)
+
+
+@given(st.data())
+def test_gram_check_on_integers_matches_the_fraction_oracle(data):
+    p = ORACLE_POLYTOPES[data.draw(st.sampled_from(sorted(ORACLE_POLYTOPES)))]()
+    gram = _broken_and_mixed(data, _drawn_form(data, p.dim))
+    want = _outcome(fraction_validate_gram_shape, p, gram)
+    got = _outcome(model._validate_gram_shape, p, gram)
+    if isinstance(want, type):
+        assert got is want
+        return
+    w, s = got
+    assert [[Fraction(x, s) for x in row] for row in w] == want
+    assert dr.distance_matrix(p, gram) == fraction_distance_matrix(p, want)
+    cd = _outcome(dr.circumcenter, p, gram)
+    assert cd == _outcome(dr.circumcenter, p, want)
+    if not isinstance(cd, type):
+        diffs = [[x - c for x, c in zip(v, cd.center)] for v in p.vertices]
+        assert all(model.norm_sq(want, u) == cd.radius_sq for u in diffs)
+
+
+@given(st.data())
+def test_distance_check_on_integers_matches_the_fraction_oracle(data):
+    p = ORACLE_POLYTOPES[data.draw(st.sampled_from(sorted(ORACLE_POLYTOPES)))]()
+    dm = _broken_and_mixed(data, fraction_distance_matrix(p, _drawn_form(data, p.dim)))
+    want = _outcome(fraction_validate_distance_matrix, dm)
+    got = _outcome(model._validate_distance_matrix, dm)
+    if isinstance(want, type):
+        assert got is want
+        assert _outcome(dr.from_distances, dm) is want
+        return
+    d, t = got
+    assert [[Fraction(x, t) for x in row] for row in d] == want
+    rebuilt = _outcome(dr.from_distances, dm)
+    assert rebuilt == _outcome(dr.from_distances, want)
+    if not isinstance(rebuilt, type):
+        assert fraction_distance_matrix(*rebuilt) == want
