@@ -65,8 +65,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
         raise InputError("budget must be >= 1")
     n, size = p.nvertices, p.dim + 1
     # k (v, 1) in integers, k the vertices' common denominator: same rank as (v, 1)
-    xs, k = p._int_coords
-    lifted = [[*x, k] for x in xs]
+    lifted = [[*x, p.denominator] for x in p.numerators]
 
     def independent(prefix: list[int]):
         for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
@@ -105,8 +104,8 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
 def lattice_index(p: Polytope, subset) -> int:
     """Index of the subset-difference lattice inside the full difference lattice.
 
-    Both lattices are full rank; the index is the ratio of their covolumes
-    and is always a positive integer.
+    Both lattices are full rank; the index is the ratio of their covolumes (differences scales both
+    by k^dim, which cancels) and is always a positive integer.
     """
     idx = list(subset)
     if not is_affine_basis(p, idx):

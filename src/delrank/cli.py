@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import basis, deps, families, hyp, model, rank
 from .errors import DelrankError, InputError, InternalError, NotCospherical
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 class UsageError(Exception):
@@ -41,14 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_rational(value) -> Fraction:
-    match = _RATIONAL.match(value) if isinstance(value, str) else None
+def _parse_rational(value) -> int | Fraction:
+    """An int for an integer string, a Fraction for "p/q"; ASCII digits, matched whole ("$" allows a final newline)."""
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise InputError(f"not a rational string: {value!r}")
     num, den = match.groups()
     try:
-        # Fraction(n) skips the gcd normalisation that Fraction(n, 1) pays
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        return int(num) if den is None else Fraction(int(num), int(den))
     except ValueError as e:  # int() refuses more digits than sys.get_int_max_str_digits()
         digits = max(len(num.lstrip("-")), len(den or ""))
         raise InputError(f"a number has {digits} digits, more than the limit of {sys.get_int_max_str_digits()}") from e
@@ -58,7 +58,7 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _rational_matrix(obj, path: str, name: str) -> list[list[Fraction]]:
+def _rational_matrix(obj, path: str, name: str) -> list[list[int | Fraction]]:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError(f"{path}: {name} must be a non-empty list of rows")
     return [[_parse_rational(x) for x in row] for row in obj]
@@ -68,7 +68,7 @@ def _rational_matrix(obj, path: str, name: str) -> list[list[Fraction]]:
 class LoadedInput:
     digest: str
     polytope: model.Polytope
-    gram: list[list[Fraction]] | None
+    gram: list[list[int | Fraction]] | None
 
 
 _FILE_KEYS = {"dim", "vertices", "gram", "distances"}

@@ -1,9 +1,10 @@
-"""Polytope model: rational vertex data, Gram forms, distance matrices,
+"""Polytope model: vertex data, Gram forms, distance matrices,
 circumscribed spheres and the bounded-window emptiness check.
 
-A polytope here is just its vertex set with exact rational coordinates in
-some reference basis.  A Gram form turns coordinates into geometry; squared
-distances are d(u, v) = (u - v)^T G (u - v).
+A polytope here is just its vertex set in some reference basis, stored as
+integer rows x = k v over k, the least common denominator of the rational
+coordinates v; Fractions are made only for results.  A Gram form turns
+coordinates into geometry; squared distances are d(u, v) = (u - v)^T G (u - v).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from . import exact
 from .errors import (
@@ -32,22 +34,25 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Polytope:
+    """Vertices x / k, x integer rows and k their least denominator: equality and hashing compare the vertices."""
+
     dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
     @property
     def nvertices(self) -> int:
-        return len(self.vertices)
+        return len(self.numerators)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational coordinates, as the public API reads them."""
+        return tuple(tuple(Fraction(x, self.denominator) for x in row) for row in self.numerators)
 
     @cached_property
     def frame(self) -> Frame:
         """The last affine basis and the paper's dependencies over it; see Frame."""
         return _frame(self)
-
-    @cached_property
-    def _int_coords(self) -> tuple[list[list[int]], int]:
-        """The vertices as integer rows x = k v, and k: their least common denominator."""
-        return exact.over_common_denominator(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -105,25 +110,32 @@ class EmptySphereReport:
 
 
 def from_coords(dim: int, vertices) -> Polytope:
-    """Build a validated polytope from coordinate vectors.
-
-    Requires at least dim + 1 distinct vertices spanning an affine space of
-    exactly the stated dimension.  The dimension check counts the pivots of
-    the polytope's frame, which is then cached on it for every later reader.
-    """
-    vts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-    if any(len(v) != dim for v in vts):
+    """Build a validated polytope from rational coordinate vectors: at least dim + 1 distinct vertices spanning an
+    affine space of exactly the stated dimension, brought to integers over one denominator and checked there."""
+    rows = [list(v) for v in vertices]
+    if any(len(v) != dim for v in rows):  # the converter would call ragged rows WrongSize
         raise DimensionDeficient(f"coordinate vectors must have length {dim}")
-    if len(vts) < dim + 1:
-        raise TooFewVertices(f"need at least {dim + 1} vertices, got {len(vts)}")
-    if len(set(vts)) != len(vts):
-        seen: set[tuple[Fraction, ...]] = set()
-        for i, v in enumerate(vts):
-            if v in seen:
-                raise DuplicateVertex(f"vertex {i} repeats an earlier vertex")
-            seen.add(v)
-    p = Polytope(dim=dim, vertices=vts)
-    if not vts or len(p.frame.basis) != dim + 1:
+    return _from_integers(dim, *exact.over_common_denominator(rows))
+
+
+def _from_integers(dim: int, rows, k: int) -> Polytope:
+    """The validated polytope with vertices x / k, x the integer rows and k > 0 their least common denominator.
+
+    k must be the least one, gcd(k, every entry) = 1, so that equal vertices give equal fields.  Both callers pass
+    it: from_coords the lcm of the denominators, from_distances the d of exact.rref, the lcm of the pivots of its
+    primitive rows, which is the least denominator of R / d.
+    Checks row length, vertex count, duplicates and the affine dimension, the pivot count of the frame it caches.
+    """
+    xs = tuple(map(tuple, rows))
+    if any(len(x) != dim for x in xs):
+        raise DimensionDeficient(f"coordinate vectors must have length {dim}")
+    if len(xs) < dim + 1:
+        raise TooFewVertices(f"need at least {dim + 1} vertices, got {len(xs)}")
+    if len(set(xs)) != len(xs):
+        first = {x: i for i, x in reversed(tuple(enumerate(xs)))}  # each row's first index
+        raise DuplicateVertex(f"vertex {next(i for i, x in enumerate(xs) if first[x] != i)} repeats an earlier vertex")
+    p = Polytope(dim, xs, k)
+    if not xs or len(p.frame.basis) != dim + 1:
         raise DimensionDeficient("vertices do not affinely span the stated dimension")
     return p
 
@@ -142,16 +154,9 @@ def _validate_gram_shape(p: Polytope, gram) -> tuple[list[list[int]], int]:
     return w, s
 
 
-def inner(g, u, v) -> Fraction:
-    total = Fraction(0)
-    for row, ui in zip(g, u):
-        if ui:
-            total += ui * sum(gij * vj for gij, vj in zip(row, v) if vj)
-    return total
-
-
-def norm_sq(g, u) -> Fraction:
-    return inner(g, u, u)
+def _norm(w: list[list[int]], u) -> int:
+    """u^T W u for a symmetric integer form W and an integer vector u."""
+    return sum(map(mul, u, [sum(map(mul, row, u)) for row in w]))
 
 
 def distance_matrix(p: Polytope, gram) -> list[list[Fraction]]:
@@ -166,14 +171,14 @@ def _distance_matrix(p: Polytope, w: list[list[int]], s: int) -> tuple[list[list
     With X = k V integral, numerator (i, j) is n_i + n_j - 2 <x_i, W x_j>,
     where n_i = <x_i, W x_i>, and the denominator is s k^2.
     """
-    xs, k = p._int_coords
-    ys = [[sum(a * b for a, b in zip(row, x)) for row in w] for x in xs]
-    norms = [sum(a * b for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+    xs, k = p.numerators, p.denominator
+    ys = [[sum(map(mul, row, x)) for row in w] for x in xs]
+    norms = [sum(map(mul, x, y)) for x, y in zip(xs, ys)]
     n = p.nvertices
     num = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            num[i][j] = num[j][i] = norms[i] + norms[j] - 2 * sum(a * b for a, b in zip(xs[i], ys[j]))
+            num[i][j] = num[j][i] = norms[i] + norms[j] - 2 * sum(map(mul, xs[i], ys[j]))
     return num, s * k * k
 
 
@@ -195,14 +200,15 @@ def _validate_distance_matrix(dm) -> tuple[list[list[int]], int]:
     return d, t
 
 
-def differences(p: Polytope, base: int, others) -> list[list[Fraction]]:
-    """Vectors from vertex base to each vertex in others."""
-    return [[x - b for x, b in zip(p.vertices[i], p.vertices[base])] for i in others]
+def differences(p: Polytope, base: int, others) -> list[list[int]]:
+    """Vectors from vertex base to each vertex in others, times the polytope's denominator k: integer rows."""
+    xs = p.numerators
+    return [[a - b for a, b in zip(xs[i], xs[base])] for i in others]
 
 
 def _lifted(p: Polytope, cols) -> list[list[int]]:
     """The vertices in cols lifted to k (v, 1), one integer column each, k their common denominator."""
-    xs, k = p._int_coords
+    xs, k = p.numerators, p.denominator
     return [*([xs[i][j] for i in cols] for j in range(p.dim)), [k] * len(cols)]
 
 
@@ -222,30 +228,30 @@ def circumcenter(p: Polytope, gram) -> Circumdata:
     """Center and squared radius of the sphere through all vertices.
 
     Solves the n equations fixing the center against an affine basis, then
-    checks every remaining vertex exactly.  The form comes in as W = s G,
-    W integral; scaling the form does not move the center, so only the
-    squared radius is divided by s, once.  The system always has a
-    solution: the rows of U, the differences of the basis vertices, are
-    independent and W is definite, so its matrix 2 U W is nonsingular.  A
-    failed solve is therefore an InternalError.
+    checks every vertex exactly, in integers: W = s G and x = k v.  Scaling
+    the form does not move the center, and scaling the vertices scales the
+    unknown, so the solve gives y = k (center - v0) = offset / e; the center
+    is c / (e k) with c = e x0 + offset, and vertex x is on the sphere when
+    |e x - c|_W = |offset|_W.  The system always has a solution: the rows
+    of U, the differences of the basis vertices, are independent and W is
+    definite, so 2 U W is nonsingular.  A failed solve is an InternalError.
     """
     w, s = _validate_gram_shape(p, gram)
     basis = p.frame.basis
-    v0 = p.vertices[basis[0]]
+    x0 = p.numerators[basis[0]]
     us = differences(p, basis[0], basis[1:])
-    # rows: 2 u_i^T W x = u_i^T W u_i, unknown x = center - v0
-    a = [[2 * sum(u[k] * w[k][j] for k in range(p.dim)) for j in range(p.dim)] for u in us]
-    b = [norm_sq(w, u) for u in us]
-    x = exact.solve(a, b)
-    if x is None:
+    # rows: 2 u_i^T W y = u_i^T W u_i, with W u_i read off as a row since W is symmetric
+    wus = [[sum(map(mul, row, u)) for row in w] for u in us]
+    y = exact.solve([[2 * a for a in wu] for wu in wus], [sum(map(mul, u, wu)) for u, wu in zip(us, wus)])
+    if y is None:
         raise InternalError("circumcenter system is singular over an affine basis and a definite form")
-    center = tuple(c + off for c, off in zip(v0, x))
-    r2 = norm_sq(w, x)
-    for i, v in enumerate(p.vertices):
-        diff = [a_ - c_ for a_, c_ in zip(v, center)]
-        if norm_sq(w, diff) != r2:
+    (offset,), e = exact.over_common_denominator([y])
+    c = [e * a + b for a, b in zip(x0, offset)]
+    q, r2 = e * p.denominator, _norm(w, offset)
+    for i, x in enumerate(p.numerators):
+        if _norm(w, [e * a - b for a, b in zip(x, c)]) != r2:
             raise NotCospherical(f"vertex {i} is not on the sphere through the affine basis")
-    return Circumdata(center=center, radius_sq=r2 / s)
+    return Circumdata(center=tuple(Fraction(a, q) for a in c), radius_sq=Fraction(r2, s * q * q))
 
 
 def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
@@ -253,14 +259,15 @@ def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
 
     A symmetry of the vertex set fixes their centroid, so c is the centroid.
     On a cospherical vertex set it is also the circumcenter, because the
-    symmetry maps the unique sphere through the vertices onto itself.
+    symmetry maps the unique sphere through the vertices onto itself.  For
+    n vertices x = k v, n k (2c - v) = 2 S - n x with S their sum.
     """
-    doubled = [2 * sum(xs) / p.nvertices for xs in zip(*p.vertices)]
-    index = {v: i for i, v in enumerate(p.vertices)}
+    n = p.nvertices
+    doubled = [2 * sum(col) for col in zip(*p.numerators)]
+    index = {tuple(n * a for a in x): i for i, x in enumerate(p.numerators)}
     pairing: dict[int, int] = {}
-    for i, v in enumerate(p.vertices):
-        mirror = tuple(d - x for d, x in zip(doubled, v))
-        j = index.get(mirror)
+    for i, x in enumerate(p.numerators):
+        j = index.get(tuple(d - n * a for d, a in zip(doubled, x)))
         if j is None:
             return False, None
         pairing[i] = j
@@ -268,12 +275,12 @@ def is_centrally_symmetric(p: Polytope) -> tuple[bool, dict[int, int] | None]:
 
 
 def _difference_lattice_caveats(p: Polytope) -> tuple[str, ...]:
-    # The box scan walks integer coordinate vectors; flag inputs whose
-    # vertex-difference lattice is not exactly the integer coordinate lattice.
+    # The box scan walks integer coordinate vectors; flag inputs whose vertex-difference lattice is not exactly the
+    # integer coordinate lattice.  differences scales each by k, and with it the covolume by k^dim.
     diffs = differences(p, 0, range(1, p.nvertices))
-    if any(x.denominator != 1 for row in diffs for x in row):
+    if any(x % p.denominator for row in diffs for x in row):
         return ("vertex differences are not all integral; the integer box scan covers only a sublattice of the vertex lattice",)
-    if exact.covolume(diffs) != 1:
+    if exact.covolume(diffs) != p.denominator**p.dim:
         return ("vertex differences generate a proper sublattice of the integer coordinate lattice; the box scan includes points outside it",)
     return ()
 
@@ -291,12 +298,9 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
         raise InputError("window must be >= 0")
     cd = circumcenter(p, gram)  # validates the form
     n = p.dim
-    los = []
-    his = []
-    for k in range(n):
-        vals = [v[k] for v in p.vertices]
-        los.append(math.ceil(min(vals)) - window)
-        his.append(math.floor(max(vals)) + window)
+    k = p.denominator  # the box runs from ceil(min x / k) to floor(max x / k) on each axis
+    los = [-(-min(col) // k) - window for col in zip(*p.numerators)]
+    his = [max(col) // k + window for col in zip(*p.numerators)]
     count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
     if count > sys.maxsize:
         raise InputError(f"the scan box holds more than {sys.maxsize} integer points")
@@ -304,13 +308,11 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     # it), so the scan below runs in integers
     (*w, cc, _), scale = exact.over_common_denominator([*gram, cd.center, [cd.radius_sq] * n])
     threshold = int(scale**3 * cd.radius_sq)
-    int_vertices = {
-        tuple(int(x) for x in v) for v in p.vertices if all(x.denominator == 1 for x in v)
-    }
+    int_vertices = {tuple(a // k for a in x) for x in p.numerators if not any(a % k for a in x)}
     strict: list[tuple[int, ...]] = []
     on_sphere: list[tuple[int, ...]] = []
     for z in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        u = [scale * z[k] - cc[k] for k in range(n)]
+        u = [scale * z[j] - cc[j] for j in range(n)]
         s = 0
         for i in range(n):
             ui = u[i]
@@ -348,7 +350,7 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     every distance d(i, j) = A[i][i] + A[j][j] - 2 A[i][j] (A is 0 at v_0).
     The distances are positive, so the vertices are distinct, and the
     origin and the unit vectors span the dimension.  There is a pivot,
-    since A[1][1] = d(1, 0) > 0.  So a rejection by from_coords or a
+    since A[1][1] = d(1, 0) > 0.  So a rejection by _from_integers or a
     failed re-check of every distance is an InternalError.
     """
     e, t = _validate_distance_matrix(dm)
@@ -364,13 +366,13 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     sub = [[a[r][c] for c in chosen] for r in chosen]
     if not exact.is_positive_definite(sub):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
-    coords = [[Fraction(0)] * n] + [[Fraction(row[k], den) for row in red] for k in range(m - 1)]
-    try:
-        p = from_coords(n, coords)
+    try:  # vertex k is column k of R over den, after the origin
+        p = _from_integers(n, [(0,) * n, *zip(*red)], den)
     except DelrankError as err:
         raise InternalError(f"reconstructed coordinates are rejected: {err}") from err
-    # distances num / scale under the form sub / 2t, against the input e / t
+    # distances num / scale under the form sub / 2t, against the input e / t; scale = 2t k^2, so f is exact
     num, scale = _distance_matrix(p, sub, 2 * t)
-    if any(x * t != y * scale for xrow, yrow in zip(num, e) for x, y in zip(xrow, yrow)):
+    f = scale // t
+    if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
         raise InternalError("reconstructed coordinates do not reproduce the distance matrix")
     return p, [[Fraction(x, 2 * t) for x in row] for row in sub]

@@ -38,8 +38,7 @@ def bspace_constraints(p: Polytope) -> tuple[tuple[int, ...], ...]:
     row is k^2 times the rational one: the same constraint.
     """
     cols = sym_columns(p.dim)
-    xs, _ = p._int_coords
-    quads = [[x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols] for x in xs]
+    quads = [[x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols] for x in p.numerators]
     rows = []
     for y in p.frame.dependencies:
         acc = [0] * len(cols)

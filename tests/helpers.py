@@ -358,12 +358,77 @@ def fraction_validate_distance_matrix(dm):
     return d
 
 
+def fraction_norm_sq(g, u):
+    """u^T G u, summed in Fractions."""
+    total = Fraction(0)
+    for row, ui in zip(g, u):
+        if ui:
+            total += ui * sum(gij * uj for gij, uj in zip(row, u) if uj)
+    return total
+
+
 def fraction_distance_matrix(p, gram):
     """Squared distances as one Fraction inner product per vertex pair."""
     g = fraction_matrix(gram)
     n = p.nvertices
     diffs = [[[a - b for a, b in zip(u, v)] for v in p.vertices] for u in p.vertices]
-    return [[model.inner(g, diffs[i][j], diffs[i][j]) for j in range(n)] for i in range(n)]
+    return [[fraction_norm_sq(g, diffs[i][j]) for j in range(n)] for i in range(n)]
+
+
+def fraction_from_coords(dim, vertices):
+    """from_coords as the library made it in Fractions: the same checks on the Fraction vertices, the rank of the
+    lifted vertices for the dimension, and the polytope stored over the least common denominator."""
+    vts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
+    if any(len(v) != dim for v in vts):
+        raise dr.DimensionDeficient(f"coordinate vectors must have length {dim}")
+    if len(vts) < dim + 1:
+        raise dr.TooFewVertices(f"need at least {dim + 1} vertices, got {len(vts)}")
+    for i, v in enumerate(vts):
+        if v in vts[:i]:
+            raise dr.DuplicateVertex(f"vertex {i} repeats an earlier vertex")
+    if not vts or len(fraction_rref([[*v, 1] for v in vts])[1]) != dim + 1:
+        raise dr.DimensionDeficient("vertices do not affinely span the stated dimension")
+    k = lcm(*(x.denominator for v in vts for x in v))
+    return model.Polytope(dim, tuple(tuple(int(x * k) for x in v) for v in vts), k)
+
+
+def fraction_from_distances(dm):
+    """from_distances as the library made it in Fractions: the vertex Gram matrix A, its reduced echelon form R by
+    Gauss-Jordan, the form A[C, C] on the pivots C, vertex k as column k of R, and a re-check of every distance."""
+    d = fraction_validate_distance_matrix(dm)
+    m = len(d)
+    if m < 2:
+        raise dr.TooFewVertices("need at least 2 vertices")
+    a = [[(d[i][0] + d[j][0] - d[i][j]) / 2 for j in range(1, m)] for i in range(1, m)]
+    red, chosen = fraction_rref(a)
+    form = [[a[r][c] for c in chosen] for r in chosen]
+    if not sylvester_positive_definite(form):
+        raise dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
+    p = fraction_from_coords(len(chosen), [[Fraction(0)] * len(chosen)] + [list(col) for col in zip(*red[: len(chosen)])])
+    if fraction_distance_matrix(p, form) != d:
+        raise dr.InternalError("reconstructed coordinates do not reproduce the distance matrix")
+    return p, form
+
+
+def fraction_circumcenter(p, gram):
+    """The circumsphere solved and checked in Fractions: the center against the greedy affine basis, then every vertex
+    at the squared radius."""
+    g = fraction_validate_gram_shape(p, gram)
+    basis = incremental_affine_basis(p)
+    v0 = p.vertices[basis[0]]
+    us = [[a - b for a, b in zip(p.vertices[i], v0)] for i in basis[1:]]
+    # rows: 2 u^T G x = u^T G u, unknown x = center - v0
+    a = [[2 * sum(u[k] * g[k][j] for k in range(p.dim)) for j in range(p.dim)] for u in us]
+    red, pivots = fraction_rref([[*row, fraction_norm_sq(g, u)] for row, u in zip(a, us)])
+    if pivots != list(range(p.dim)):
+        raise dr.InternalError("circumcenter system is singular")
+    x = [row[-1] for row in red]
+    center = tuple(c + off for c, off in zip(v0, x))
+    r2 = fraction_norm_sq(g, x)
+    for i, v in enumerate(p.vertices):
+        if fraction_norm_sq(g, [a - c for a, c in zip(v, center)]) != r2:
+            raise dr.NotCospherical(f"vertex {i} is not on the sphere through the affine basis")
+    return dr.Circumdata(center=center, radius_sq=r2)
 
 
 def sylvester_positive_definite(g):

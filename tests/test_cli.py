@@ -158,6 +158,9 @@ BAD_FILES = [
     },
     # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
     {"dim": 1, "vertices": [["1" + "0" * 4999], ["0"]]},
+    # a final newline, and a non-ASCII digit (Arabic-Indic three), are not canonical "p/q" strings
+    {"dim": 1, "vertices": [["12\n"], ["0"]]},
+    {"dim": 1, "distances": [["0", "\u0663"], ["\u0663", "0"]]},
 ]
 
 
@@ -594,14 +597,15 @@ def test_determinism_double_run(square_file, capsys):
 )
 def test_rational_text_round_trip(q):
     text = cli._rat(q)
-    assert cli._RATIONAL.match(text)
+    assert cli._RATIONAL.fullmatch(text)
     assert cli._parse_rational(text) == q
 
 
 def test_rational_rejections():
     from delrank.errors import InputError
 
-    for bad in ["1.5", "1/0", "2/-3", "", "+1", " 1", "1/", None, 3]:
+    # "$" matched before a final newline, and \d matched non-ASCII digits such as Arabic-Indic three
+    for bad in ["1.5", "1/0", "2/-3", "", "+1", " 1", "1/", None, 3, "12\n", "\u0663", "1/\u0663"]:
         with pytest.raises(InputError):
             cli._parse_rational(bad)
 

@@ -148,6 +148,9 @@ INTEGER_EDGES = (
     "exact._echelon",
     "exact._int_rows",
     "exact.rref",
+    "model.from_coords",
+    "model._from_integers",
+    "model._norm",
     "model._frame",
     "model.Frame.dependencies",
     "model._distance_matrix",

@@ -14,7 +14,11 @@ from tests.helpers import (
     circumcenter_symmetry,
     count_calls,
     family_corpus,
+    fraction_circumcenter,
     fraction_distance_matrix,
+    fraction_from_coords,
+    fraction_from_distances,
+    fraction_norm_sq,
     fraction_validate_distance_matrix,
     fraction_validate_gram_shape,
     gram_corpus,
@@ -247,10 +251,10 @@ def test_from_distances_rechecks_as_an_internal_invariant(monkeypatch):
         dr.from_distances(SQUARE_D)
     monkeypatch.setattr(model, "_distance_matrix", real)
 
-    def rejecting(dim, vertices):
+    def rejecting(dim, rows, k):
         raise dr.DuplicateVertex("vertex 3 repeats an earlier vertex")
 
-    monkeypatch.setattr(model, "from_coords", rejecting)
+    monkeypatch.setattr(model, "_from_integers", rejecting)
     with pytest.raises(dr.InternalError, match="vertex 3 repeats"):
         dr.from_distances(SQUARE_D)
 
@@ -484,7 +488,7 @@ def test_gram_check_on_integers_matches_the_fraction_oracle(data):
     assert cd == _outcome(dr.circumcenter, p, want)
     if not isinstance(cd, type):
         diffs = [[x - c for x, c in zip(v, cd.center)] for v in p.vertices]
-        assert all(model.norm_sq(want, u) == cd.radius_sq for u in diffs)
+        assert all(fraction_norm_sq(want, u) == cd.radius_sq for u in diffs)
 
 
 @given(st.data())
@@ -503,3 +507,84 @@ def test_distance_check_on_integers_matches_the_fraction_oracle(data):
     assert rebuilt == _outcome(dr.from_distances, want)
     if not isinstance(rebuilt, type):
         assert fraction_distance_matrix(*rebuilt) == want
+
+
+def _placed(data, p):
+    """p's vertices relabeled, scaled along each axis and translated, with "p/q" entries among the scales and shifts;
+    and the scales."""
+    order = data.draw(st.permutations(range(p.nvertices)))
+    scales = [data.draw(positive_rationals) for _ in range(p.dim)]
+    shift = [data.draw(rationals) for _ in range(p.dim)]
+    return [[s * x + t for s, x, t in zip(scales, p.vertices[i], shift)] for i in order], scales
+
+
+def _same_polytope(got, want):
+    return got == want and hash(got) == hash(want) and got.vertices == want.vertices and got.frame == want.frame
+
+
+COORD_BREAKS = ("none", "duplicate", "too-few", "long-row", "flat")
+
+
+@given(st.data())
+def test_from_coords_on_integers_matches_the_fraction_oracle(data):
+    p = ORACLE_POLYTOPES[data.draw(st.sampled_from(sorted(ORACLE_POLYTOPES)))]()
+    verts, _ = _placed(data, p)
+    how = data.draw(st.sampled_from(COORD_BREAKS))
+    if how == "duplicate":
+        verts.append(verts[data.draw(st.integers(0, len(verts) - 1))])
+    elif how == "too-few":
+        verts = verts[: p.dim]
+    elif how == "long-row":
+        verts[-1] = [*verts[-1], 0]
+    elif how == "flat":
+        verts = [[*v[:-1], 0] for v in verts]
+    want = _outcome(fraction_from_coords, p.dim, verts)
+    got = _outcome(dr.from_coords, p.dim, verts)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _same_polytope(got, want)
+    # integer input and the equal Fraction input give one polytope
+    ints = [[int(x * want.denominator) for x in v] for v in verts]
+    assert _same_polytope(dr.from_coords(p.dim, ints), dr.from_coords(p.dim, [[Fraction(x) for x in v] for v in ints]))
+    assert _same_polytope(dr.from_coords(p.dim, ints), fraction_from_coords(p.dim, ints))
+
+
+@given(st.data())
+def test_from_distances_on_integers_matches_the_fraction_oracle(data):
+    p = ORACLE_POLYTOPES[data.draw(st.sampled_from(sorted(ORACLE_POLYTOPES)))]()
+    q = dr.from_coords(p.dim, _placed(data, p)[0])
+    dm = fraction_distance_matrix(q, _drawn_form(data, p.dim))
+    how = data.draw(st.sampled_from(("none", "asymmetric", "indefinite", "wrong-size")))
+    if how == "asymmetric":
+        dm[0][1] += 1
+    elif how == "indefinite":
+        # pull vertices 1 and 2 apart until their 2x2 Gram minor is negative
+        a11, a22 = dm[1][0], dm[2][0]
+        bump = 2 * (abs((a11 + a22 - dm[1][2]) / 2) + a11 + a22 + 1)
+        dm[1][2] += bump
+        dm[2][1] += bump
+    elif how == "wrong-size":
+        dm = [row[:-1] for row in dm]
+    # entries as the loader hands them on: an int for an integer, a Fraction for "p/q"
+    dm = [[int(x) if x.denominator == 1 else x for x in row] for row in dm]
+    want = _outcome(fraction_from_distances, dm)
+    got = _outcome(dr.from_distances, dm)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _same_polytope(got[0], want[0])
+    assert got[1] == want[1]
+
+
+@given(st.data())
+def test_circumcenter_on_integers_matches_the_fraction_oracle(data):
+    _, p, g = data.draw(st.sampled_from(GRAMS))
+    verts, scales = _placed(data, p)
+    q = dr.from_coords(p.dim, verts)
+    if data.draw(st.booleans()):
+        # the form that keeps the scaled vertices cospherical
+        g = [[x / (si * sj) for x, sj in zip(row, scales)] for row, si in zip(g, scales)]
+    else:
+        g = _drawn_form(data, p.dim)
+    assert _outcome(dr.circumcenter, q, g) == _outcome(fraction_circumcenter, q, g)
