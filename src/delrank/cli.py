@@ -61,7 +61,9 @@ def _rat(x) -> str:
 def _rational_matrix(obj, path: str, name: str) -> list[list[int | Fraction]]:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError(f"{path}: {name} must be a non-empty list of rows")
-    return [[_parse_rational(x) for x in row] for row in obj]
+    parsed: dict[str, int | Fraction] = {}  # each distinct string is parsed once; _parse_rational rejects the rest
+    return [[parsed[x] if isinstance(x, str) and x in parsed else parsed.setdefault(x, _parse_rational(x)) for x in row]
+            for row in obj]
 
 
 @dataclass(frozen=True)

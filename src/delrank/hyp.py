@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import SumNotOne, WrongSize
-from .model import Polytope, _distance_matrix, _validate_distance_matrix, circumcenter, from_coords
+from .model import Polytope, _distance_matrix, _from_integers, _validate_distance_matrix, circumcenter
 
 
 def vertex_pairs(nv: int) -> list[tuple[int, int]]:
@@ -159,5 +159,5 @@ def restricted_face_dimension(p: Polytope, subset) -> int:
     idx = sorted(set(subset))
     if any(not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
-    sub = from_coords(p.dim, [p.vertices[i] for i in idx])
+    sub = _from_integers(p.dim, [p.numerators[i] for i in idx], p.denominator)
     return face_dimension(sub)

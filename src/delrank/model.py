@@ -119,14 +119,17 @@ def from_coords(dim: int, vertices) -> Polytope:
 
 
 def _from_integers(dim: int, rows, k: int) -> Polytope:
-    """The validated polytope with vertices x / k, x the integer rows and k > 0 their least common denominator.
+    """The validated polytope with vertices x / k, x the integer rows and k > 0 a common denominator.
 
-    k must be the least one, gcd(k, every entry) = 1, so that equal vertices give equal fields.  Both callers pass
-    it: from_coords the lcm of the denominators, from_distances the d of exact.rref, the lcm of the pivots of its
-    primitive rows, which is the least denominator of R / d.
+    The rows and k are divided by gcd(k, every entry), so that the polytope stores the least denominator and equal
+    vertices give equal fields.  from_coords and from_distances pass the least one already (the lcm of the
+    denominators; the d of exact.rref, the lcm of the pivots of its primitive rows), and the division is a no-op.
     Checks row length, vertex count, duplicates and the affine dimension, the pivot count of the frame it caches.
     """
     xs = tuple(map(tuple, rows))
+    g = gcd(k, *(a for x in xs for a in x))
+    if g > 1:  # a vertex subset or a shift can leave a common factor
+        xs, k = tuple(tuple(a // g for a in x) for x in xs), k // g
     if any(len(x) != dim for x in xs):
         raise DimensionDeficient(f"coordinate vectors must have length {dim}")
     if len(xs) < dim + 1:
@@ -339,40 +342,62 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
 def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     """Reconstruct (polytope, Gram form) from an exact squared-distance matrix.
 
-    Vertex 0 becomes the origin.  One reduced row echelon form R of the
-    vertex Gram matrix A, A[i][j] = <v_i - v_0, v_j - v_0> for i, j >= 1,
-    gives everything: its pivot columns C become unit coordinate vectors,
-    A[C, C] is the Gram form, and column k of R holds the coordinates of
-    vertex k.  Bad input fails as such; once the form passes the definite
-    check, the realization is exact.  Proof: the columns C span those of
-    A, so A = A[:, C] R, and A is symmetric, so A = R^T A[C, C] R.  So
-    A[C, C] is nonsingular and the coordinates reproduce A, and with it
-    every distance d(i, j) = A[i][i] + A[j][j] - 2 A[i][j] (A is 0 at v_0).
-    The distances are positive, so the vertices are distinct, and the
-    origin and the unit vectors span the dimension.  There is a pivot,
-    since A[1][1] = d(1, 0) > 0.  So a rejection by _from_integers or a
-    failed re-check of every distance is an InternalError.
+    Vertex 0 becomes the origin.  The reduced row echelon form R of the
+    vertex Gram matrix A, A[i][j] = <v_i - v_0, v_j - v_0>, gives
+    everything: its pivot columns C become unit coordinate vectors, A[C, C]
+    is the Gram form, and column k of R holds the coordinates of vertex k.
+    As A is symmetric and the columns C span it, A = R^T A[C, C] R; so when
+    A[C, C] is definite the coordinates reproduce A and every distance
+    A[i][i] + A[j][j] - 2 A[i][j], the positive distances make the vertices
+    distinct, and the origin and the unit vectors span the dimension.
+
+    R is reduced from the pivot rows T alone: row j is taken, in order, when
+    its Schur diagonal A[j][j] - A[j, T] A[T, T]^-1 A[T, j] is nonzero, that is
+    d A[j][j] - sum_i A[j][C_i] R[i][j] over d for the R, C and d of the rows
+    taken so far; a row in their span reads 0.  A is semidefinite exactly when
+    the distances are Euclidean (Schoenberg), as a passing re-check proves.
+    Then C = T, and a zero diagonal of the semidefinite Schur complement zeroes
+    its row, so every skipped row is in the span of T: R, C and d are A's own.
+    A failure after the definite check of A[T, T] is classified by the rank of
+    A.  If it is |T|, R is A's reduced form; A[T, T] = R[:, T]^T A[C, C]
+    R[:, T] makes A[C, C] definite (Sylvester's law of inertia), A is then
+    semidefinite, and the failure is an InternalError.  Otherwise a skipped row
+    is outside the span of T, A is not semidefinite, and A[C, C] of A's reduced
+    form would fail the definite check: NotPositiveDefinite.
     """
     e, t = _validate_distance_matrix(dm)
     m = len(e)
     if m < 2:
         raise TooFewVertices("need at least 2 vertices")
-    # e = t d in integers; a[i][j] = 2 t <v_i - v_0, v_j - v_0>, whose RREF
-    # is that of the vertex Gram matrix
-    a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
-    red, chosen, den = exact.rref(a)
-    n = len(chosen)
-    # the chosen submatrix of a is 2 t times the Gram form
-    sub = [[a[r][c] for c in chosen] for r in chosen]
+
+    def gram_row(x: list[int]) -> list[int]:
+        # e = t d in integers, so this is 2 t <v - v_0, w - v_0> at every vertex w, for the vertex v of row x
+        return [x[0] + y[0] - xy for y, xy in zip(e, x)]
+
+    # vertex 0 has a zero row and column: it is never taken, and its coordinates in R are 0
+    taken, red, chosen, den = [], [], [], 1  # the reduced form of no rows
+    for j, x in enumerate(e):
+        # den times the Schur diagonal of row j, whose diagonal entry is 2 e[j][0]
+        if den * 2 * x[0] != sum((x[0] + e[c][0] - x[c]) * r[j] for c, r in zip(chosen, red)):
+            taken.append(j)
+            red, chosen, den = exact.rref([*red, gram_row(x)])  # R spans the rows taken before
+    n = len(taken)
+    sub = [[e[r][0] + e[c][0] - e[r][c] for c in taken] for r in taken]  # 2 t times the Gram form
     if not exact.is_positive_definite(sub):
         raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
-    try:  # vertex k is column k of R over den, after the origin
-        p = _from_integers(n, [(0,) * n, *zip(*red)], den)
+
+    def failure(message: str) -> Exception:
+        if exact.rank([gram_row(x) for x in e]) != n:
+            return NotPositiveDefinite("reconstructed Gram form is not positive definite")
+        return InternalError(message)
+
+    try:  # vertex k is column k of R over den
+        p = _from_integers(n, list(zip(*red)), den)
     except DelrankError as err:
-        raise InternalError(f"reconstructed coordinates are rejected: {err}") from err
+        raise failure(f"reconstructed coordinates are rejected: {err}") from err
     # distances num / scale under the form sub / 2t, against the input e / t; scale = 2t k^2, so f is exact
     num, scale = _distance_matrix(p, sub, 2 * t)
     f = scale // t
     if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
-        raise InternalError("reconstructed coordinates do not reproduce the distance matrix")
+        raise failure("reconstructed coordinates do not reproduce the distance matrix")
     return p, [[Fraction(x, 2 * t) for x in row] for row in sub]

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import exact
 # dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
 from .deps import dependency_module  # noqa: F401
 from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
-from .model import Polytope, circumcenter, from_coords, is_centrally_symmetric
+from .model import Polytope, _from_integers, circumcenter, is_centrally_symmetric
 
 
 def sym_columns(n: int) -> list[tuple[int, int]]:
@@ -88,18 +90,17 @@ def transform_basis(p: Polytope, u) -> Polytope:
         raise NotUnimodular("basis change must be integral")
     if exact.covolume(um) != 1:
         raise NotUnimodular("basis change must have determinant +-1")
-    verts = [tuple(sum(um[i][k] * v[k] for k in range(n)) for i in range(n)) for v in p.vertices]
-    return from_coords(n, verts)
+    return _from_integers(n, [[sum(map(mul, row, x)) for row in um] for x in p.numerators], p.denominator)
 
 
 def translate(p: Polytope, a, reflect: bool = False) -> Polytope:
     """Map every vertex v to a + v, or to a - v when reflect is set."""
     if len(a) != p.dim:
         raise WrongSize("translation vector length does not match dimension")
-    av = [Fraction(x) for x in a]
-    sign = -1 if reflect else 1
-    verts = [tuple(t + sign * x for t, x in zip(av, v)) for v in p.vertices]
-    return from_coords(p.dim, verts)
+    (b,), s = exact.over_common_denominator([a])
+    k, sign = p.denominator, -1 if reflect else 1
+    # b / s + sign x / k = (k b + sign s x) / (k s)
+    return _from_integers(p.dim, [[k * t + sign * s * y for t, y in zip(b, x)] for x in p.numerators], k * s)
 
 
 def nrd(polytopes) -> int:
@@ -153,13 +154,14 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
         raise WrongSize("hyperplane axis out of range")
 
     circumcenter(p, gram)  # raises NotCospherical on bad input
-    vset = set(p.vertices)
-    zero = tuple(Fraction(0) for _ in range(n))
-    units = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
+    xs, k = p.numerators, p.denominator  # every point below is its coordinates times k, as integers
+    vset = set(xs)
+    zero = (0,) * n
+    units = [tuple(k * (j == i) for j in range(n)) for i in range(n)]
 
     # the reasons hypothesis cs fails come first in details
     details: list[str] = []
-    if any(x.denominator != 1 for v in p.vertices for x in v):
+    if k != 1:
         details.append("vertex coordinates are not all integral")
     if zero not in vset or any(u not in vset for u in units):
         details.append("origin or some unit coordinate vector is not a vertex")
@@ -168,10 +170,10 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
         details.append("polytope is not centrally symmetric")
     failed = ["cs"] if details else []
 
-    in_section = [v for v in p.vertices if v[axis] == 0]
+    in_section = [x for x in xs if x[axis] == 0]
     section: Polytope | None = None
     try:
-        section = from_coords(n - 1, [v[:axis] + v[axis + 1:] for v in in_section])
+        section = _from_integers(n - 1, [x[:axis] + x[axis + 1:] for x in in_section], k)
     except DelrankError as e:
         failed.append("h2")
         details.append(f"section is not a full-dimensional polytope in the hyperplane: {e}")
@@ -182,13 +184,14 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
             details.append("section is centrally symmetric, not asymmetric")
 
     if symmetric:
-        doubled = tuple(x + y for x, y in zip(p.vertices[0], p.vertices[pairing[0]]))
-        z_axis = doubled[axis]
+        doubled = tuple(a + b for a, b in zip(xs[0], xs[pairing[0]]))
+        g = gcd(doubled[axis], k)
+        z_axis = f"{doubled[axis] // g}" + (f"/{k // g}" if k != g else "")
         section_set = set(in_section)
-        mirror_set = {tuple(d - x for d, x in zip(doubled, v)) for v in section_set}
+        mirror_set = {tuple(d - a for d, a in zip(doubled, x)) for x in section_set}
         unit_axis = units[axis]
         if unit_axis in mirror_set:
-            escape = [v for v in p.vertices if v not in section_set and v not in mirror_set]
+            escape = [x for x in xs if x not in section_set and x not in mirror_set]
             if not escape:
                 failed.append("h3")
                 details.append(

@@ -548,3 +548,106 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def rref_from_distances(dm):
+    """from_distances as the library made it with one full exact.rref of the vertex Gram matrix A: the form A[C, C]
+    on its pivots C, vertex k as column k of R over d, and every failure after the definite check an InternalError."""
+    e, t = model._validate_distance_matrix(dm)
+    m = len(e)
+    if m < 2:
+        raise dr.TooFewVertices("need at least 2 vertices")
+    a = [[e[i][0] + e[j][0] - e[i][j] for j in range(1, m)] for i in range(1, m)]
+    red, chosen, den = exact.rref(a)
+    n = len(chosen)
+    sub = [[a[r][c] for c in chosen] for r in chosen]
+    if not exact.is_positive_definite(sub):
+        raise dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
+    try:
+        p = model._from_integers(n, [(0,) * n, *zip(*red)], den)
+    except dr.DelrankError as err:
+        raise dr.InternalError(f"reconstructed coordinates are rejected: {err}") from err
+    num, scale = model._distance_matrix(p, sub, 2 * t)
+    f = scale // t
+    if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
+        raise dr.InternalError("reconstructed coordinates do not reproduce the distance matrix")
+    return p, [[Fraction(x, 2 * t) for x in row] for row in sub]
+
+
+def fraction_transform_basis(p, u):
+    """transform_basis through the Fraction vertices and from_coords, with the library's checks of u."""
+    um, s = exact.over_common_denominator(u)
+    n = p.dim
+    if len(um) != n or any(len(row) != n for row in um):
+        raise dr.WrongSize("matrix size does not match dimension")
+    if s != 1:
+        raise dr.NotUnimodular("basis change must be integral")
+    if exact.covolume(um) != 1:
+        raise dr.NotUnimodular("basis change must have determinant +-1")
+    return dr.from_coords(n, [[sum(um[i][k] * v[k] for k in range(n)) for i in range(n)] for v in p.vertices])
+
+
+def fraction_translate(p, a, reflect=False):
+    """translate through the Fraction vertices and from_coords."""
+    if len(a) != p.dim:
+        raise dr.WrongSize("translation vector length does not match dimension")
+    sign = -1 if reflect else 1
+    return dr.from_coords(p.dim, [[Fraction(t) + sign * x for t, x in zip(a, v)] for v in p.vertices])
+
+
+def fraction_restricted_face_dimension(p, subset):
+    """restricted_face_dimension through the Fraction vertices and from_coords."""
+    idx = sorted(set(subset))
+    if any(not 0 <= i < p.nvertices for i in idx):
+        raise dr.WrongSize("subset index out of range")
+    return dr.face_dimension(dr.from_coords(p.dim, [p.vertices[i] for i in idx]))
+
+
+def fraction_check_symmetric_reduction(p, gram, hyperplane_axis=None):
+    """check_symmetric_reduction on the Fraction vertices, its section built by from_coords."""
+    n = p.dim
+    axis = n - 1 if hyperplane_axis is None else hyperplane_axis
+    if not 0 <= axis < n:
+        raise dr.WrongSize("hyperplane axis out of range")
+    dr.circumcenter(p, gram)
+    vset = set(p.vertices)
+    zero = tuple(Fraction(0) for _ in range(n))
+    units = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
+    details = []
+    if any(x.denominator != 1 for v in p.vertices for x in v):
+        details.append("vertex coordinates are not all integral")
+    if zero not in vset or any(u not in vset for u in units):
+        details.append("origin or some unit coordinate vector is not a vertex")
+    symmetric, pairing = dr.is_centrally_symmetric(p)
+    if not symmetric:
+        details.append("polytope is not centrally symmetric")
+    failed = ["cs"] if details else []
+    in_section = [v for v in p.vertices if v[axis] == 0]
+    section = None
+    try:
+        section = dr.from_coords(n - 1, [v[:axis] + v[axis + 1:] for v in in_section])
+    except dr.DelrankError as e:
+        failed.append("h2")
+        details.append(f"section is not a full-dimensional polytope in the hyperplane: {e}")
+    if section is not None and dr.is_centrally_symmetric(section)[0]:
+        failed.append("h2")
+        details.append("section is centrally symmetric, not asymmetric")
+    if symmetric:
+        doubled = tuple(x + y for x, y in zip(p.vertices[0], p.vertices[pairing[0]]))
+        section_set = set(in_section)
+        mirror_set = {tuple(d - x for d, x in zip(doubled, v)) for v in section_set}
+        if units[axis] in mirror_set:
+            if not [v for v in p.vertices if v not in section_set and v not in mirror_set]:
+                failed.append("h3")
+                details.append(
+                    "unit vector along the axis mirrors into the section and every vertex lies in the section or its mirror"
+                )
+        else:
+            details.append(f"axis coordinate of the doubled center is {doubled[axis]}; escape clause not triggered")
+    if failed:
+        return dr.SymmetricReductionReport(applicable=False, failed=tuple(failed), details=tuple(details))
+    r_full, r_sec = dr.rank_of(p), dr.rank_of(section)
+    return dr.SymmetricReductionReport(
+        applicable=True, failed=(), details=tuple(details), rank_full=r_full, rank_section=r_sec,
+        inequality_holds=r_full <= r_sec,
+    )

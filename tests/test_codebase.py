@@ -161,6 +161,10 @@ INTEGER_EDGES = (
     "basis.is_affine_basis",
     "basis.classify_basicity",
     "rank.bspace_constraints",
+    "rank.transform_basis",
+    "rank.translate",
+    "rank.check_symmetric_reduction",
+    "hyp.restricted_face_dimension",
 )
 
 

@@ -1,5 +1,6 @@
 """Polytope model: validation, circumspheres, distance reconstruction."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact, model
+from delrank import cli, exact, model
 from tests.helpers import (
     circumcenter_symmetry,
     count_calls,
@@ -26,6 +27,7 @@ from tests.helpers import (
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
+    rref_from_distances,
     solve_basis_dependencies,
     vertex_vectors,
 )
@@ -588,3 +590,76 @@ def test_circumcenter_on_integers_matches_the_fraction_oracle(data):
     else:
         g = _drawn_form(data, p.dim)
     assert _outcome(dr.circumcenter, q, g) == _outcome(fraction_circumcenter, q, g)
+
+
+# Gram matrices that are not semidefinite although every pivot row of the search gives a definite form: the first
+# two rebuild a repeated vertex, the third rebuilds coordinates that fail the re-check
+NOT_SEMIDEFINITE = (
+    [[0, 1, 4, 4, 4], [1, 0, 1, 1, 1], [4, 1, 0, 2, 5], [4, 1, 2, 0, 1], [4, 1, 5, 1, 0]],
+    [[0, 4, 2, 5, 5], [4, 0, 2, 1, 1], [2, 2, 0, 5, 5], [5, 1, 5, 0, 6], [5, 1, 5, 6, 0]],
+    [[0, 1, 4, 1], [1, 0, 1, 2], [4, 1, 0, 3], [1, 2, 3, 0]],
+)
+
+
+def _relabeled_matrix(d, rng):
+    order = list(range(len(d)))
+    rng.shuffle(order)
+    return [[d[i][j] for j in order] for i in order]
+
+
+def _rebuilt(f, dm):
+    """What f makes of dm: the polytope's fields and frame and the form, or the error class and message."""
+    try:
+        p, form = f(dm)
+    except (dr.DelrankError, dr.InternalError) as err:
+        return type(err), str(err)
+    return p, hash(p), p.vertices, p.frame, form
+
+
+@pytest.mark.parametrize("dm", NOT_SEMIDEFINITE)
+def test_non_semidefinite_matrices_are_not_positive_definite(dm, monkeypatch):
+    # the pivot rows alone pass the definite check, so the rank of the whole matrix tells bad input from a bug
+    calls = count_calls(monkeypatch, exact, "rank")
+    with pytest.raises(dr.NotPositiveDefinite, match="^reconstructed Gram form is not positive definite$"):
+        dr.from_distances(dm)
+    assert len(calls) == 1
+    assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)
+
+
+def test_non_semidefinite_distance_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "distances": [[str(x) for x in row] for row in NOT_SEMIDEFINITE[0]]}))
+    assert cli.main(["rank", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "invalid input: reconstructed Gram form is not positive definite\n"
+
+
+def test_from_distances_reduces_only_the_pivot_rows(monkeypatch):
+    p = dr.half_cube(7)
+    d = _relabeled_matrix(dr.distance_matrix(p, dr.canonical_gram("halfcube", 7)), random.Random(1))
+    calls = count_calls(monkeypatch, exact, "rref")
+    q, _ = dr.from_distances(d)
+    assert q.nvertices == 64 and q.dim == 7
+    # the largest is the frame's, the n + 1 = 8 lifted rows; the whole Gram matrix has 63
+    assert calls and max(len(args[0]) for args in calls) <= 8
+
+
+@given(st.integers(0, 10_000), st.sampled_from(("family", "p0", "form", "integers")))
+def test_pivot_search_matches_the_full_rref(seed, source):
+    rng = random.Random(seed)
+    if source == "family":
+        _, p, g = rng.choice(GRAMS)
+        dm = _relabeled_matrix(dr.distance_matrix(p, g), rng)
+    elif source == "p0":
+        dm = _relabeled_matrix(dr.p0().distances, rng)
+    elif source == "form":
+        p = random_polytope(rng, max_dim=4)
+        dm = _relabeled_matrix(dr.distance_matrix(p, random_form(p.dim, rng)), rng)
+    else:
+        m = rng.randrange(3, 7)
+        dm = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                dm[i][j] = dm[j][i] = rng.randrange(1, 7)
+    assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)

@@ -17,7 +17,11 @@ from tests.helpers import (
     count_calls,
     family_corpus,
     fraction_bspace_rows,
+    fraction_check_symmetric_reduction,
+    fraction_restricted_face_dimension,
     fraction_rref,
+    fraction_transform_basis,
+    fraction_translate,
     full_system,
     full_system_form_dimension,
     gram_corpus,
@@ -403,3 +407,40 @@ def test_symmetric_reduction_flat_section():
         rep = dr.check_symmetric_reduction(p, g)
         assert not rep.applicable
         assert "h2" in rep.failed
+
+
+REBUILD_SCALES = st.sampled_from((1, 1, 2, Fraction(1, 2), Fraction(2, 3)))
+REBUILD_SHIFTS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except dr.DelrankError as err:
+        return type(err), str(err)
+
+
+def _fields(p):
+    return p if isinstance(p, tuple) else (p, hash(p), p.numerators, p.denominator, p.vertices, p.frame)
+
+
+@given(st.data())
+def test_integer_rebuilds_match_the_fraction_routes(data):
+    _, p, g = data.draw(st.sampled_from([*gram_corpus(), ("reduction", *reduction_instance())]))
+    # p relabeled, scaled along each axis and translated, under the form that keeps it cospherical
+    order = data.draw(st.permutations(range(p.nvertices)))
+    scales = [data.draw(REBUILD_SCALES) for _ in range(p.dim)]
+    shift = [data.draw(REBUILD_SHIFTS) for _ in range(p.dim)]
+    if data.draw(st.booleans()):  # relabeled only, so that the section bound can apply
+        scales, shift = [1] * p.dim, [0] * p.dim
+    q = dr.from_coords(p.dim, [[s * x + t for s, x, t in zip(scales, p.vertices[i], shift)] for i in order])
+    h = [[Fraction(x) / (si * sj) for x, sj in zip(row, scales)] for row, si in zip(g, scales)]
+    u = random_unimodular(p.dim, random.Random(data.draw(st.integers(0, 10_000))))
+    a = [data.draw(REBUILD_SHIFTS) for _ in range(p.dim)]
+    reflect = data.draw(st.booleans())
+    subset = data.draw(st.lists(st.integers(0, p.nvertices), max_size=p.nvertices + 1))
+    axis = data.draw(st.integers(0, p.dim - 1))
+    assert _fields(_outcome(dr.transform_basis, q, u)) == _fields(_outcome(fraction_transform_basis, q, u))
+    assert _fields(_outcome(dr.translate, q, a, reflect)) == _fields(_outcome(fraction_translate, q, a, reflect))
+    assert _outcome(dr.restricted_face_dimension, q, subset) == _outcome(fraction_restricted_face_dimension, q, subset)
+    assert _outcome(dr.check_symmetric_reduction, q, h, axis) == _outcome(fraction_check_symmetric_reduction, q, h, axis)
