@@ -20,16 +20,14 @@ RANGES = {
 }
 
 
-def row(name, p, with_face):
+def row(name, p):
     t0 = time.perf_counter()
     rk = dr.rank_of(p)
     t1 = time.perf_counter()
-    if with_face:
-        fd = dr.face_dimension(p)
-        t2 = time.perf_counter()
-        agree = "yes" if fd == rk else "NO"
-        return f"{name:14s} {p.dim:3d} {p.nvertices:5d} {rk:5d} {t1 - t0:8.3f}s {fd:5d} {t2 - t1:8.3f}s  {agree}"
-    return f"{name:14s} {p.dim:3d} {p.nvertices:5d} {rk:5d} {t1 - t0:8.3f}s"
+    fd = dr.face_dimension(p)
+    t2 = time.perf_counter()
+    agree = "yes" if fd == rk else "NO"
+    return f"{name:14s} {p.dim:3d} {p.nvertices:5d} {rk:5d} {t1 - t0:8.3f}s {fd:5d} {t2 - t1:8.3f}s  {agree}"
 
 
 def main(argv=None):
@@ -41,24 +39,16 @@ def main(argv=None):
         choices=sorted(RANGES) + ["p0"],
         default=sorted(RANGES) + ["p0"],
     )
-    ap.add_argument(
-        "--skip-face",
-        action="store_true",
-        help="only run the dependency-system route (the fast one)",
-    )
     args = ap.parse_args(argv)
 
-    header = f"{'instance':14s} {'dim':>3s} {'|V|':>5s} {'rank':>5s} {'time':>9s}"
-    if not args.skip_face:
-        header += f" {'face':>5s} {'time':>9s}  agree"
-    print(header)
+    print(f"{'instance':14s} {'dim':>3s} {'|V|':>5s} {'rank':>5s} {'time':>9s} {'face':>5s} {'time':>9s}  agree")
     for family in args.families:
         if family == "p0":
-            print(row("p0", dr.p0().polytope, not args.skip_face))
+            print(row("p0", dr.p0().polytope))
             continue
         lo, make = RANGES[family]
         for n in range(lo, args.max_n + 1):
-            print(row(f"{family}({n})", make(n), not args.skip_face))
+            print(row(f"{family}({n})", make(n)))
     return 0
 
 

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis, deps, families, hyp, model, rank
+from . import basis, deps, exact, families, hyp, model, rank
 from .errors import DelrankError, InputError, InternalError, NotCospherical
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
@@ -70,7 +70,7 @@ def _rational_matrix(obj, path: str, name: str) -> list[list[int | Fraction]]:
 class LoadedInput:
     digest: str
     polytope: model.Polytope
-    gram: list[list[int | Fraction]] | None
+    gram: model._Form | None  # checked once, here
 
 
 _FILE_KEYS = {"dim", "vertices", "gram", "distances"}
@@ -106,14 +106,13 @@ def load_polytope_file(path: str) -> LoadedInput:
         p = model.from_coords(dim, verts)
         gram = None
         if "gram" in doc:
-            gram = _rational_matrix(doc["gram"], path, "gram")
-            model._validate_gram_shape(p, gram)
+            gram = model._validate_gram_shape(p, _rational_matrix(doc["gram"], path, "gram"))
         return LoadedInput(digest=digest, polytope=p, gram=gram)
     dm = _rational_matrix(doc["distances"], path, "distances")
     p, gram = model.from_distances(dm)
     if p.dim != dim:
         raise InputError(f"{path}: distances imply dimension {p.dim}, file says {dim}")
-    return LoadedInput(digest=digest, polytope=p, gram=gram)
+    return LoadedInput(digest=digest, polytope=p, gram=model._Form(*exact.over_common_denominator(gram)))  # from_distances checked it
 
 
 def _emit(doc) -> None:

@@ -8,10 +8,11 @@ from the supports of the paper's dependencies, p.frame.dependencies, the
 ones rank_of builds its form constraints from, and emits them in the order
 face_dimension eliminates them; exact.sparse_rank takes their rank by
 fraction-free integer elimination.
-face_system leaves out row (y, u) when u is the leading vertex of another
-dependency and lies below the leading vertex of y: a symmetry of the pair
-sums puts every such row in the span of the rows it keeps (the proof is in
-face_system's docstring).  Pair indices follow vertex_pairs.
+face_system keeps row (y, u) only when u is a basis vertex or the leading
+vertex of y.  Each row it leaves out is in the span of the rows it keeps,
+or alone on a pair column, adding 1 to the rank, which face_dimension
+counts (the proofs are in face_system's docstring).  Pair indices follow
+vertex_pairs.
 """
 
 from __future__ import annotations
@@ -91,17 +92,18 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
 
 
 def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
-    """Rows ((y, u), {pair index: coefficient}) of S(P), without the redundant ones.
+    """Rows ((y, u), {pair index: coefficient}) of S(P) that face_dimension eliminates.
 
     y indexes the dependencies of the polytope's frame (p.frame), the
     paper's dependencies over the last affine basis, so each leads at its
     own vertex; u is the probe vertex.  Row (y, u) holds y's support with u
     dropped, each vertex v read as the pair {u, v}, with pair indices in
     vertex_pairs order.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y)
-    for the first vertex where y is nonzero.  Row (y, u) is left out when
-    u = lead(y') for some other dependency y' and u < lead(y), so with k
-    dependencies on nv vertices there are k*nv - k*(k-1)/2 rows.  Proof
-    that this keeps the rank: take y, y' with l' = lead(y') < lead(y).
+    for the first vertex where y is nonzero.  Row (y, u) is kept only when
+    u is a basis vertex or u = lead(y): k*(dim + 2) rows for k dependencies.
+
+    Rule 1 leaves out (y, u) when u = lead(y') < lead(y) for another y'.
+    Proof that this keeps the rank: take y, y' with l' = lead(y') < lead(y).
 
     - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
       sum_{a != b} y(a) y'(b) d{a, b}, so they are the same linear form.
@@ -111,7 +113,12 @@ def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ..
       y'(l') != 0.
     - By descending induction on the probe, the kept rows span every row.
 
-    The argument needs no unit pivots, no Z-basis and no vertex order.
+    Rule 2 leaves out (y_a, b) for a = lead(y_a) < b outside the basis.
+    Each support holds one vertex outside the basis, its lead, so only
+    (y_a, b) and (y_b, a) touch the pair {a, b}, and rule 1 leaves out
+    (y_b, a).  So (y_a, b) is alone on that column, with y_a(a) != 0, and
+    the k*(k-1)/2 rows rule 2 leaves out add exactly k*(k-1)/2 to the rank.
+    The arguments need no unit pivots, no Z-basis and no vertex order.
 
     The rows come out in the order face_dimension eliminates them: from
     the last probe down, in dependency order within each probe.  Row
@@ -125,30 +132,27 @@ def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ..
     """
     supports = p.frame.dependencies
     nv = p.nvertices
-    # pidx[u][v] is the index of the pair {u, v}; rows share these int objects
-    pidx = [[0] * nv for _ in range(nv)]
-    for k, (i, j) in enumerate(vertex_pairs(nv)):
-        pidx[i][j] = pidx[j][i] = k
-    leads = {support[0][0] for support in supports}
+    lead = {y[0][0]: yi for yi, y in enumerate(supports)}
+    every = range(len(supports))
+    # vertex_pairs puts {i, j}, i < j, at i*(2nv - i - 1)/2 + j - i - 1 = start[i] + j: no nv x nv table
+    start = [i * (2 * nv - i - 3) // 2 - 1 for i in range(nv)]
     rows = []
     for u in range(nv - 1, -1, -1):
-        at = pidx[u]
-        for yi, support in enumerate(supports):
-            if u < support[0][0] and u in leads:
-                continue
-            rows.append(((yi, u), {at[v]: c for v, c in support if v != u}))
+        for yi in (lead[u],) if u in lead else every:
+            rows.append(((yi, u), {start[v] + u if v < u else start[u] + v: c for v, c in supports[yi] if v != u}))
     return tuple(rows)
 
 
 def face_dimension(p: Polytope) -> int:
     """Dimension of the solution space of the pair system S(P).
 
-    Equals nv*(nv-1)/2 minus the exact.sparse_rank of the face_system
-    rows, eliminated in their order.  For a simplex the system is empty
-    and the value is dim*(dim+1)/2.
+    Equals nv*(nv-1)/2 minus the exact.sparse_rank of the face_system rows,
+    eliminated in their order, and minus k*(k-1)/2 for the k dependencies,
+    the rank of the rows its rule 2 leaves out.  For a simplex the system is
+    empty and the value is dim*(dim+1)/2.
     """
-    nv = p.nvertices
-    return nv * (nv - 1) // 2 - exact.sparse_rank([row for _, row in face_system(p)])
+    nv, k = p.nvertices, len(p.frame.dependencies)
+    return nv * (nv - 1) // 2 - k * (k - 1) // 2 - exact.sparse_rank([row for _, row in face_system(p)])
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from . import exact
 from .errors import (
@@ -143,8 +144,16 @@ def _from_integers(dim: int, rows, k: int) -> Polytope:
     return p
 
 
-def _validate_gram_shape(p: Polytope, gram) -> tuple[list[list[int]], int]:
-    """The form as integer rows W over one denominator s, once it is dim x dim, symmetric and positive definite."""
+class _Form(NamedTuple):  # a Gram form checked for its polytope: integer rows w over one denominator s
+    w: list[list[int]]
+    s: int
+
+
+def _validate_gram_shape(p: Polytope, gram) -> _Form:
+    """The form as integer rows W over one denominator s, once it is dim x dim, symmetric and positive definite.
+    A _Form was checked already and passes as it is, so a command that loads one from a file checks it once."""
+    if isinstance(gram, _Form):
+        return gram
     w, s = exact.over_common_denominator(gram)
     if len(w) != p.dim or any(len(row) != p.dim for row in w):
         raise WrongSize(f"Gram form must be {p.dim}x{p.dim}")
@@ -154,7 +163,7 @@ def _validate_gram_shape(p: Polytope, gram) -> tuple[list[list[int]], int]:
                 raise InputError("Gram form must be symmetric")
     if not exact.is_positive_definite(w):
         raise NotPositiveDefinite("Gram form must be positive definite")
-    return w, s
+    return _Form(w, s)
 
 
 def _norm(w: list[list[int]], u) -> int:
@@ -299,7 +308,8 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     """
     if window < 0:
         raise InputError("window must be >= 0")
-    cd = circumcenter(p, gram)  # validates the form
+    w, t = form = _validate_gram_shape(p, gram)
+    cd = circumcenter(p, form)
     n = p.dim
     k = p.denominator  # the box runs from ceil(min x / k) to floor(max x / k) on each axis
     los = [-(-min(col) // k) - window for col in zip(*p.numerators)]
@@ -307,10 +317,10 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
     if count > sys.maxsize:
         raise InputError(f"the scan box holds more than {sys.maxsize} integer points")
-    # one scale for the form, the center and the radius (a row of copies of
-    # it), so the scan below runs in integers
-    (*w, cc, _), scale = exact.over_common_denominator([*gram, cd.center, [cd.radius_sq] * n])
-    threshold = int(scale**3 * cd.radius_sq)
+    # one scale for the center and the radius (a row of copies of it), so
+    # the scan below compares |scale z - cc|_W with scale^2 t r^2 in integers
+    (cc, _), scale = exact.over_common_denominator([cd.center, [cd.radius_sq] * n])
+    threshold = int(scale * scale * t * cd.radius_sq)
     int_vertices = {tuple(a // k for a in x) for x in p.numerators if not any(a % k for a in x)}
     strict: list[tuple[int, ...]] = []
     on_sphere: list[tuple[int, ...]] = []

@@ -28,16 +28,16 @@ def sym_columns(n: int) -> list[tuple[int, int]]:
 
 
 def bspace_constraints(p: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Integer constraint rows on symmetric forms, one per paper dependency.
+    """Integer constraint rows on symmetric forms in the input's coordinates, one per paper dependency.
 
-    The dependencies are the polytope's frame's (p.frame.dependencies), one
-    per vertex outside the affine basis.  Each row combines the vertex
-    quadrics its dependency's support names, at most dim + 2 of them.
-    Entries follow sym_columns(p.dim); off-diagonal columns carry the
-    doubled coefficient, so a row dotted with upper-triangle coordinates
-    equals the full symmetric contraction.  The quadrics are those of
-    x = k v, with k the least common denominator of the vertices, so each
-    row is k^2 times the rational one: the same constraint.
+    The dependencies are p.frame.dependencies, one per vertex outside the
+    affine basis; each row combines the vertex quadrics its support names,
+    at most dim + 2.  Entries follow sym_columns(p.dim); off-diagonal
+    columns carry the doubled coefficient, so a row dotted with
+    upper-triangle coordinates equals the full symmetric contraction.  The
+    quadrics are those of x = k v, k the vertices' least common
+    denominator: k^2 times the rational row.  bspace_basis and nrd need
+    forms in these coordinates; rank_of ranks the same space in the frame's.
     """
     cols = sym_columns(p.dim)
     quads = [[x[i] * x[i] if i == j else 2 * x[i] * x[j] for i, j in cols] for x in p.numerators]
@@ -51,9 +51,21 @@ def bspace_constraints(p: Polytope) -> tuple[tuple[int, ...], ...]:
 
 
 def rank_of(p: Polytope) -> int:
-    """Dimension of the space of symmetric forms compatible with p."""
-    n = p.dim
-    return n * (n + 1) // 2 - exact.rank(bspace_constraints(p))
+    """Dimension of the space of symmetric forms compatible with p.
+
+    The constraints of bspace_constraints, read in p.frame's affine
+    coordinates.  Write v = b + U l(v), b the last basis vertex and U the
+    invertible matrix of the others' differences from b.  For an affine
+    dependency y, sum_v y(v) l(v) = 0 and sum_v y(v) = 0, so
+    sum_v y(v) v^T B v = sum_v y(v) l(v)^T (U^T B U) l(v), and B -> U^T B U
+    is a bijection of the symmetric forms.  Vertex w outside the basis,
+    with numerators a over the frame's denominator d, gives d times its
+    constraint: a_i^2 - d a_i on the diagonal and 2 a_i a_j off it.
+    """
+    n, d = p.dim, p.frame.denominator
+    cols = sym_columns(n)
+    rows = [[a[i] * (a[i] - d) if i == j else 2 * a[i] * a[j] for i, j in cols] for _, a in p.frame.coordinates]
+    return n * (n + 1) // 2 - exact.rank(rows)
 
 
 def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:

@@ -161,9 +161,12 @@ INTEGER_EDGES = (
     "basis.is_affine_basis",
     "basis.classify_basicity",
     "rank.bspace_constraints",
+    "rank.rank_of",
     "rank.transform_basis",
     "rank.translate",
     "rank.check_symmetric_reduction",
+    "hyp.face_system",
+    "hyp.face_dimension",
     "hyp.restricted_face_dimension",
 )
 

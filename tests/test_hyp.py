@@ -122,7 +122,9 @@ def test_structured_rows_match_dense_rank():
         dense_rank = len(fraction_rref(dense_face_rows(p.nvertices, rows))[1])
         assert exact.sparse_rank([row for _, row in rows]) == dense_rank
         npairs = p.nvertices * (p.nvertices - 1) // 2
-        assert dr.face_dimension(p) == npairs - dense_rank
+        k = len(p.frame.dependencies)
+        assert len(rows) == k * (p.dim + 2)
+        assert dr.face_dimension(p) == npairs - k * (k - 1) // 2 - dense_rank
 
 
 def test_face_dimension_structured_path_agrees_small():
@@ -171,7 +173,9 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     drawn = rng.sample(dependency_major, len(dependency_major))
     for rows in (dependency_major, probe_descending, drawn):
         assert exact.sparse_rank(rows) == expected
-    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - expected
+    k = len(q.frame.dependencies)
+    assert len(labelled) == k * (q.dim + 2)
+    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - k * (k - 1) // 2 - expected
 
 
 def _transformed(build, n):
@@ -200,13 +204,38 @@ def test_face_system_drops_only_redundant_rows(seed, name):
     full = all_face_rows(p, vertex_vectors(p, p.frame.dependencies))
     k, nv = len(p.frame.dependencies), p.nvertices
     assert len(full) == k * nv
-    assert len(rows) == k * nv - k * (k - 1) // 2
+    assert len(rows) == k * (p.dim + 2)
     oracle = dict(full)
     assert all(oracle[label] == row for label, row in rows)
     # the full system over the Hermite module, a dependency family face_system does not build
     module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
-    assert exact.sparse_rank([row for _, row in rows]) == module_rank
+    assert module_rank == exact.sparse_rank([row for _, row in rows]) + k * (k - 1) // 2
     assert dr.face_dimension(p) == nv * (nv - 1) // 2 - module_rank
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
+def test_each_row_dropped_for_its_lead_is_alone_on_its_column(seed, name):
+    """Rows (y, u) with u outside the basis and above lead(y) are the only rows of the rule-1 system on {lead(y), u}."""
+    rng = random.Random(seed)
+    p = ROW_RULE_INSTANCES[name](rng)
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    p = dr.from_coords(p.dim, verts)
+    supports = p.frame.dependencies
+    leads = [y[0][0] for y in supports]
+    # the rule-1 system: every row but (y, u) with u the lead of another dependency and below lead(y)
+    rule1 = [(label, row) for label, row in all_face_rows(p, vertex_vectors(p, supports))
+           if not (label[1] in leads and label[1] < leads[label[0]])]
+    kept = {label for label, _ in dr.face_system(p)}
+    pairs = {pair: k for k, pair in enumerate(dr.vertex_pairs(p.nvertices))}
+    dropped = [(label, row) for label, row in rule1 if label not in kept]
+    k = len(supports)
+    assert len(rule1) == len(kept) + len(dropped) and len(dropped) == k * (k - 1) // 2
+    for (yi, u), row in dropped:
+        assert u in leads and u > leads[yi]
+        column = pairs[leads[yi], u]
+        assert row[column] == supports[yi][0][1] != 0
+        assert [label for label, other in rule1 if column in other] == [(yi, u)]
 
 
 def test_face_rows_vanish_on_family_distances():

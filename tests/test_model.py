@@ -271,11 +271,16 @@ def test_verify_empty_sphere_square(square):
     assert "heuristic" in rep.note
 
 
+# scaling the form moves no point across the sphere; the scan compares in integers over the form's denominator
+SCALED_IDENTITIES = ([[1, 0], [0, 1]], [[Fraction(1, 3), 0], [0, Fraction(1, 3)]], [[3, 0], [0, 3]])
+
+
 def test_verify_empty_sphere_simplex_boundary_point():
-    rep = dr.verify_empty_sphere(dr.simplex(2), [[1, 0], [0, 1]], window=1)
-    assert rep.ok()
-    assert rep.strict_violations == ()
-    assert rep.on_sphere_nonvertices == ((1, 1),)
+    for gram in SCALED_IDENTITIES:
+        rep = dr.verify_empty_sphere(dr.simplex(2), gram, window=1)
+        assert rep.ok()
+        assert rep.strict_violations == ()
+        assert rep.on_sphere_nonvertices == ((1, 1),)
 
 
 def test_verify_empty_sphere_window_zero(square):
@@ -302,9 +307,10 @@ def test_verify_flags_sublattice():
 def test_verify_detects_interior_point():
     # 3x1 rectangle: (1,0) and (2,0) land strictly inside the circumsphere
     rect = dr.from_coords(2, [[0, 0], [3, 0], [0, 1], [3, 1]])
-    rep = dr.verify_empty_sphere(rect, [[1, 0], [0, 1]], window=0)
-    assert not rep.ok()
-    assert (1, 0) in rep.strict_violations and (2, 0) in rep.strict_violations
+    for gram in SCALED_IDENTITIES:
+        rep = dr.verify_empty_sphere(rect, gram, window=0)
+        assert not rep.ok()
+        assert (1, 0) in rep.strict_violations and (2, 0) in rep.strict_violations
 
 
 @settings(max_examples=25)
@@ -416,6 +422,20 @@ def test_from_distances_checks_the_form_once(monkeypatch, p0data):
     with pytest.raises(dr.NotPositiveDefinite, match="reconstructed Gram form is not positive definite"):
         dr.from_distances([[0, 1, 1], [1, 0, 9], [1, 9, 0]])
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_commands_check_the_form_of_a_file_once(monkeypatch, tmp_path, capsys, command):
+    vertices, distances = tmp_path / "hc4.json", tmp_path / "hc4d.json"
+    assert cli.main(["family", "halfcube", "4", "--output", str(vertices)]) == 0
+    d = dr.distance_matrix(dr.half_cube(4), dr.canonical_gram("halfcube", 4))
+    distances.write_text(json.dumps({"dim": 4, "distances": [[str(x) for x in row] for row in d]}))
+    calls = count_calls(monkeypatch, exact, "is_positive_definite")
+    for path in (vertices, distances):
+        calls.clear()
+        assert cli.main([command, str(path), "--window", "0"]) == 0
+        assert len(calls) == 1, path.name
+    capsys.readouterr()
 
 
 def test_from_distances_then_distance_matrix_roundtrip(p0data):

@@ -283,6 +283,27 @@ def test_quadric_rank_matches_both_routes(seed, name, transform, relabel):
     assert dr.face_dimension(p) == expected
 
 
+@given(st.integers(0, 10_000), st.sampled_from(sorted(QUADRIC_BASES) + ["random", "half_integer"]),
+       st.booleans(), st.booleans(), st.sampled_from((0, 1, 2)))
+def test_rank_of_matches_the_input_coordinate_constraints(seed, name, transform, relabel, shift):
+    """rank_of ranks forms in the frame's affine coordinates, bspace_constraints in the input's: the same dimension."""
+    rng = random.Random(seed)
+    if name == "random":
+        p = random_polytope(rng)
+    elif name == "half_integer":
+        p = random_half_integer_polytope(rng)
+    else:
+        p = QUADRIC_BASES[name]
+    if transform:
+        p = dr.transform_basis(p, random_unimodular(p.dim, rng))
+    if relabel:
+        p = dr.from_coords(p.dim, rng.sample(p.vertices, p.nvertices))
+    if shift:  # an integer or a half-integer translation
+        p = dr.translate(p, [Fraction(rng.randrange(-5, 6), shift) for _ in range(p.dim)])
+    n = p.dim
+    assert dr.rank_of(p) == n * (n + 1) // 2 - exact.rank(dr.bspace_constraints(p))
+
+
 def test_is_extreme():
     assert dr.is_extreme(dr.simplex(1))
     assert not dr.is_extreme(dr.simplex(3))
