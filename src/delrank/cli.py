@@ -195,8 +195,6 @@ def _basicity_doc(cls: basis.BasicityClass) -> dict:
 
 
 def cmd_basicity(args) -> int:
-    if args.budget < 1:
-        raise UsageError("budget must be >= 1")
     loaded = load_polytope_file(args.file)
     cls = basis.classify_basicity(loaded.polytope, budget=args.budget)
     doc = {"command": "basicity", "input": loaded.digest, "budget": args.budget}
@@ -228,8 +226,6 @@ def _verify_doc(p: model.Polytope, gram, window: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.window < 0:
-        raise UsageError("window must be >= 0")
     loaded = load_polytope_file(args.file)
     if loaded.gram is None:
         raise InputError("verify needs a Gram form: add a gram field or supply distances")
@@ -256,10 +252,6 @@ def cmd_nrd(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.window < 0:
-        raise UsageError("window must be >= 0")
-    if args.budget < 1:
-        raise UsageError("budget must be >= 1")
     loaded = load_polytope_file(args.file)
     p = loaded.polytope
     cls = basis.classify_basicity(p, budget=args.budget)
@@ -345,6 +337,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "window", 0) < 0:
+            raise UsageError("window must be >= 0")
+        if getattr(args, "budget", 1) < 1:
+            raise UsageError("budget must be >= 1")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -41,10 +41,6 @@ class SumNotOne(DelrankError):
     """Coefficient vector of a representation must sum to one."""
 
 
-class NotUnimodular(DelrankError):
-    """Integer matrix with |det| != 1 where a lattice basis change is required."""
-
-
 class WrongSize(DelrankError):
     """Subset or vector has the wrong cardinality or length."""
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from . import exact
 # dependency_module is unused here; perfbench/test_perfbench.py checks that rank.dependency_module is it
 from .deps import dependency_module  # noqa: F401
-from .errors import DelrankError, InternalError, NotUnimodular, WrongSize
+from .errors import DelrankError, InternalError, WrongSize
 from .model import Polytope, _from_integers, circumcenter, is_centrally_symmetric
 
 
@@ -90,29 +89,6 @@ def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:
 def is_extreme(p: Polytope) -> bool:
     """Rank 1: the form is rigid up to scaling."""
     return rank_of(p) == 1
-
-
-def transform_basis(p: Polytope, u) -> Polytope:
-    """Apply an integer unimodular change of coordinates z -> U z."""
-    um, s = exact.over_common_denominator(u)
-    n = p.dim
-    if len(um) != n or any(len(row) != n for row in um):
-        raise WrongSize("matrix size does not match dimension")
-    if s != 1:
-        raise NotUnimodular("basis change must be integral")
-    if exact.covolume(um) != 1:
-        raise NotUnimodular("basis change must have determinant +-1")
-    return _from_integers(n, [[sum(map(mul, row, x)) for row in um] for x in p.numerators], p.denominator)
-
-
-def translate(p: Polytope, a, reflect: bool = False) -> Polytope:
-    """Map every vertex v to a + v, or to a - v when reflect is set."""
-    if len(a) != p.dim:
-        raise WrongSize("translation vector length does not match dimension")
-    (b,), s = exact.over_common_denominator([a])
-    k, sign = p.denominator, -1 if reflect else 1
-    # b / s + sign x / k = (k b + sign s x) / (k s)
-    return _from_integers(p.dim, [[k * t + sign * s * y for t, y in zip(b, x)] for x in p.numerators], k * s)
 
 
 def nrd(polytopes) -> int:

@@ -5,6 +5,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import delrank as dr
 from delrank import exact, model
@@ -574,25 +575,21 @@ def rref_from_distances(dm):
     return p, [[Fraction(x, 2 * t) for x in row] for row in sub]
 
 
-def fraction_transform_basis(p, u):
-    """transform_basis through the Fraction vertices and from_coords, with the library's checks of u."""
+def transform_basis(p, u):
+    """Apply an integer unimodular change of coordinates z -> U z."""
     um, s = exact.over_common_denominator(u)
-    n = p.dim
-    if len(um) != n or any(len(row) != n for row in um):
-        raise dr.WrongSize("matrix size does not match dimension")
-    if s != 1:
-        raise dr.NotUnimodular("basis change must be integral")
-    if exact.covolume(um) != 1:
-        raise dr.NotUnimodular("basis change must have determinant +-1")
-    return dr.from_coords(n, [[sum(um[i][k] * v[k] for k in range(n)) for i in range(n)] for v in p.vertices])
+    assert len(um) == p.dim and all(len(row) == p.dim for row in um), "matrix size does not match dimension"
+    assert s == 1 and exact.covolume(um) == 1, "basis change must be integral with determinant +-1"
+    return model._from_integers(p.dim, [[sum(map(mul, row, x)) for row in um] for x in p.numerators], p.denominator)
 
 
-def fraction_translate(p, a, reflect=False):
-    """translate through the Fraction vertices and from_coords."""
-    if len(a) != p.dim:
-        raise dr.WrongSize("translation vector length does not match dimension")
-    sign = -1 if reflect else 1
-    return dr.from_coords(p.dim, [[Fraction(t) + sign * x for t, x in zip(a, v)] for v in p.vertices])
+def translate(p, a, reflect=False):
+    """Map every vertex v to a + v, or to a - v when reflect is set."""
+    assert len(a) == p.dim, "translation vector length does not match dimension"
+    (b,), s = exact.over_common_denominator([a])
+    k, sign = p.denominator, -1 if reflect else 1
+    # b / s + sign x / k = (k b + sign s x) / (k s)
+    return model._from_integers(p.dim, [[k * t + sign * s * y for t, y in zip(b, x)] for x in p.numerators], k * s)
 
 
 def fraction_restricted_face_dimension(p, subset):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import delrank as dr
-from delrank import cli, deps, exact, model, rank
+from delrank import cli, deps, exact, hyp, model, rank
 from delrank.errors import DelrankError, InternalError
 from tests.helpers import count_calls, fraction_distance_matrix
 
@@ -108,12 +108,24 @@ def test_family_p0_is_distances_only(capsys):
         ["basicity", "x.json", "--budget", "0"],
         ["verify", "x.json", "--window", "-1"],
         ["report", "x.json", "--budget", "0"],
+        ["report", "x.json", "--window", "-1"],
+        ["basicity", "x.json", "--budget", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("argv", [["rank", "--method", "both"], ["report"]])
+def test_rank_methods_disagree_exits_three(argv, square_file, capsys, monkeypatch):
+    # CI sweeps both routes through `delrank rank --method both` and relies on this exit code
+    monkeypatch.setattr(hyp, "face_dimension", lambda p: rank.rank_of(p) + 1)
+    code, out, err = run([argv[0], square_file, *argv[1:]], capsys)
+    assert code == 3
+    assert json.loads(out)["methods_agree"] is False
+    assert err == "inconsistency: rank methods disagree\n"
 
 
 def test_argparse_errors_exit_one(capsys):

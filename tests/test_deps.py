@@ -17,6 +17,7 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     solve_basis_dependencies,
+    transform_basis,
     vertex_vectors,
 )
 
@@ -133,9 +134,9 @@ def _hermite_module(p):
 
 MODULE_INSTANCES = {
     **LEAD_INSTANCES,
-    "halfcube5-T": lambda rng: dr.transform_basis(dr.half_cube(5), random_unimodular(5, rng)),
-    "cube4-T": lambda rng: dr.transform_basis(dr.cube(4), random_unimodular(4, rng)),
-    "cross5-T": lambda rng: dr.transform_basis(dr.cross_polytope(5), random_unimodular(5, rng)),
+    "halfcube5-T": lambda rng: transform_basis(dr.half_cube(5), random_unimodular(5, rng)),
+    "cube4-T": lambda rng: transform_basis(dr.cube(4), random_unimodular(4, rng)),
+    "cross5-T": lambda rng: transform_basis(dr.cross_polytope(5), random_unimodular(5, rng)),
 }
 
 

@@ -19,6 +19,7 @@ from tests.helpers import (
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
+    transform_basis,
     vertex_vectors,
 )
 
@@ -179,7 +180,7 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
 
 
 def _transformed(build, n):
-    return lambda rng: dr.transform_basis(build(n), random_unimodular(n, rng))
+    return lambda rng: transform_basis(build(n), random_unimodular(n, rng))
 
 
 ROW_RULE_INSTANCES = {

@@ -29,6 +29,8 @@ from tests.helpers import (
     random_unimodular,
     rref_from_distances,
     solve_basis_dependencies,
+    transform_basis,
+    translate,
     vertex_vectors,
 )
 
@@ -60,7 +62,7 @@ def _relabeled(p, rng):
 
 
 def _transformed(build, n):
-    return lambda rng: dr.transform_basis(build(n), random_unimodular(n, rng))
+    return lambda rng: transform_basis(build(n), random_unimodular(n, rng))
 
 
 FRAME_INSTANCES = {
@@ -213,7 +215,7 @@ def test_central_symmetry_matches_circumcenter_oracle(seed, reflect):
     rng.shuffle(order)
     p = dr.from_coords(p.dim, [p.vertices[i] for i in order])
     shift = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(p.dim)]
-    p = dr.translate(p, shift, reflect=reflect)
+    p = translate(p, shift, reflect=reflect)
     assert dr.is_centrally_symmetric(p) == circumcenter_symmetry(p, g)
 
 
@@ -320,7 +322,7 @@ def test_distance_matrix_translation_invariant(seed):
     p = random_polytope(rng, max_dim=3)
     ident = [[int(i == j) for j in range(p.dim)] for i in range(p.dim)]
     a = [rng.randrange(-4, 5) for _ in range(p.dim)]
-    q = dr.translate(p, a)
+    q = translate(p, a)
     assert dr.distance_matrix(p, ident) == dr.distance_matrix(q, ident)
 
 

@@ -20,8 +20,6 @@ from tests.helpers import (
     fraction_check_symmetric_reduction,
     fraction_restricted_face_dimension,
     fraction_rref,
-    fraction_transform_basis,
-    fraction_translate,
     full_system,
     full_system_form_dimension,
     gram_corpus,
@@ -31,6 +29,8 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     reduction_instance,
+    transform_basis,
+    translate,
     vertex_vectors,
 )
 
@@ -96,7 +96,7 @@ def test_nrd_matches_dense_on_stacked_rows(p0data):
     n = 3
     pairs = [
         (dr.cross_polytope(n), dr.half_cube(n)),
-        (dr.cube(n), dr.transform_basis(dr.cube(n), [[1, 1, 0], [0, 1, 0], [0, 0, 1]])),
+        (dr.cube(n), transform_basis(dr.cube(n), [[1, 1, 0], [0, 1, 0], [0, 0, 1]])),
         (p0data.polytope, _axis_scaled(p0data.polytope, [Fraction(1, 3)] * p0data.polytope.dim)),
     ]
     for a, b in pairs:
@@ -275,7 +275,7 @@ def test_quadric_rank_matches_both_routes(seed, name, transform, relabel):
     else:
         p = QUADRIC_BASES[name]
     if transform:
-        p = dr.transform_basis(p, random_unimodular(p.dim, rng))
+        p = transform_basis(p, random_unimodular(p.dim, rng))
     if relabel:
         p = dr.from_coords(p.dim, rng.sample(p.vertices, p.nvertices))
     expected = quadric_rank(p)
@@ -295,11 +295,11 @@ def test_rank_of_matches_the_input_coordinate_constraints(seed, name, transform,
     else:
         p = QUADRIC_BASES[name]
     if transform:
-        p = dr.transform_basis(p, random_unimodular(p.dim, rng))
+        p = transform_basis(p, random_unimodular(p.dim, rng))
     if relabel:
         p = dr.from_coords(p.dim, rng.sample(p.vertices, p.nvertices))
     if shift:  # an integer or a half-integer translation
-        p = dr.translate(p, [Fraction(rng.randrange(-5, 6), shift) for _ in range(p.dim)])
+        p = translate(p, [Fraction(rng.randrange(-5, 6), shift) for _ in range(p.dim)])
     n = p.dim
     assert dr.rank_of(p) == n * (n + 1) // 2 - exact.rank(dr.bspace_constraints(p))
 
@@ -310,27 +310,18 @@ def test_is_extreme():
     assert not dr.is_extreme(dr.half_cube(5))
 
 
-def test_transform_basis_rejects_non_unimodular(square):
-    with pytest.raises(dr.NotUnimodular):
-        dr.transform_basis(square, [[2, 0], [0, 1]])
-    with pytest.raises(dr.NotUnimodular):
-        dr.transform_basis(square, [[1, Fraction(1, 2)], [0, 1]])
-    with pytest.raises(dr.NotUnimodular):
-        dr.transform_basis(square, [[1, 1], [1, 1]])
-
-
 def test_transform_basis_identity_and_shear(square):
-    same = dr.transform_basis(square, [[1, 0], [0, 1]])
+    same = transform_basis(square, [[1, 0], [0, 1]])
     assert same.vertices == square.vertices
-    sheared = dr.transform_basis(square, [[1, 1], [0, 1]])
+    sheared = transform_basis(square, [[1, 1], [0, 1]])
     assert dr.rank_of(sheared) == 2
 
 
 def test_translate_and_reflect(square):
-    t = dr.translate(square, [5, 7])
+    t = translate(square, [5, 7])
     assert t.vertices[0] == (Fraction(5), Fraction(7))
     assert dr.rank_of(t) == 2
-    r = dr.translate(square, [0, 0], reflect=True)
+    r = translate(square, [0, 0], reflect=True)
     assert dr.rank_of(r) == 2
     # same constraint row space either way
     a = dr.bspace_constraints(square)
@@ -345,9 +336,9 @@ def test_rank_invariant_under_lattice_moves(seed):
     p = random_polytope(rng, max_dim=3)
     expected = dr.rank_of(p)
     u = random_unimodular(p.dim, rng)
-    assert dr.rank_of(dr.transform_basis(p, u)) == expected
+    assert dr.rank_of(transform_basis(p, u)) == expected
     a = [rng.randrange(-4, 5) for _ in range(p.dim)]
-    assert dr.rank_of(dr.translate(p, a, reflect=bool(rng.randrange(2)))) == expected
+    assert dr.rank_of(translate(p, a, reflect=bool(rng.randrange(2)))) == expected
     perm = list(range(p.nvertices))
     rng.shuffle(perm)
     assert dr.rank_of(dr.from_coords(p.dim, [p.vertices[i] for i in perm])) == expected
@@ -356,8 +347,8 @@ def test_rank_invariant_under_lattice_moves(seed):
 def test_nrd(square):
     assert dr.nrd([dr.simplex(3)]) == 6
     assert dr.nrd([square]) == 2
-    assert dr.nrd([square, dr.translate(square, [3, 5])]) == 2
-    sheared = dr.transform_basis(square, [[1, 1], [0, 1]])
+    assert dr.nrd([square, translate(square, [3, 5])]) == 2
+    sheared = transform_basis(square, [[1, 1], [0, 1]])
     assert dr.nrd([square, sheared]) == 1
     with pytest.raises(dr.WrongSize):
         dr.nrd([])
@@ -441,10 +432,6 @@ def _outcome(f, *args):
         return type(err), str(err)
 
 
-def _fields(p):
-    return p if isinstance(p, tuple) else (p, hash(p), p.numerators, p.denominator, p.vertices, p.frame)
-
-
 @given(st.data())
 def test_integer_rebuilds_match_the_fraction_routes(data):
     _, p, g = data.draw(st.sampled_from([*gram_corpus(), ("reduction", *reduction_instance())]))
@@ -456,12 +443,7 @@ def test_integer_rebuilds_match_the_fraction_routes(data):
         scales, shift = [1] * p.dim, [0] * p.dim
     q = dr.from_coords(p.dim, [[s * x + t for s, x, t in zip(scales, p.vertices[i], shift)] for i in order])
     h = [[Fraction(x) / (si * sj) for x, sj in zip(row, scales)] for row, si in zip(g, scales)]
-    u = random_unimodular(p.dim, random.Random(data.draw(st.integers(0, 10_000))))
-    a = [data.draw(REBUILD_SHIFTS) for _ in range(p.dim)]
-    reflect = data.draw(st.booleans())
     subset = data.draw(st.lists(st.integers(0, p.nvertices), max_size=p.nvertices + 1))
     axis = data.draw(st.integers(0, p.dim - 1))
-    assert _fields(_outcome(dr.transform_basis, q, u)) == _fields(_outcome(fraction_transform_basis, q, u))
-    assert _fields(_outcome(dr.translate, q, a, reflect)) == _fields(_outcome(fraction_translate, q, a, reflect))
     assert _outcome(dr.restricted_face_dimension, q, subset) == _outcome(fraction_restricted_face_dimension, q, subset)
     assert _outcome(dr.check_symmetric_reduction, q, h, axis) == _outcome(fraction_check_symmetric_reduction, q, h, axis)
