@@ -55,36 +55,48 @@ def _int_rows(m) -> tuple[list[dict[int, int]], int]:
     return [{j: x for j, x in enumerate(row) if x} for row in a], len(a[0]) if a else 0
 
 
-def _step(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
-    """Row r with column c cancelled against pivot row p, divided by its content.
+def _step(r: dict[int, int], p: dict[int, int], c: int) -> None:
+    """Cancel column c of row r against pivot row p, in place.
 
     The two multipliers are divided by their gcd, so r is scaled only when
     the pivot's multiplier is not 1, and only by a positive factor when
-    p[c] > 0.  Neither input is modified.
+    p[c] > 0.  Entries are deleted as they reach zero.  A scaled row is
+    divided by its content; an unscaled one may keep a content, which the
+    callers divide out when they store it.  p is not modified.
     """
     a, b = r[c], p[c]
     g = gcd(a, b)
     a //= g
     b //= g
-    m = dict(r) if b == 1 else {k: b * v for k, v in r.items()}
-    get = m.get
+    if b != 1:
+        for k in r:
+            r[k] *= b
+    get = r.get
     for k, v in p.items():
-        m[k] = get(k, 0) - a * v
-    g = gcd(*m.values())
-    return {k: v // g for k, v in m.items() if v} if g > 1 else {k: v for k, v in m.items() if v}
+        x = get(k, 0) - a * v
+        if x:
+            r[k] = x
+        else:
+            del r[k]
+    if b != 1:
+        g = gcd(*r.values())
+        if g > 1:
+            for k in r:
+                r[k] //= g
 
 
 def _echelon(rows) -> dict[int, dict[int, int]]:
     """Fraction-free echelon form of integer {column: entry} rows: the primitive pivot rows by leading column.
 
-    Each incoming row is reduced by _step against the stored pivot row at
-    its leftmost column until it dies or starts a new pivot.  Every step is
-    a nonzero multiple of a rational Gauss step, so the pivot rows span the
-    row space of the input.  Input rows are never modified.
+    Each incoming row is copied, then reduced in place by _step against the
+    stored pivot row at its leftmost column until it dies or starts a new
+    pivot.  Every step is a nonzero multiple of a rational Gauss step, so
+    the pivot rows span the row space of the input.  Input rows are never
+    modified, and no pivot row is an input row.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = row if all(row.values()) else {c: v for c, v in row.items() if v}
+        r = dict(row) if all(row.values()) else {c: v for c, v in row.items() if v}
         while r:
             c = min(r)
             p = pivots.get(c)
@@ -92,7 +104,7 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
                 g = gcd(*r.values())
                 pivots[c] = {k: v // g for k, v in r.items()} if g > 1 else r
                 break
-            r = _step(r, p, c)
+            _step(r, p, c)
     return pivots
 
 
@@ -102,9 +114,9 @@ def rref(m) -> tuple[IntMat, list[int], int]:
     R holds the nonzero rows of the reduced echelon form times d, where
     d > 0 is the lcm of their pivots, so R[i][pivots[i]] == d and every
     entry is an integer.  The rows are brought to echelon form by
-    _echelon; then each pivot row, last first, is cleared at the later
-    pivots.  The nonzero rows of a reduced echelon form depend only on the
-    row space, so R and d are canonical.
+    _echelon; then each pivot row, last first, is cleared in place at the
+    later pivots and made primitive.  The nonzero rows of a reduced echelon
+    form depend only on the row space, so R and d are canonical.
     """
     rows, ncols = _int_rows(m)
     echelon = _echelon(rows)
@@ -113,8 +125,10 @@ def rref(m) -> tuple[IntMat, list[int], int]:
         r = echelon[pivots[i]]
         for c in pivots[i + 1:]:
             if c in r:
-                r = _step(r, echelon[c], c)
-        echelon[pivots[i]] = r
+                _step(r, echelon[c], c)
+        g = gcd(*r.values())
+        if g > 1:
+            echelon[pivots[i]] = {k: v // g for k, v in r.items()}
     d = lcm(*(echelon[c][c] for c in pivots))
     red = []
     for c in pivots:

@@ -8,11 +8,10 @@ from the supports of the paper's dependencies, p.frame.dependencies, the
 ones rank_of builds its form constraints from, and emits them in the order
 face_dimension eliminates them; exact.sparse_rank takes their rank by
 fraction-free integer elimination.
-face_system keeps row (y, u) only when u is a basis vertex or the leading
-vertex of y.  Each row it leaves out is in the span of the rows it keeps,
-or alone on a pair column, adding 1 to the rank, which face_dimension
-counts (the proofs are in face_system's docstring).  Pair indices follow
-vertex_pairs.
+face_system keeps row (y, u) only when u is in the support of y.  Each row
+it leaves out is in the span of the rows it keeps, or alone on a pair
+column, adding 1 to the rank, which face_dimension counts (the proofs are
+in face_system's docstring).  Pair indices follow vertex_pairs.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ..
     dropped, each vertex v read as the pair {u, v}, with pair indices in
     vertex_pairs order.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y)
     for the first vertex where y is nonzero.  Row (y, u) is kept only when
-    u is a basis vertex or u = lead(y): k*(dim + 2) rows for k dependencies.
+    u is in the support of y: sum_y |supp y| rows.
 
     Rule 1 leaves out (y, u) when u = lead(y') < lead(y) for another y'.
     Proof that this keeps the rank: take y, y' with l' = lead(y') < lead(y).
@@ -118,6 +117,13 @@ def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ..
     (y_a, b) and (y_b, a) touch the pair {a, b}, and rule 1 leaves out
     (y_b, a).  So (y_a, b) is alone on that column, with y_a(a) != 0, and
     the k*(k-1)/2 rows rule 2 leaves out add exactly k*(k-1)/2 to the rank.
+
+    Rule 3 leaves out (y_w, b) for w = lead(y_w) and b a basis vertex
+    outside supp(y_w).  Only rows (y, b) with w in supp(y), that is y = y_w,
+    and rows (y, w) touch the pair {w, b}, and rules 1 and 2 keep (y, w)
+    only for y = y_w, whose support misses b.  So (y_w, b) is alone on that
+    column, with y_w(w) != 0: the k*(dim + 1) - sum_y (|supp y| - 1) rows
+    rule 3 leaves out add exactly that many to the rank.
     The arguments need no unit pivots, no Z-basis and no vertex order.
 
     The rows come out in the order face_dimension eliminates them: from
@@ -132,13 +138,15 @@ def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ..
     """
     supports = p.frame.dependencies
     nv = p.nvertices
-    lead = {y[0][0]: yi for yi, y in enumerate(supports)}
-    every = range(len(supports))
+    holding = [[] for _ in range(nv)]
+    for yi, y in enumerate(supports):
+        for v, _ in y:
+            holding[v].append(yi)
     # vertex_pairs puts {i, j}, i < j, at i*(2nv - i - 1)/2 + j - i - 1 = start[i] + j: no nv x nv table
     start = [i * (2 * nv - i - 3) // 2 - 1 for i in range(nv)]
     rows = []
     for u in range(nv - 1, -1, -1):
-        for yi in (lead[u],) if u in lead else every:
+        for yi in holding[u]:
             rows.append(((yi, u), {start[v] + u if v < u else start[u] + v: c for v, c in supports[yi] if v != u}))
     return tuple(rows)
 
@@ -147,12 +155,15 @@ def face_dimension(p: Polytope) -> int:
     """Dimension of the solution space of the pair system S(P).
 
     Equals nv*(nv-1)/2 minus the exact.sparse_rank of the face_system rows,
-    eliminated in their order, and minus k*(k-1)/2 for the k dependencies,
-    the rank of the rows its rule 2 leaves out.  For a simplex the system is
-    empty and the value is dim*(dim+1)/2.
+    eliminated in their order, and minus the rank of the rows its rules 2
+    and 3 leave out: k*(k-1)/2 + k*(dim + 1) - sum_y (|supp y| - 1) for the
+    k dependencies.  For a simplex the system is empty and the value is
+    dim*(dim+1)/2.
     """
-    nv, k = p.nvertices, len(p.frame.dependencies)
-    return nv * (nv - 1) // 2 - k * (k - 1) // 2 - exact.sparse_rank([row for _, row in face_system(p)])
+    supports = p.frame.dependencies
+    nv, k = p.nvertices, len(supports)
+    alone = k * (k - 1) // 2 + k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
+    return nv * (nv - 1) // 2 - alone - exact.sparse_rank([row for _, row in face_system(p)])
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

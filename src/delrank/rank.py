@@ -59,12 +59,19 @@ def rank_of(p: Polytope) -> int:
     sum_v y(v) v^T B v = sum_v y(v) l(v)^T (U^T B U) l(v), and B -> U^T B U
     is a bijection of the symmetric forms.  Vertex w outside the basis,
     with numerators a over the frame's denominator d, gives d times its
-    constraint: a_i^2 - d a_i on the diagonal and 2 a_i a_j off it.
+    constraint: a_i^2 - d a_i on the diagonal and 2 a_i a_j off it, kept
+    as a {column: entry} row of its nonzeros for exact.sparse_rank.
     """
     n, d = p.dim, p.frame.denominator
-    cols = sym_columns(n)
-    rows = [[a[i] * (a[i] - d) if i == j else 2 * a[i] * a[j] for i, j in cols] for _, a in p.frame.coordinates]
-    return n * (n + 1) // 2 - exact.rank(rows)
+    # sym_columns puts (i, j), i <= j, at i*(2n - i + 1)/2 + j - i = start[i] + j
+    start = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    rows = []
+    for _, a in p.frame.coordinates:
+        nz = [i for i in range(n) if a[i]]
+        row = {start[i] + j: 2 * a[i] * a[j] for i in nz for j in nz if i < j}
+        row.update((start[i] + i, a[i] * (a[i] - d)) for i in nz if a[i] != d)
+        rows.append(row)
+    return n * (n + 1) // 2 - exact.sparse_rank(rows)
 
 
 def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:

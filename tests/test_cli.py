@@ -569,10 +569,12 @@ def test_rank_both_reduces_the_lifted_vertices_once(tmp_path, capsys, monkeypatc
     assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
     lifted = count_calls(monkeypatch, model, "_lifted")
     ranks = count_calls(monkeypatch, exact, "rank")
+    sparse = count_calls(monkeypatch, exact, "sparse_rank")
     code, out, err = run(["rank", target, "--method", "both"], capsys)
     assert code == 0
     assert json.loads(out)["methods_agree"] is True
-    assert (len(lifted), len(ranks)) == (1, 1)
+    # the frame's rref reduces the lifted vertices; both routes then rank sparse rows
+    assert (len(lifted), len(sparse), len(ranks)) == (1, 2, 0)
 
 
 def test_report_reduces_the_lifted_vertices_once_plus_once_per_tested_subset(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name, argv", [("p0_report", [])])
+@pytest.mark.parametrize("name, argv", [
+    ("p0_report", []),
+    ("bench_pairs", [str(ROOT), str(ROOT), "--workload", "smoke", "--pairs", "1", "--seconds", "0"]),
+])
 def test_script_exits_zero(name, argv, capsys):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
@@ -357,9 +357,26 @@ def test_sparse_rank_matches_dense_on_scaled_dependent_rows(m, data):
     assert dict_sparse_rank(rows) == expected
 
 
-@given(int_matrices())
-def test_sparse_rank_leaves_rows_unchanged(m):
-    rows = [{j: v for j, v in enumerate(row) if v or j % 2} for row in m]
-    before = copy.deepcopy(rows)
-    exact.sparse_rank(rows)
-    assert rows == before
+@given(int_matrices(max_rows=5, max_cols=5), st.data())
+@example([[1, 2], [3, 4]], None)
+def test_kernel_leaves_its_inputs_unchanged_and_shares_no_row(m, data):
+    # the first nonzero row pivots without a step, and a primitive row without zeros could be stored as it is
+    dicts = [{j: v for j, v in enumerate(row) if v} for row in m]
+    zeros = [{j: v for j, v in enumerate(row) if v or j % 2} for row in m]
+    if data is not None:
+        dicts = data.draw(st.permutations(dicts))
+    gram = mat_mul(transpose(m), m)
+    inputs = (m, dicts, zeros, gram)
+    before = copy.deepcopy(inputs)
+    exact.rank(m)
+    exact.rref(m)
+    exact.is_positive_definite(gram)
+    for rows in (dicts, zeros):
+        exact.sparse_rank(rows)
+        pivots = exact._echelon(rows)
+        assert not any(p is row for p in pivots.values() for row in rows)
+    # the reduction in place also leaves the stored pivots alone: a second pass over them keeps them
+    pivots = exact._echelon(dicts)
+    again = copy.deepcopy(pivots)
+    assert exact._echelon(list(pivots.values())) == again and pivots == again
+    assert inputs == before

@@ -116,6 +116,25 @@ def test_face_dimension_known_values(square):
     assert dr.face_dimension(dr.half_cube(4)) == 7
 
 
+def _kept(p):
+    """The number of face_system rows: one per dependency and vertex of its support."""
+    return sum(len(y) for y in p.frame.dependencies)
+
+
+def _alone(p):
+    """The rank of the rows rules 2 and 3 leave out: k(k-1)/2 + k(dim+1) - sum_y (|supp y| - 1)."""
+    supports = p.frame.dependencies
+    k = len(supports)
+    return k * (k - 1) // 2 + k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
+
+
+def test_face_system_row_counts_on_the_benchmark_polytopes():
+    # the canonical rank-large inputs: rule 3 takes half_cube(7) from 504 rows to 362 and cube(6) from 456 to 300
+    for p, rows, dimension in ((dr.half_cube(7), 362, 7), (dr.cube(6), 300, 6)):
+        assert len(dr.face_system(p)) == _kept(p) == rows
+        assert dr.face_dimension(p) == dimension
+
+
 def test_structured_rows_match_dense_rank():
     """The sparse face_system rows must have the same rank as the dense system."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
@@ -123,9 +142,8 @@ def test_structured_rows_match_dense_rank():
         dense_rank = len(fraction_rref(dense_face_rows(p.nvertices, rows))[1])
         assert exact.sparse_rank([row for _, row in rows]) == dense_rank
         npairs = p.nvertices * (p.nvertices - 1) // 2
-        k = len(p.frame.dependencies)
-        assert len(rows) == k * (p.dim + 2)
-        assert dr.face_dimension(p) == npairs - k * (k - 1) // 2 - dense_rank
+        assert len(rows) == _kept(p)
+        assert dr.face_dimension(p) == npairs - _alone(p) - dense_rank
 
 
 def test_face_dimension_structured_path_agrees_small():
@@ -174,9 +192,8 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     drawn = rng.sample(dependency_major, len(dependency_major))
     for rows in (dependency_major, probe_descending, drawn):
         assert exact.sparse_rank(rows) == expected
-    k = len(q.frame.dependencies)
-    assert len(labelled) == k * (q.dim + 2)
-    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - k * (k - 1) // 2 - expected
+    assert len(labelled) == _kept(q)
+    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - _alone(q) - expected
 
 
 def _transformed(build, n):
@@ -205,18 +222,17 @@ def test_face_system_drops_only_redundant_rows(seed, name):
     full = all_face_rows(p, vertex_vectors(p, p.frame.dependencies))
     k, nv = len(p.frame.dependencies), p.nvertices
     assert len(full) == k * nv
-    assert len(rows) == k * (p.dim + 2)
+    assert len(rows) == _kept(p)
     oracle = dict(full)
     assert all(oracle[label] == row for label, row in rows)
     # the full system over the Hermite module, a dependency family face_system does not build
     module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
-    assert module_rank == exact.sparse_rank([row for _, row in rows]) + k * (k - 1) // 2
+    assert module_rank == exact.sparse_rank([row for _, row in rows]) + _alone(p)
     assert dr.face_dimension(p) == nv * (nv - 1) // 2 - module_rank
 
 
-@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
-def test_each_row_dropped_for_its_lead_is_alone_on_its_column(seed, name):
-    """Rows (y, u) with u outside the basis and above lead(y) are the only rows of the rule-1 system on {lead(y), u}."""
+def _dropped_rows(seed, name):
+    """A drawn, relabeled instance; its supports; its rule-1 system; and the rule-1 rows face_system leaves out."""
     rng = random.Random(seed)
     p = ROW_RULE_INSTANCES[name](rng)
     verts = list(p.vertices)
@@ -226,17 +242,45 @@ def test_each_row_dropped_for_its_lead_is_alone_on_its_column(seed, name):
     leads = [y[0][0] for y in supports]
     # the rule-1 system: every row but (y, u) with u the lead of another dependency and below lead(y)
     rule1 = [(label, row) for label, row in all_face_rows(p, vertex_vectors(p, supports))
-           if not (label[1] in leads and label[1] < leads[label[0]])]
+             if not (label[1] in leads and label[1] < leads[label[0]])]
     kept = {label for label, _ in dr.face_system(p)}
-    pairs = {pair: k for k, pair in enumerate(dr.vertex_pairs(p.nvertices))}
     dropped = [(label, row) for label, row in rule1 if label not in kept]
+    assert len(rule1) == len(kept) + len(dropped)
+    return p, supports, rule1, dropped
+
+
+def _alone_on_lead_pair(p, supports, system, rows):
+    """Each row (y, u) is the only row of system on the pair {lead(y), u}, with coefficient y(lead(y))."""
+    pairs = {pair: k for k, pair in enumerate(dr.vertex_pairs(p.nvertices))}
+    for (yi, u), row in rows:
+        lead, coefficient = supports[yi][0]
+        column = pairs[min(lead, u), max(lead, u)]
+        assert row[column] == coefficient != 0
+        assert [label for label, other in system if column in other] == [(yi, u)]
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
+def test_each_row_dropped_for_its_lead_is_alone_on_its_column(seed, name):
+    """Rows (y, u) with u outside the basis and above lead(y) are the only rows of the rule-1 system on {lead(y), u}."""
+    p, supports, rule1, dropped = _dropped_rows(seed, name)
+    leads = [y[0][0] for y in supports]
+    rule2 = [(label, row) for label, row in dropped if label[1] not in p.frame.basis]
     k = len(supports)
-    assert len(rule1) == len(kept) + len(dropped) and len(dropped) == k * (k - 1) // 2
-    for (yi, u), row in dropped:
-        assert u in leads and u > leads[yi]
-        column = pairs[leads[yi], u]
-        assert row[column] == supports[yi][0][1] != 0
-        assert [label for label, other in rule1 if column in other] == [(yi, u)]
+    assert len(rule2) == k * (k - 1) // 2
+    assert all(u in leads and u > leads[yi] for (yi, u), _ in rule2)
+    _alone_on_lead_pair(p, supports, rule1, rule2)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
+def test_each_row_dropped_outside_its_support_is_alone_on_its_column(seed, name):
+    """Rows (y, b) with b a basis vertex outside supp(y) are the only rows on {lead(y), b} once rule 2 has run."""
+    p, supports, rule1, dropped = _dropped_rows(seed, name)
+    rule3 = [(label, row) for label, row in dropped if label[1] in p.frame.basis]
+    rule2 = {label for label, _ in dropped if label[1] not in p.frame.basis}
+    k = len(supports)
+    assert len(rule3) == k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
+    assert all(b not in dict(supports[yi]) for (yi, b), _ in rule3)
+    _alone_on_lead_pair(p, supports, [(label, row) for label, row in rule1 if label not in rule2], rule3)
 
 
 def test_face_rows_vanish_on_family_distances():
