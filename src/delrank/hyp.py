@@ -1,17 +1,17 @@
 """Hypermetric evaluation and the distance-space dimension oracle.
 
 The central object is the linear system S(P) on unordered vertex pairs:
-for every dependency y and every probe vertex u it has the equation
-row(y, u): sum_v y(v) d(u, v) = 0.  The dimension of its solution space is
-a second route to the rank of the polytope.  face_system builds the rows
-from the supports of the paper's dependencies, p.frame.dependencies, the
-ones rank_of builds its form constraints from, and emits them in the order
-face_dimension eliminates them; exact.sparse_rank takes their rank by
-fraction-free integer elimination.
-face_system keeps row (y, u) only when u is in the support of y.  Each row
-it leaves out is in the span of the rows it keeps, or alone on a pair
-column, adding 1 to the rank, which face_dimension counts (the proofs are
-in face_system's docstring).  Pair indices follow vertex_pairs.
+for every affine dependency y and every probe vertex u it has the equation
+sum_v y(v) d(u, v) = 0.  The dimension of its solution space is a second
+route to the rank of the polytope.  Its solutions are fixed by their values
+on the pairs of one affine basis, so face_system builds one row per
+dependency of p.frame.dependencies over those dim*(dim + 1)/2 basis pairs,
+and exact.sparse_rank takes their rank by fraction-free integer elimination
+(the proof is in face_system's docstring).  rank_of ranks one row per
+dependency over the same number of form entries; in the frame's
+coordinates the two row formulas are related by d_ij = G_ii + G_jj - 2 G_ij,
+so the cross-check guards the two row builders, while both routes share
+the frame and the kernel.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from fractions import Fraction
 from . import exact
 from .errors import SumNotOne, WrongSize
 from .model import Polytope, _distance_matrix, _from_integers, _validate_distance_matrix, circumcenter
-
-
-def vertex_pairs(nv: int) -> list[tuple[int, int]]:
-    """The unordered vertex pairs (i, j), i < j, in lex order: the columns of the pair system."""
-    return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -90,80 +85,54 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
     )
 
 
-def face_system(p: Polytope) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
-    """Rows ((y, u), {pair index: coefficient}) of S(P) that face_dimension eliminates.
+def face_system(p: Polytope) -> tuple[tuple[int, dict[int, int]], ...]:
+    """Rows (y, {basis pair index: coefficient}) that face_dimension ranks, one per dependency.
 
     y indexes the dependencies of the polytope's frame (p.frame), the
-    paper's dependencies over the last affine basis, so each leads at its
-    own vertex; u is the probe vertex.  Row (y, u) holds y's support with u
-    dropped, each vertex v read as the pair {u, v}, with pair indices in
-    vertex_pairs order.  Write row(y, u) for sum_v y(v) d{u, v} and lead(y)
-    for the first vertex where y is nonzero.  Row (y, u) is kept only when
-    u is in the support of y: sum_y |supp y| rows.
+    paper's dependencies over the last affine basis: y_w holds the vertex
+    w outside the basis and the basis vertices B_w where it is nonzero.
+    Row y_w is sum_{b < b'} y_w(b) y_w(b') d{b, b'} over the pairs in B_w.
+    The columns are the dim*(dim + 1)/2 pairs of basis positions, in lex
+    order.
 
-    Rule 1 leaves out (y, u) when u = lead(y') < lead(y) for another y'.
-    Proof that this keeps the rank: take y, y' with l' = lead(y') < lead(y).
-
-    - sum_x y(x) row(y', x) and sum_x y'(x) row(y, x) are both
-      sum_{a != b} y(a) y'(b) d{a, b}, so they are the same linear form.
-    - The left side only uses probes above l', since y is zero at l' and
-      below it; the right side is y'(l') row(y, l') plus probes above l'.
-    - So y'(l') row(y, l') is a combination of rows at higher probes, and
-      y'(l') != 0.
-    - By descending induction on the probe, the kept rows span every row.
-
-    Rule 2 leaves out (y_a, b) for a = lead(y_a) < b outside the basis.
-    Each support holds one vertex outside the basis, its lead, so only
-    (y_a, b) and (y_b, a) touch the pair {a, b}, and rule 1 leaves out
-    (y_b, a).  So (y_a, b) is alone on that column, with y_a(a) != 0, and
-    the k*(k-1)/2 rows rule 2 leaves out add exactly k*(k-1)/2 to the rank.
-
-    Rule 3 leaves out (y_w, b) for w = lead(y_w) and b a basis vertex
-    outside supp(y_w).  Only rows (y, b) with w in supp(y), that is y = y_w,
-    and rows (y, w) touch the pair {w, b}, and rules 1 and 2 keep (y, w)
-    only for y = y_w, whose support misses b.  So (y_w, b) is alone on that
-    column, with y_w(w) != 0: the k*(dim + 1) - sum_y (|supp y| - 1) rows
-    rule 3 leaves out add exactly that many to the rank.
-    The arguments need no unit pivots, no Z-basis and no vertex order.
-
-    The rows come out in the order face_dimension eliminates them: from
-    the last probe down, in dependency order within each probe.  Row
-    (y, u) lives on the pairs that contain u.  Of these, the pairs (v, u)
-    with v < u are new to the elimination when the probes come from the
-    last one down, and in lex column order they precede the pairs (u, w)
-    that higher probes already pivoted on.  So a row pivots on a fresh
-    pair at the leading vertex of y, and each dependency leads at its own
-    vertex.  This keeps fill and entry growth far below the
-    dependency-major order of rows.
+    Proof that it is the pair system.  S(P) has the row
+    sum_v y(v) d{u, v} for every affine dependency y and probe vertex u,
+    on the unknowns d over the unordered vertex pairs, with d(u, u) = 0.
+    A solution makes v -> d(u, v) vanish on every affine dependency, so it
+    is the restriction of an affine function, for every u.  With l_b the
+    barycentric coordinates over the basis, d is then the restriction of
+    the symmetric biaffine F(x, z) = sum_{b, b'} l_b(x) l_b'(z) d(b, b'),
+    and any values on the basis pairs give such an F.  So restricting d to
+    the basis pairs is a bijection from the solutions onto the values for
+    which F(w, w) = 0 at every vertex w outside the basis.  Since
+    l_b(w) = -y_w(b) / y_w(w), F(w, w) is 2 / y_w(w)^2 times row y_w.
+    Hence the solution space has dimension dim*(dim + 1)/2 minus the rank
+    of these k rows.  The argument needs no unit pivots, no Z-basis and no
+    vertex order.  In the rows themselves, with row(y, u) for
+    sum_v y(v) d{u, v}: y_w(w) row(y_w, w) - sum_b y_w(b) row(y_w, b) is
+    -2 times row y_w.
     """
-    supports = p.frame.dependencies
-    nv = p.nvertices
-    holding = [[] for _ in range(nv)]
-    for yi, y in enumerate(supports):
-        for v, _ in y:
-            holding[v].append(yi)
-    # vertex_pairs puts {i, j}, i < j, at i*(2nv - i - 1)/2 + j - i - 1 = start[i] + j: no nv x nv table
-    start = [i * (2 * nv - i - 3) // 2 - 1 for i in range(nv)]
+    basis = p.frame.basis
+    m = len(basis)
+    position = {b: i for i, b in enumerate(basis)}
+    # basis pair {i, j}, i < j, is at i*(2m - i - 1)/2 + j - i - 1 = start[i] + j
+    start = [i * (2 * m - i - 3) // 2 - 1 for i in range(m)]
     rows = []
-    for u in range(nv - 1, -1, -1):
-        for yi in holding[u]:
-            rows.append(((yi, u), {start[v] + u if v < u else start[u] + v: c for v, c in supports[yi] if v != u}))
+    for yi, (_, *on_basis) in enumerate(p.frame.dependencies):
+        terms = [(position[b], c) for b, c in on_basis]
+        rows.append((yi, {start[i] + j: c * e for k, (i, c) in enumerate(terms) for j, e in terms[k + 1:]}))
     return tuple(rows)
 
 
 def face_dimension(p: Polytope) -> int:
     """Dimension of the solution space of the pair system S(P).
 
-    Equals nv*(nv-1)/2 minus the exact.sparse_rank of the face_system rows,
-    eliminated in their order, and minus the rank of the rows its rules 2
-    and 3 leave out: k*(k-1)/2 + k*(dim + 1) - sum_y (|supp y| - 1) for the
-    k dependencies.  For a simplex the system is empty and the value is
-    dim*(dim+1)/2.
+    Equals dim*(dim + 1)/2 minus the exact.sparse_rank of the face_system
+    rows (the proof is in face_system's docstring).  For a simplex there
+    are no rows and the value is dim*(dim + 1)/2.
     """
-    supports = p.frame.dependencies
-    nv, k = p.nvertices, len(supports)
-    alone = k * (k - 1) // 2 + k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
-    return nv * (nv - 1) // 2 - alone - exact.sparse_rank([row for _, row in face_system(p)])
+    n = p.dim
+    return n * (n + 1) // 2 - exact.sparse_rank([row for _, row in face_system(p)])
 
 
 def restricted_face_dimension(p: Polytope, subset) -> int:

@@ -195,11 +195,16 @@ def vertex_vectors(p, supports):
     return tuple(out)
 
 
-def dense_face_rows(nv, rows):
-    """Labelled face_system rows on nv vertices as dense Fraction vectors over the vertex pairs."""
+def vertex_pairs(nv):
+    """The unordered vertex pairs (i, j), i < j, in lex order: the columns of the full pair system."""
+    return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+
+
+def dense_face_rows(p, rows):
+    """Labelled face_system rows of p as dense Fraction vectors over its dim(dim+1)/2 basis pairs."""
     out = []
     for _, row in rows:
-        vec = [Fraction(0)] * (nv * (nv - 1) // 2)
+        vec = [Fraction(0)] * (p.dim * (p.dim + 1) // 2)
         for c, v in row.items():
             vec[c] = Fraction(v)
         out.append(vec)
@@ -208,7 +213,7 @@ def dense_face_rows(nv, rows):
 
 def all_face_rows(p, vectors):
     """Every pair-system row ((dependency index, probe), {pair index: coefficient}), one per given dependency vector and probe vertex."""
-    pairs = dr.vertex_pairs(p.nvertices)
+    pairs = vertex_pairs(p.nvertices)
     index = {pair: k for k, pair in enumerate(pairs)}
     rows = []
     for yi, y in enumerate(vectors):

@@ -1,5 +1,6 @@
 """Hypermetric forms and the pair-system route to the rank."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact
+from delrank import exact, hyp
 from tests.helpers import (
     all_face_rows,
     count_calls,
@@ -20,6 +21,7 @@ from tests.helpers import (
     random_polytope,
     random_unimodular,
     transform_basis,
+    vertex_pairs,
     vertex_vectors,
 )
 
@@ -27,8 +29,8 @@ IDENT2 = [[1, 0], [0, 1]]
 
 
 def test_vertex_pairs():
-    assert dr.vertex_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert dr.vertex_pairs(2) == [(0, 1)]
+    assert vertex_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert vertex_pairs(2) == [(0, 1)]
 
 
 def test_eval_hypermetric_square(square):
@@ -84,17 +86,12 @@ def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
 
 def test_face_system_square(square):
     rows = dr.face_system(square)
-    assert len(rows) == 4
-    assert len(dr.vertex_pairs(square.nvertices)) == 6
-    dense = dense_face_rows(square.nvertices, rows)
-    assert exact.rank(dense) == 4
-    assert [label for label, _ in rows] == [(0, 3), (0, 2), (0, 1), (0, 0)]
-    full = dict(all_face_rows(square, vertex_vectors(square, square.frame.dependencies)))
-    assert all(full[label] == row for label, row in rows)
-    # row for probe u=0 with y=(1,-1,-1,1): -d(0,1) - d(0,2) + d(0,3)
-    (yi, u), row = rows[-1]
-    assert (yi, u) == (0, 0)
-    assert row == {0: -1, 1: -1, 2: 1}
+    # the one dependency y = (1, -1, -1, 1) leads at 0 over the basis 1, 2, 3
+    assert square.frame.basis == (1, 2, 3)
+    assert square.frame.dependencies == (((0, 1), (1, -1), (2, -1), (3, 1)),)
+    # y(1) y(2) d{1, 2} + y(1) y(3) d{1, 3} + y(2) y(3) d{2, 3} over the basis pairs in lex order
+    assert rows == ((0, {0: 1, 1: -1, 2: -1}),)
+    assert exact.rank(dense_face_rows(square, rows)) == 1
 
 
 def test_face_system_records_its_module_and_dimension(square):
@@ -103,9 +100,18 @@ def test_face_system_records_its_module_and_dimension(square):
         ys = vertex_vectors(p, p.frame.dependencies)
         module = list(dr.dependency_module(p))
         assert exact.rank(list(ys) + module) == exact.rank(module) == len(module)
-        assert {yi for (yi, _), _ in rows} == set(range(len(ys)))
+        assert [yi for yi, _ in rows] == list(range(len(ys)))
         nv = p.nvertices
         assert dr.face_dimension(p) == nv * (nv - 1) // 2 - dict_sparse_rank([row for _, row in all_face_rows(p, ys)])
+
+
+def test_face_dimension_ranks_face_system_through_the_module_attribute(monkeypatch):
+    """The benchmark traces hyp.face_system and exact.sparse_rank by replacing the module attributes."""
+    systems = count_calls(monkeypatch, hyp, "face_system")
+    ranks = count_calls(monkeypatch, exact, "sparse_rank")
+    assert dr.face_dimension(dr.half_cube(5)) == 5
+    assert len(systems) == 1
+    assert len(ranks) == 1 and type(ranks[0][0]) is list
 
 
 def test_face_dimension_known_values(square):
@@ -116,22 +122,12 @@ def test_face_dimension_known_values(square):
     assert dr.face_dimension(dr.half_cube(4)) == 7
 
 
-def _kept(p):
-    """The number of face_system rows: one per dependency and vertex of its support."""
-    return sum(len(y) for y in p.frame.dependencies)
-
-
-def _alone(p):
-    """The rank of the rows rules 2 and 3 leave out: k(k-1)/2 + k(dim+1) - sum_y (|supp y| - 1)."""
-    supports = p.frame.dependencies
-    k = len(supports)
-    return k * (k - 1) // 2 + k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
-
-
 def test_face_system_row_counts_on_the_benchmark_polytopes():
-    # the canonical rank-large inputs: rule 3 takes half_cube(7) from 504 rows to 362 and cube(6) from 456 to 300
-    for p, rows, dimension in ((dr.half_cube(7), 362, 7), (dr.cube(6), 300, 6)):
-        assert len(dr.face_system(p)) == _kept(p) == rows
+    # the canonical rank-large inputs: one row per dependency over the dim(dim+1)/2 basis pairs
+    for p, rows, dimension in ((dr.half_cube(7), 56, 7), (dr.cube(6), 57, 6)):
+        system = dr.face_system(p)
+        assert len(system) == len(p.frame.dependencies) == p.nvertices - p.dim - 1 == rows
+        assert max(c for _, row in system for c in row) < p.dim * (p.dim + 1) // 2
         assert dr.face_dimension(p) == dimension
 
 
@@ -139,18 +135,16 @@ def test_structured_rows_match_dense_rank():
     """The sparse face_system rows must have the same rank as the dense system."""
     for p in (dr.cross_polytope(4), dr.half_cube(4), dr.half_cube(5), dr.cube(3)):
         rows = dr.face_system(p)
-        dense_rank = len(fraction_rref(dense_face_rows(p.nvertices, rows))[1])
+        dense_rank = len(fraction_rref(dense_face_rows(p, rows))[1])
         assert exact.sparse_rank([row for _, row in rows]) == dense_rank
-        npairs = p.nvertices * (p.nvertices - 1) // 2
-        assert len(rows) == _kept(p)
-        assert dr.face_dimension(p) == npairs - _alone(p) - dense_rank
+        assert dr.face_dimension(p) == p.dim * (p.dim + 1) // 2 - dense_rank
 
 
 def test_face_dimension_structured_path_agrees_small():
     # a 32-vertex instance, larger than the small cases above
     p = dr.half_cube(6)
     npairs = p.nvertices * (p.nvertices - 1) // 2
-    # the full (y, u) system, not face_system's pruned rows; the Fraction
+    # the full (y, u) system, not face_system's rows; the Fraction
     # oracle is too slow on its 800 rows, the plain dict loop is independent too
     oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
     assert dr.face_dimension(p) == npairs - oracle_rank
@@ -183,24 +177,20 @@ def test_face_rank_does_not_depend_on_row_order(seed, make):
     rng.shuffle(verts)
     q = dr.from_coords(p.dim, verts)
     labelled = dr.face_system(q)
-    nv = q.nvertices
-    expected = len(fraction_rref(dense_face_rows(nv, labelled))[1])
-    # face_system emits the rows in elimination order: descending probe, dependency order within it
-    assert list(labelled) == sorted(labelled, key=lambda r: (-r[0][1], r[0][0]))
-    dependency_major = [row for _, row in sorted(labelled, key=lambda r: r[0])]
-    probe_descending = [row for _, row in labelled]
-    drawn = rng.sample(dependency_major, len(dependency_major))
-    for rows in (dependency_major, probe_descending, drawn):
-        assert exact.sparse_rank(rows) == expected
-    assert len(labelled) == _kept(q)
-    assert dr.face_dimension(q) == nv * (nv - 1) // 2 - _alone(q) - expected
+    expected = len(fraction_rref(dense_face_rows(q, labelled))[1])
+    # face_system emits one row per dependency, in dependency order
+    assert [yi for yi, _ in labelled] == list(range(len(q.frame.dependencies)))
+    rows = [row for _, row in labelled]
+    for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+        assert exact.sparse_rank(order) == expected
+    assert dr.face_dimension(q) == q.dim * (q.dim + 1) // 2 - expected
 
 
 def _transformed(build, n):
     return lambda rng: transform_basis(build(n), random_unimodular(n, rng))
 
 
-ROW_RULE_INSTANCES = {
+PAIR_SYSTEM_INSTANCES = {
     "random": random_polytope,
     "half_integer": random_half_integer_polytope,
     "halfcube5": _transformed(dr.half_cube, 5),
@@ -210,86 +200,79 @@ ROW_RULE_INSTANCES = {
 }
 
 
-@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
+def _full_rank(p):
+    """The rank of every (y, u) row over the saturated dependency module, by the plain dict loop."""
+    return dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
+
+
+def _relabeled(p, rng):
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    return dr.from_coords(p.dim, verts)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(PAIR_SYSTEM_INSTANCES)))
+def test_face_dimension_matches_the_full_pair_system(seed, name):
+    """face_dimension is the solution dimension of every (y, u) row over the saturated dependency module."""
+    rng = random.Random(seed)
+    p = _relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
+    nv = p.nvertices
+    assert dr.face_dimension(p) == nv * (nv - 1) // 2 - _full_rank(p)
+    # with one vertex left out, when the rest still spans the dimension
+    keep = sorted(rng.sample(range(nv), nv - 1))
+    try:
+        sub = dr.from_coords(p.dim, [p.vertices[i] for i in keep])
+    except dr.DelrankError:
+        return
+    assert dr.restricted_face_dimension(p, keep) == (nv - 1) * (nv - 2) // 2 - _full_rank(sub)
+
+
+def test_face_dimension_of_p0_matches_the_full_pair_system():
+    p = dr.p0().polytope
+    assert dr.face_dimension(p) == 77 == 14 * 13 // 2 - _full_rank(p)
+    # leaving out a vertex of the one dependency's support leaves a simplex: no rows at all
+    keep = [v for v in range(p.nvertices) if v != p.frame.dependencies[0][0][0]]
+    sub = dr.from_coords(p.dim, [p.vertices[i] for i in keep])
+    assert dr.restricted_face_dimension(p, keep) == 78 == 13 * 12 // 2 - _full_rank(sub)
+
+
+def _spread(p, row):
+    """A face_system row moved from the basis-pair columns onto the vertex-pair columns of the full system."""
+    index = {pair: k for k, pair in enumerate(vertex_pairs(p.nvertices))}
+    return {index[pair]: row[k] for k, pair in enumerate(itertools.combinations(p.frame.basis, 2)) if k in row}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(PAIR_SYSTEM_INSTANCES)))
 def test_face_system_drops_only_redundant_rows(seed, name):
-    """The rows face_system leaves out never change the rank of the full (y, u) system."""
+    """Row y_w is -1/2 times y_w(w) row(y_w, w) - sum_b y_w(b) row(y_w, b); the other rows add one to the rank per pair off the basis."""
     rng = random.Random(seed)
-    p = ROW_RULE_INSTANCES[name](rng)
-    verts = list(p.vertices)
-    rng.shuffle(verts)
-    p = dr.from_coords(p.dim, verts)
-    rows = dr.face_system(p)
-    full = all_face_rows(p, vertex_vectors(p, p.frame.dependencies))
-    k, nv = len(p.frame.dependencies), p.nvertices
-    assert len(full) == k * nv
-    assert len(rows) == _kept(p)
-    oracle = dict(full)
-    assert all(oracle[label] == row for label, row in rows)
-    # the full system over the Hermite module, a dependency family face_system does not build
-    module_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
-    assert module_rank == exact.sparse_rank([row for _, row in rows]) + _alone(p)
-    assert dr.face_dimension(p) == nv * (nv - 1) // 2 - module_rank
-
-
-def _dropped_rows(seed, name):
-    """A drawn, relabeled instance; its supports; its rule-1 system; and the rule-1 rows face_system leaves out."""
-    rng = random.Random(seed)
-    p = ROW_RULE_INSTANCES[name](rng)
-    verts = list(p.vertices)
-    rng.shuffle(verts)
-    p = dr.from_coords(p.dim, verts)
+    p = _relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
     supports = p.frame.dependencies
-    leads = [y[0][0] for y in supports]
-    # the rule-1 system: every row but (y, u) with u the lead of another dependency and below lead(y)
-    rule1 = [(label, row) for label, row in all_face_rows(p, vertex_vectors(p, supports))
-             if not (label[1] in leads and label[1] < leads[label[0]])]
-    kept = {label for label, _ in dr.face_system(p)}
-    dropped = [(label, row) for label, row in rule1 if label not in kept]
-    assert len(rule1) == len(kept) + len(dropped)
-    return p, supports, rule1, dropped
-
-
-def _alone_on_lead_pair(p, supports, system, rows):
-    """Each row (y, u) is the only row of system on the pair {lead(y), u}, with coefficient y(lead(y))."""
-    pairs = {pair: k for k, pair in enumerate(dr.vertex_pairs(p.nvertices))}
-    for (yi, u), row in rows:
-        lead, coefficient = supports[yi][0]
-        column = pairs[min(lead, u), max(lead, u)]
-        assert row[column] == coefficient != 0
-        assert [label for label, other in system if column in other] == [(yi, u)]
-
-
-@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
-def test_each_row_dropped_for_its_lead_is_alone_on_its_column(seed, name):
-    """Rows (y, u) with u outside the basis and above lead(y) are the only rows of the rule-1 system on {lead(y), u}."""
-    p, supports, rule1, dropped = _dropped_rows(seed, name)
-    leads = [y[0][0] for y in supports]
-    rule2 = [(label, row) for label, row in dropped if label[1] not in p.frame.basis]
-    k = len(supports)
-    assert len(rule2) == k * (k - 1) // 2
-    assert all(u in leads and u > leads[yi] for (yi, u), _ in rule2)
-    _alone_on_lead_pair(p, supports, rule1, rule2)
-
-
-@given(st.integers(0, 10_000), st.sampled_from(sorted(ROW_RULE_INSTANCES)))
-def test_each_row_dropped_outside_its_support_is_alone_on_its_column(seed, name):
-    """Rows (y, b) with b a basis vertex outside supp(y) are the only rows on {lead(y), b} once rule 2 has run."""
-    p, supports, rule1, dropped = _dropped_rows(seed, name)
-    rule3 = [(label, row) for label, row in dropped if label[1] in p.frame.basis]
-    rule2 = {label for label, _ in dropped if label[1] not in p.frame.basis}
-    k = len(supports)
-    assert len(rule3) == k * (p.dim + 1) - sum(len(y) - 1 for y in supports)
-    assert all(b not in dict(supports[yi]) for (yi, b), _ in rule3)
-    _alone_on_lead_pair(p, supports, [(label, row) for label, row in rule1 if label not in rule2], rule3)
+    full = dict(all_face_rows(p, vertex_vectors(p, supports)))
+    rows = dr.face_system(p)
+    for yi, row in rows:
+        (w, lead), *on_basis = supports[yi]
+        combined = {k: lead * v for k, v in full[yi, w].items()}
+        for b, c in on_basis:
+            for k, v in full[yi, b].items():
+                combined[k] = combined.get(k, 0) - c * v
+        assert {k: v for k, v in combined.items() if v} == {k: -2 * v for k, v in _spread(p, row).items()}
+    nv, n = p.nvertices, p.dim
+    outside = nv * (nv - 1) // 2 - n * (n + 1) // 2
+    assert dict_sparse_rank(list(full.values())) == outside + exact.sparse_rank([row for _, row in rows])
 
 
 def test_face_rows_vanish_on_family_distances():
-    """Every system row evaluates to zero on the distances of a compatible form."""
+    """Every face_system row is zero on the basis-pair squared distances of a compatible form, at any size."""
     for name, p in family_corpus():
-        if p.nvertices > 16 or name.startswith(("cross", "p0")):
-            continue
-        ident = [[int(i == j) for j in range(p.dim)] for i in range(p.dim)]
-        d = dr.distance_matrix(p, ident)
-        flat = [d[i][j] for i, j in dr.vertex_pairs(p.nvertices)]
+        family = name.rstrip("0123456789")
+        if name == "square":
+            gram = [[1, 0], [0, 1]]
+        elif name == "p0":
+            gram = [list(r) for r in dr.p0().gram]
+        else:
+            gram = dr.canonical_gram(family, p.dim)
+        d = dr.distance_matrix(p, gram)
+        flat = [d[i][j] for i, j in itertools.combinations(p.frame.basis, 2)]
         for _, row in dr.face_system(p):
-            assert sum(Fraction(c) * flat[k] for k, c in row.items()) == 0, name
+            assert sum(c * flat[k] for k, c in row.items()) == 0, name
