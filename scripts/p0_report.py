@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Walk through the 14-vertex, 12-dimensional witness instance step by step.
 
-Prints the single affine dependency, the rank from both routes, what happens
-to the hypermetric system when each vertex is deleted, the basis
-classification with per-subset lattice indices, and a bounded sphere check
-at window 0 (31,104 points; window 1 would scan 51,200,000).
+Prints the single affine dependency as its support, the rank from both
+routes, what happens to the hypermetric system when each vertex is
+deleted, the basis classification with per-subset lattice indices, and a
+bounded sphere check at window 0 (31,104 points; window 1 would scan
+51,200,000).
 
     python3 scripts/p0_report.py
 """
@@ -26,8 +27,8 @@ def main(argv=None):
 
     mod = dr.dependency_module(p)
     print(f"\naffine dependencies: {len(mod)}")
-    for v in mod:
-        print("  y =", tuple(int(x) for x in v))
+    for y in mod:
+        print("  y =", dict(y))  # {vertex: coefficient} over the nonzeros
 
     rk = dr.rank_of(p)
     fd = dr.face_dimension(p)

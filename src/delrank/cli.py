@@ -178,7 +178,7 @@ def cmd_deps(args) -> int:
         "command": "deps",
         "input": loaded.digest,
         "count": len(dep),
-        "vectors": [[str(x) for x in v] for v in dep],
+        "supports": [[[v, str(c)] for v, c in y] for y in dep],
     }
     _emit(doc)
     return 0
@@ -276,7 +276,7 @@ def cmd_report(args) -> int:
         "centrally_symmetric": symmetric,
         "dependencies": {
             "count": len(dep),
-            "vectors": [[str(x) for x in v] for v in dep],
+            "supports": [[[v, str(c)] for v, c in y] for y in dep],
         },
         "basicity": _basicity_doc(cls),
         "verify": verify,

@@ -5,10 +5,9 @@ sum(y(v) v) = 0.  These vectors form a Z-module whose rank is always
 nvertices - dim - 1; a simplex has none.  The paper's dependencies, one
 per vertex outside the affine basis, are p.frame.dependencies, and both
 ranks read them there, as their supports: (vertex, coefficient) pairs in
-ascending vertex order.  This module gives the saturated module and checks
-vectors against distances.  The module is an arbitrary Z-basis, so it
-comes as tuples of ints indexed by vertex, the format it is printed in and
-the one the checks take.
+ascending vertex order.  This module gives the saturated module in that
+same format, the one it is printed in, and checks dense vectors, indexed
+by vertex, against distances.
 """
 
 from __future__ import annotations
@@ -18,33 +17,27 @@ from .errors import InternalError, SumNotZero, WrongSize
 from .model import Polytope, _lifted, _validate_distance_matrix
 
 
-def dependency_module(p: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Canonical Z-basis of all integral affine dependencies of the vertex set.
+def dependency_module(p: Polytope) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Canonical Z-basis of all integral affine dependencies of the vertex set, each as its support.
 
     When every dependency of the polytope's frame has coefficient 1 at its
     own vertex w, that is when every vertex has integral affine coordinates
-    over the frame's basis, the frame's dependencies, spread to vectors
-    indexed by vertex, are the answer.  Each lives on w and basis vertices
-    above w, so sorted by w they are an echelon basis with unit pivots and
-    zeros above each pivot: in Hermite form.  They are saturated, because
-    an integral dependency y equals sum_w y(w) y_w, as the difference
-    vanishes off the affinely independent basis.  Otherwise a Hermite pass
-    (exact.integral_kernel) finds the module.  The ranks read the frame,
-    and need neither.
+    over the frame's basis, the frame's dependencies are the answer, as
+    they are.  Each lives on w and basis vertices above w, so sorted by w
+    they are an echelon basis with unit pivots and zeros above each pivot:
+    in Hermite form.  They are saturated, because an integral dependency y
+    equals sum_w y(w) y_w, as the difference vanishes off the affinely
+    independent basis.  Otherwise a Hermite pass (exact.integral_kernel)
+    finds the module, and each of its vectors is cut to its nonzeros.  The
+    ranks read the frame, and need neither.
     """
     ys = p.frame.dependencies
     if all(y[0][1] == 1 for y in ys):
-        out = []
-        for y in ys:
-            vec = [0] * p.nvertices
-            for v, c in y:
-                vec[v] = c
-            out.append(tuple(vec))
-        return tuple(out)
+        return ys
     kernel = exact.integral_kernel(_lifted(p, range(p.nvertices)))
     if len(kernel) != p.nvertices - p.dim - 1:
         raise InternalError(f"dependency module has rank {len(kernel)}, expected {p.nvertices - p.dim - 1}")
-    return tuple(tuple(v) for v in kernel)
+    return tuple(tuple((v, c) for v, c in enumerate(k) if c) for k in kernel)
 
 
 def check_dist_system(dm, y) -> bool:

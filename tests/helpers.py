@@ -195,6 +195,16 @@ def vertex_vectors(p, supports):
     return tuple(out)
 
 
+def dense_dependency_module(p):
+    """Dense oracle for dependency_module: the frame's dependencies spread to int tuples indexed by vertex, or the Hermite kernel."""
+    ys = p.frame.dependencies
+    if all(y[0][1] == 1 for y in ys):
+        return vertex_vectors(p, ys)
+    kernel = exact.integral_kernel(model._lifted(p, range(p.nvertices)))
+    assert len(kernel) == p.nvertices - p.dim - 1
+    return tuple(tuple(v) for v in kernel)
+
+
 def vertex_pairs(nv):
     """The unordered vertex pairs (i, j), i < j, in lex order: the columns of the full pair system."""
     return [(i, j) for i in range(nv) for j in range(i + 1, nv)]
@@ -528,7 +538,7 @@ def module_form_space(p):
     """Rank and compatible-form basis from the Hermite dependency module, as rank_of computed them before the basis route."""
     cols = sym_columns(p.dim)
     m = len(cols)
-    rows = [list(r) for r in fraction_bspace_rows(p, dr.dependency_module(p))]
+    rows = [list(r) for r in fraction_bspace_rows(p, vertex_vectors(p, dr.dependency_module(p)))]
     vecs = exact.nullspace(rows) if rows else [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
     basis = []
     for vec in vecs:

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import delrank as dr
 from delrank import cli, deps, exact, hyp, model, rank
 from delrank.errors import DelrankError, InternalError
-from tests.helpers import count_calls, fraction_distance_matrix
+from tests.helpers import count_calls, dense_dependency_module, fraction_distance_matrix
 
 
 def run(argv, capsys):
@@ -72,7 +72,26 @@ def test_deps_square(square_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 1
-    assert doc["vectors"] == [["1", "-1", "-1", "1"]]
+    assert doc["supports"] == [[[0, "1"], [1, "-1"], [2, "-1"], [3, "1"]]]
+
+
+@pytest.mark.parametrize("family", [("cube", "8"), ("halfcube", "8")])
+def test_deps_and_report_print_one_pair_per_nonzero(family, tmp_path, capsys):
+    """The printed module grows with the nonzeros of its dependencies, at most dim + 2 each, not with nv per dependency."""
+    path = str(tmp_path / "input.json")
+    assert cli.main(["family", *family, "--output", path]) == 0
+    p = cli.load_polytope_file(path).polytope
+    dense = dense_dependency_module(p)
+    nonzeros = sum(1 for y in dense for c in y if c)
+    for argv in (["deps", path], ["report", path, "--window", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        printed = doc["supports"] if argv[0] == "deps" else doc["dependencies"]["supports"]
+        assert len(printed) == len(dense) == p.nvertices - p.dim - 1
+        assert sum(len(y) for y in printed) == nonzeros
+        assert max(len(y) for y in printed) <= p.dim + 2
+        assert [[[v, int(c)] for v, c in y] for y in printed] == [[[v, c] for v, c in enumerate(y) if c] for y in dense]
 
 
 def test_family_to_file_then_rank(tmp_path, capsys):
@@ -462,7 +481,7 @@ def test_report_square(tmp_path, capsys):
     assert doc["methods_agree"] is True
     assert doc["extreme"] is False
     assert doc["centrally_symmetric"] is True
-    assert doc["dependencies"] == {"count": 1, "vectors": [["1", "-1", "-1", "1"]]}
+    assert doc["dependencies"] == {"count": 1, "supports": [[[0, "1"], [1, "-1"], [2, "-1"], [3, "1"]]]}
     assert doc["basicity"]["kind"] == "Z_BASIC"
     assert doc["verify"]["empty_sphere"]["ok"] is True
     assert doc["warnings"]
@@ -471,13 +490,13 @@ def test_report_square(tmp_path, capsys):
 # sha256 of `delrank report` stdout on `delrank family` files: any change to
 # a report byte, from any layer below the command line, shows up here
 REPORT_DIGESTS = {
-    "simplex4": (["simplex", "4"], [], "f0575ceb630847de3428ea34f4625cda77ac00b02705347ec9388a2492a3a40e"),
-    "cross4": (["cross", "4"], [], "44a2afc99c9085592f448e9095f3946f91ba2ec49e4a801f54111d2f01bbebca"),
-    "halfcube5": (["halfcube", "5"], [], "5a719f2e1b4e92c6c1030dfc9b40344d19064749a424931bcd93465b1ee8a8b2"),
-    "cube4": (["cube", "4"], [], "72847983def72b08a436c08dab8b3ab1b3baa7e7f222d54d82d5c7e4a40d2c61"),
-    "p0": (["p0"], ["--window", "0"], "ba931b96848c36221c716856228beb2385e43456b35a4e1a31088ecf7e93498f"),
-    "halfcube6": (["halfcube", "6"], ["--window", "0"], "063a118dfac034af96c8bf78d9646314f9c19802e07adbd8f33873730935b1e1"),
-    "cube5": (["cube", "5"], ["--window", "0"], "71a2b8353221fa2f2245b2a014d7970db3521ef5707205a2a82ba4442ff0ca08"),
+    "simplex4": (["simplex", "4"], [], "6c4015f6be09d1d323dcafca7fbc010e78b01dca31f47b04058704787c1428f1"),
+    "cross4": (["cross", "4"], [], "da48515b8cfb5bdfd4dc69e9cf9023333a8305bdf2b2726f6a2e22d29f37b3f8"),
+    "halfcube5": (["halfcube", "5"], [], "c91f58a04d123e0b34be52a3025a572bf0729d07b4f996ff00e12e965b5ac0da"),
+    "cube4": (["cube", "4"], [], "e65fb9b63a57a6a37fcb1728254101733a004fef66c4412e0837d71c4822e1eb"),
+    "p0": (["p0"], ["--window", "0"], "41dd724bca011002fed62707c6a00fd5a85181421973666726fbc1c3b9b6af3b"),
+    "halfcube6": (["halfcube", "6"], ["--window", "0"], "cd22595ffddd9f821b971968d51c1011355fcc6f94256e1524e052a1fc38b09f"),
+    "cube5": (["cube", "5"], ["--window", "0"], "a60e5d8e961b3e65317d82034e571607e10280e9b8e29f0da23b38849652fa8e"),
 }
 
 

@@ -11,6 +11,7 @@ import delrank as dr
 from delrank import exact
 from tests.helpers import (
     count_calls,
+    dense_dependency_module,
     family_corpus,
     gram_corpus,
     random_half_integer_polytope,
@@ -24,8 +25,8 @@ from tests.helpers import (
 
 def test_square_dependency(square):
     dep = dr.dependency_module(square)
-    assert len(dep) == 1
-    assert list(dep) == [(1, -1, -1, 1)]
+    assert dep == (((0, 1), (1, -1), (2, -1), (3, 1)),)
+    assert vertex_vectors(square, dep) == ((1, -1, -1, 1),)
 
 
 def test_simplex_has_no_dependencies():
@@ -34,8 +35,8 @@ def test_simplex_has_no_dependencies():
 
 
 def test_cross3_dependencies():
-    dep = dr.dependency_module(dr.cross_polytope(3))
-    assert list(dep) == [(1, 0, -1, 1, 0, -1), (0, 1, -1, 0, 1, -1)]
+    p = dr.cross_polytope(3)
+    assert vertex_vectors(p, dr.dependency_module(p)) == ((1, 0, -1, 1, 0, -1), (0, 1, -1, 0, 1, -1))
 
 
 def test_dependency_count_matches_codimension():
@@ -49,7 +50,7 @@ def test_dependency_vectors_are_dependencies():
     for name, p in family_corpus():
         if p.nvertices > 40:
             continue
-        for y in dr.dependency_module(p):
+        for y in vertex_vectors(p, dr.dependency_module(p)):
             assert sum(y) == 0, name
             for k in range(p.dim):
                 assert sum(c * v[k] for c, v in zip(y, p.vertices)) == 0, name
@@ -59,7 +60,7 @@ def test_dependency_vectors_primitive_first_positive():
     for name, p in family_corpus():
         if p.nvertices > 40:
             continue
-        for y in dr.dependency_module(p):
+        for y in vertex_vectors(p, dr.dependency_module(p)):
             g = 0
             for c in y:
                 g = gcd(g, c)
@@ -89,7 +90,7 @@ def test_basis_dependencies_span_the_module():
     for name, p in family_corpus():
         if p.nvertices > 24:
             continue
-        module = [list(y) for y in dr.dependency_module(p)]
+        module = [list(y) for y in vertex_vectors(p, dr.dependency_module(p))]
         if not module:
             continue
         vdeps = [list(y) for y in vertex_vectors(p, p.frame.dependencies)]
@@ -140,25 +141,40 @@ MODULE_INSTANCES = {
 }
 
 
+def _assert_module_spreads_to_the_oracle(p, name):
+    module = dr.dependency_module(p)
+    assert vertex_vectors(p, module) == dense_dependency_module(p), name
+    for y in module:
+        support = [v for v, _ in y]
+        assert support == sorted(set(support)) and all(c for _, c in y), name
+
+
 @given(st.integers(0, 10_000), st.sampled_from(sorted(MODULE_INSTANCES)))
 def test_dependency_module_matches_the_hermite_kernel(seed, name):
-    """Frame shortcut or Hermite pass, the module is the Hermite basis of the integer kernel."""
+    """Frame shortcut or Hermite pass, relabeled or in another lattice basis, the module is the Hermite basis of the
+    integer kernel, and its supports are the nonzeros of the dense oracle."""
     rng = random.Random(seed)
     p = MODULE_INSTANCES[name](rng)
     verts = list(p.vertices)
     rng.shuffle(verts)
     p = dr.from_coords(p.dim, verts)
-    assert dr.dependency_module(p) == _hermite_module(p), name
+    _assert_module_spreads_to_the_oracle(p, name)
+    assert vertex_vectors(p, dr.dependency_module(p)) == _hermite_module(p), name
+
+
+def test_dependency_module_spreads_to_the_dense_oracle_on_families():
+    for name, p in family_corpus():
+        _assert_module_spreads_to_the_oracle(p, name)
 
 
 def test_dependency_module_takes_the_frame_only_when_it_is_integral(monkeypatch):
     calls = count_calls(monkeypatch, exact, "integral_kernel")
     hc = dr.half_cube(5)
-    assert dr.dependency_module(hc) == vertex_vectors(hc, hc.frame.dependencies)
+    assert dr.dependency_module(hc) is hc.frame.dependencies
     assert calls == []
     halves = dr.from_coords(2, [[1, 1], [0, 0], [2, 0], [0, 2]])
     assert halves.frame.dependencies == (((0, 2), (2, -1), (3, -1)),)
-    assert dr.dependency_module(halves) == ((2, 0, -1, -1),)
+    assert dr.dependency_module(halves) == (((0, 2), (2, -1), (3, -1)),)
     assert len(calls) == 1
 
 
@@ -193,7 +209,7 @@ def test_distance_checks_check_their_matrix():
 def test_dependencies_satisfy_distance_checks_under_family_forms():
     for name, p, g in gram_corpus():
         d = dr.distance_matrix(p, g)
-        for y in dr.dependency_module(p):
+        for y in vertex_vectors(p, dr.dependency_module(p)):
             assert dr.check_dist_system(d, list(y)), name
             assert dr.check_negative_type(d, list(y)), name
 
@@ -207,8 +223,8 @@ def test_relabeling_permutes_the_dependency_lattice(seed):
     perm = list(range(p.nvertices))
     rng.shuffle(perm)
     q = dr.from_coords(p.dim, [p.vertices[i] for i in perm])
-    dep_p = [list(y) for y in dr.dependency_module(p)]
-    dep_q = [list(y) for y in dr.dependency_module(q)]
+    dep_p = [list(y) for y in vertex_vectors(p, dr.dependency_module(p))]
+    dep_q = [list(y) for y in vertex_vectors(q, dr.dependency_module(q))]
     assert len(dep_p) == len(dep_q)
     if not dep_p:
         return

@@ -98,7 +98,7 @@ def test_face_system_records_its_module_and_dimension(square):
     for p in (square, dr.simplex(3), dr.half_cube(4), dr.from_coords(0, [()])):
         rows = dr.face_system(p)
         ys = vertex_vectors(p, p.frame.dependencies)
-        module = list(dr.dependency_module(p))
+        module = list(vertex_vectors(p, dr.dependency_module(p)))
         assert exact.rank(list(ys) + module) == exact.rank(module) == len(module)
         assert [yi for yi, _ in rows] == list(range(len(ys)))
         nv = p.nvertices
@@ -146,7 +146,7 @@ def test_face_dimension_structured_path_agrees_small():
     npairs = p.nvertices * (p.nvertices - 1) // 2
     # the full (y, u) system, not face_system's rows; the Fraction
     # oracle is too slow on its 800 rows, the plain dict loop is independent too
-    oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
+    oracle_rank = dict_sparse_rank([row for _, row in all_face_rows(p, vertex_vectors(p, dr.dependency_module(p)))])
     assert dr.face_dimension(p) == npairs - oracle_rank
 
 
@@ -202,7 +202,7 @@ PAIR_SYSTEM_INSTANCES = {
 
 def _full_rank(p):
     """The rank of every (y, u) row over the saturated dependency module, by the plain dict loop."""
-    return dict_sparse_rank([row for _, row in all_face_rows(p, dr.dependency_module(p))])
+    return dict_sparse_rank([row for _, row in all_face_rows(p, vertex_vectors(p, dr.dependency_module(p)))])
 
 
 def _relabeled(p, rng):

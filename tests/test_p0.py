@@ -8,6 +8,7 @@ import pytest
 from fractions import Fraction
 
 import delrank as dr
+from tests.helpers import vertex_vectors
 
 EXPECTED_DEP = (3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)
 
@@ -18,9 +19,9 @@ def data():
 
 
 def test_dependency_vector(data):
-    mod = dr.dependency_module(data.polytope)
+    mod = vertex_vectors(data.polytope, dr.dependency_module(data.polytope))
     assert len(mod) == 1
-    vec = tuple(mod[0])
+    vec = mod[0]
     assert vec == EXPECTED_DEP or vec == tuple(-c for c in EXPECTED_DEP)
     assert data.dependency == EXPECTED_DEP
 

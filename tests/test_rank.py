@@ -139,7 +139,7 @@ def _assert_fraction_rows_equal(p, name):
     assert rows == tuple(tuple(k * k * x for x in row) for row in fraction_rows), name
     assert all(type(x) is int for row in rows for x in row), name
     # rows over the Hermite module span the same constraints
-    module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
+    module_rows = fraction_bspace_rows(p, vertex_vectors(p, dr.dependency_module(p)))
     assert exact.rank(rows + module_rows) == exact.rank(rows) == exact.rank(module_rows), name
 
 
@@ -160,7 +160,7 @@ def test_rank_agrees_between_dependency_families():
     for name, p in family_corpus():
         if p.nvertices > 24:
             continue
-        module_rows = fraction_bspace_rows(p, dr.dependency_module(p))
+        module_rows = fraction_bspace_rows(p, vertex_vectors(p, dr.dependency_module(p)))
         n = p.dim
         assert n * (n + 1) // 2 - exact.rank(module_rows) == dr.rank_of(p), name
 
