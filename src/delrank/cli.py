@@ -237,9 +237,6 @@ def cmd_verify(args) -> int:
 
 def cmd_nrd(args) -> int:
     loads = [load_polytope_file(f) for f in args.files]
-    dims = {l.polytope.dim for l in loads}
-    if len(dims) > 1:
-        raise InputError(f"dimension mismatch across inputs: {sorted(dims)}")
     value = rank.nrd([l.polytope for l in loads])
     doc = {
         "command": "nrd",

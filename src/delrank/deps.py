@@ -6,8 +6,8 @@ nvertices - dim - 1; a simplex has none.  The paper's dependencies, one
 per vertex outside the affine basis, are p.frame.dependencies, and both
 ranks read them there, as their supports: (vertex, coefficient) pairs in
 ascending vertex order.  This module gives the saturated module in that
-same format, the one it is printed in, and checks dense vectors, indexed
-by vertex, against distances.
+same format, the one it is printed in, and checks such supports against
+distances.
 """
 
 from __future__ import annotations
@@ -40,26 +40,24 @@ def dependency_module(p: Polytope) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((v, c) for v, c in enumerate(k) if c) for k in kernel)
 
 
+def _check_support(d: list[list[int]], y) -> None:
+    """WrongSize unless the support's vertices index d's rows in strictly ascending order."""
+    vs = [v for v, _ in y]
+    if any(not 0 <= v < len(d) for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
+        raise WrongSize("support vertices must be matrix indices in strictly ascending order")
+
+
 def check_dist_system(dm, y) -> bool:
-    """Whether sum_v y(v) d(u, v) = 0 holds for every probe vertex u."""
+    """Whether sum_v y(v) d(u, v) = 0 holds for every probe vertex u, for y a support as dependency_module gives."""
     d, _ = _validate_distance_matrix(dm)
-    if len(y) != len(d):
-        raise WrongSize("coefficient count does not match matrix size")
-    for row in d:
-        if sum(c * x for c, x in zip(y, row)) != 0:
-            return False
-    return True
+    _check_support(d, y)
+    return all(sum(c * row[v] for v, c in y) == 0 for row in d)
 
 
 def check_negative_type(dm, y) -> bool:
-    """Whether sum_{u,v} y(u) y(v) d(u, v) = 0.  Requires sum(y) = 0."""
+    """Whether sum_{u,v} y(u) y(v) d(u, v) = 0, for y a support.  Requires sum(y) = 0."""
     d, _ = _validate_distance_matrix(dm)
-    if len(y) != len(d):
-        raise WrongSize("coefficient count does not match matrix size")
-    if sum(y) != 0:
+    _check_support(d, y)
+    if sum(c for _, c in y) != 0:
         raise SumNotZero("dependency coefficients must sum to zero")
-    total = 0
-    for i, yi in enumerate(y):
-        if yi:
-            total += yi * sum(yj * d[i][j] for j, yj in enumerate(y) if yj)
-    return total == 0
+    return sum(a * sum(b * d[u][v] for v, b in y) for u, a in y) == 0

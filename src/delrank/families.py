@@ -75,7 +75,8 @@ def canonical_gram(family: str, n: int) -> list[list[Fraction]]:
 
 
 P0_BLOCKS = (3, 3, 4, 4)
-P0_DEPENDENCY = (3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)
+# p0's one dependency as its support: every vertex, each with its coefficient
+P0_DEPENDENCY = tuple(enumerate((3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)))
 # squared distances: within any block 7; between blocks, indexed by block pair
 _P0_CROSS = {
     (0, 1): 10,
@@ -94,7 +95,7 @@ class P0Data:
     polytope: Polytope
     gram: tuple[tuple[Fraction, ...], ...]
     distances: tuple[tuple[Fraction, ...], ...]
-    dependency: tuple[int, ...]
+    dependency: tuple[tuple[int, int], ...]
 
 
 def p0_distance_matrix() -> list[list[Fraction]]:

@@ -8,10 +8,12 @@ on the pairs of one affine basis, so face_system builds one row per
 dependency of p.frame.dependencies over those dim*(dim + 1)/2 basis pairs,
 and exact.sparse_rank takes their rank by fraction-free integer elimination
 (the proof is in face_system's docstring).  rank_of ranks one row per
-dependency over the same number of form entries; in the frame's
-coordinates the two row formulas are related by d_ij = G_ii + G_jj - 2 G_ij,
-so the cross-check guards the two row builders, while both routes share
-the frame and the kernel.
+dependency, built from the same supports, over the same number of form
+entries.  In the frame's coordinates, the last basis vertex at the
+origin, the row of y here pulled back through d{i, j} = G_ii + G_jj - 2 G_ij
+and d{i, last} = G_ii is exactly minus rank_of's row of y, as the
+coefficients of y sum to 0.  So the cross-check guards the two row
+builders, while both routes share the frame and the kernel.
 """
 
 from __future__ import annotations

@@ -61,32 +61,19 @@ class Frame:
     """One reduced echelon form of the lifted vertices (v, 1), read from the last vertex down.
 
     basis holds the sorted pivot vertices: each vertex not affinely spanned
-    by the ones after it.  The non-pivot columns are the affine coordinates
-    of every other vertex w over the basis vertices above w; coordinates
-    holds them as (w, numerators over basis) in ascending w, all over the
-    one denominator of the reduced form.  On a polytope that spans its
-    dimension there are dim + 1 basis vertices.
+    by the ones after it; on a polytope that spans its dimension there are
+    dim + 1.  The non-pivot columns are the affine coordinates of every
+    other vertex w over the basis vertices above w, as numerators over the
+    one denominator of the reduced form.  dependencies holds the dependency
+    each such w gives, in ascending w: the denominator at w and minus the
+    numerators at the basis vertices, divided by their gcd, so primitive
+    and positive at w.  Each is stored as its support: the (vertex,
+    coefficient) pairs where it is nonzero, in ascending vertex order.
+    That is w first, then basis vertices above w, at most dim + 2 pairs.
     """
 
     basis: tuple[int, ...]
-    coordinates: tuple[tuple[int, tuple[int, ...]], ...]
-    denominator: int
-
-    @cached_property
-    def dependencies(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The dependency each vertex w outside the basis gives, in ascending w.
-
-        Its coefficients are the denominator at w and minus w's coordinate
-        numerators at the basis vertices, divided by their gcd: primitive,
-        and positive at w.  Each is stored as its support: the (vertex,
-        coefficient) pairs where it is nonzero, in ascending vertex order.
-        That is w first, then basis vertices above w, at most dim + 2 pairs.
-        """
-        out = []
-        for w, coords in self.coordinates:
-            g = gcd(self.denominator, *coords)
-            out.append(((w, self.denominator // g), *((v, -x // g) for v, x in zip(self.basis, coords) if x)))
-        return tuple(out)
+    dependencies: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -228,12 +215,16 @@ def _frame(p: Polytope) -> Frame:
     last = p.nvertices - 1
     red, pivots, d = exact.rref(_lifted(p, range(last, -1, -1)))
     # pivot c is vertex last - c, so the reversed pivot rows follow the sorted basis
-    rows = red[::-1]
+    columns = list(zip(*red[::-1]))
+    basis = tuple(last - c for c in reversed(pivots))
     pivset = set(pivots)
-    coordinates = tuple(
-        (last - c, tuple(row[c] for row in rows)) for c in range(last, -1, -1) if c not in pivset
-    )
-    return Frame(basis=tuple(last - c for c in reversed(pivots)), coordinates=coordinates, denominator=d)
+    dependencies = []
+    for c in range(last, -1, -1):
+        if c not in pivset:
+            coords = columns[c]
+            g = gcd(d, *coords)
+            dependencies.append(((last - c, d // g), *((v, -x // g) for v, x in zip(basis, coords) if x)))
+    return Frame(basis=basis, dependencies=tuple(dependencies))
 
 
 def circumcenter(p: Polytope, gram) -> Circumdata:

@@ -5,7 +5,8 @@ constraint sum_v y(v) z(v)^T B z(v) = 0 on symmetric forms B.  The solution
 space is the space of quadratic forms for which the vertex set stays
 cospherical, and its dimension is the rank: the number of degrees of
 freedom of the polytope.  Affine invariance (translation, reflection,
-unimodular basis change) is built into the construction.
+unimodular basis change) is built into the construction.  Both
+bspace_constraints and rank_of read the supports of p.frame.dependencies.
 """
 
 from __future__ import annotations
@@ -54,22 +55,26 @@ def rank_of(p: Polytope) -> int:
 
     The constraints of bspace_constraints, read in p.frame's affine
     coordinates.  Write v = b + U l(v), b the last basis vertex and U the
-    invertible matrix of the others' differences from b.  For an affine
+    invertible matrix of the others' differences from b, so that l(b) is 0
+    and the basis vertex at position i has l = e_i.  For an affine
     dependency y, sum_v y(v) l(v) = 0 and sum_v y(v) = 0, so
     sum_v y(v) v^T B v = sum_v y(v) l(v)^T (U^T B U) l(v), and B -> U^T B U
-    is a bijection of the symmetric forms.  Vertex w outside the basis,
-    with numerators a over the frame's denominator d, gives d times its
-    constraint: a_i^2 - d a_i on the diagonal and 2 a_i a_j off it, kept
-    as a {column: entry} row of its nonzeros for exact.sparse_rank.
+    is a bijection of the symmetric forms.  A dependency of p.frame with
+    coefficient c_w at its vertex w and c_i at basis position i has
+    l(w) = -sum_i c_i e_i / c_w, so c_w times its constraint is
+    c_i (c_i + c_w) on the diagonal and 2 c_i c_j off it, over the basis
+    positions i, j of its support but the last.  It is kept as a
+    {column: entry} row of its nonzeros for exact.sparse_rank.
     """
-    n, d = p.dim, p.frame.denominator
+    n = p.dim
     # sym_columns puts (i, j), i <= j, at i*(2n - i + 1)/2 + j - i = start[i] + j
     start = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    position = {b: i for i, b in enumerate(p.frame.basis[:-1])}  # the last basis vertex sits at the origin
     rows = []
-    for _, a in p.frame.coordinates:
-        nz = [i for i in range(n) if a[i]]
-        row = {start[i] + j: 2 * a[i] * a[j] for i in nz for j in nz if i < j}
-        row.update((start[i] + i, a[i] * (a[i] - d)) for i in nz if a[i] != d)
+    for (_, cw), *on_basis in p.frame.dependencies:
+        terms = [(position[b], c) for b, c in on_basis if b in position]
+        row = {start[i] + j: 2 * c * e for k, (i, c) in enumerate(terms) for j, e in terms[k + 1:]}
+        row.update((start[i] + i, c * (c + cw)) for i, c in terms if c != -cw)
         rows.append(row)
     return n * (n + 1) // 2 - exact.sparse_rank(rows)
 
@@ -107,9 +112,10 @@ def nrd(polytopes) -> int:
     ps = list(polytopes)
     if not ps:
         raise WrongSize("need at least one polytope")
-    n = ps[0].dim
-    if any(p.dim != n for p in ps):
-        raise WrongSize("all polytopes must share the same dimension")
+    dims = sorted({p.dim for p in ps})
+    if len(dims) > 1:
+        raise WrongSize(f"dimension mismatch across inputs: {dims}")
+    n = dims[0]
     rows = [r for p in ps for r in bspace_constraints(p)]
     return n * (n + 1) // 2 - exact.rank(rows)
 
@@ -124,17 +130,18 @@ class SymmetricReductionReport:
     inequality_holds: bool | None = None
 
 
-def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = None) -> SymmetricReductionReport:
+def check_symmetric_reduction(p: Polytope, gram) -> SymmetricReductionReport:
     """Check the hypotheses of the centrally symmetric section bound.
 
     For a centrally symmetric polytope in lattice coordinates whose section
-    by a coordinate hyperplane is an asymmetric full-dimensional polytope,
-    the rank of the whole is at most the rank of the section, provided the
-    mirrored section and the unit vector along the dropped axis leave room
-    for an escape vertex.  The report records which hypotheses fail; when
-    all hold, both ranks are computed and compared.  The Gram form serves
-    only to check that the vertices are cospherical (NotCospherical if not);
-    the center of symmetry comes from the vertex pairing.
+    by the last coordinate hyperplane is an asymmetric full-dimensional
+    polytope, the rank of the whole is at most the rank of the section,
+    provided the mirrored section and the unit vector along the dropped
+    axis leave room for an escape vertex.  The report records which
+    hypotheses fail; when all hold, both ranks are computed and compared.
+    The Gram form serves only to check that the vertices are cospherical
+    (NotCospherical if not); the center of symmetry comes from the vertex
+    pairing.
 
     Hypothesis codes:
       cs   polytope centrally symmetric with integral vertex coordinates,
@@ -144,9 +151,9 @@ def check_symmetric_reduction(p: Polytope, gram, hyperplane_axis: int | None = N
            or some vertex avoids the section and its mirror
     """
     n = p.dim
-    axis = n - 1 if hyperplane_axis is None else hyperplane_axis
-    if not 0 <= axis < n:
-        raise WrongSize("hyperplane axis out of range")
+    if n < 1:
+        raise WrongSize("the section bound needs dimension at least 1")
+    axis = n - 1
 
     circumcenter(p, gram)  # raises NotCospherical on bad input
     xs, k = p.numerators, p.denominator  # every point below is its coordinates times k, as integers

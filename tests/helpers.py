@@ -615,12 +615,12 @@ def fraction_restricted_face_dimension(p, subset):
     return dr.face_dimension(dr.from_coords(p.dim, [p.vertices[i] for i in idx]))
 
 
-def fraction_check_symmetric_reduction(p, gram, hyperplane_axis=None):
+def fraction_check_symmetric_reduction(p, gram):
     """check_symmetric_reduction on the Fraction vertices, its section built by from_coords."""
     n = p.dim
-    axis = n - 1 if hyperplane_axis is None else hyperplane_axis
-    if not 0 <= axis < n:
-        raise dr.WrongSize("hyperplane axis out of range")
+    if n < 1:
+        raise dr.WrongSize("the section bound needs dimension at least 1")
+    axis = n - 1
     dr.circumcenter(p, gram)
     vset = set(p.vertices)
     zero = tuple(Fraction(0) for _ in range(n))

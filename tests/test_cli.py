@@ -461,6 +461,7 @@ def test_nrd_dimension_mismatch(tmp_path, square_file, capsys):
     seg = write_json(tmp_path, "seg.json", {"dim": 1, "vertices": [["0"], ["1"]]})
     code, out, err = run(["nrd", square_file, seg], capsys)
     assert code == 2
+    assert (out, err) == ("", "invalid input: dimension mismatch across inputs: [1, 2]\n")
 
 
 def test_report_square(tmp_path, capsys):

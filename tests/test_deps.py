@@ -178,40 +178,58 @@ def test_dependency_module_takes_the_frame_only_when_it_is_integral(monkeypatch)
     assert len(calls) == 1
 
 
+SQUARE_DEPENDENCY = ((0, 1), (1, -1), (2, -1), (3, 1))
+
+
 def test_check_dist_system_square(square):
     d = dr.distance_matrix(square, [[1, 0], [0, 1]])
-    assert dr.check_dist_system(d, [1, -1, -1, 1])
-    assert not dr.check_dist_system(d, [1, 0, 0, 0])
-    with pytest.raises(dr.WrongSize):
-        dr.check_dist_system(d, [1, -1, -1])
+    assert dr.check_dist_system(d, SQUARE_DEPENDENCY)
+    assert not dr.check_dist_system(d, ((0, 1),))
+    assert dr.check_dist_system(d, ())
 
 
 def test_check_negative_type_square(square):
     d = dr.distance_matrix(square, [[1, 0], [0, 1]])
-    assert dr.check_negative_type(d, [1, -1, -1, 1])
-    assert not dr.check_negative_type(d, [1, -1, 0, 0])
+    assert dr.check_negative_type(d, SQUARE_DEPENDENCY)
+    assert not dr.check_negative_type(d, ((0, 1), (1, -1)))
     with pytest.raises(dr.SumNotZero):
-        dr.check_negative_type(d, [1, 0, 0, 0])
+        dr.check_negative_type(d, ((0, 1),))
+
+
+@pytest.mark.parametrize("check", [dr.check_dist_system, dr.check_negative_type])
+@pytest.mark.parametrize(
+    "y",
+    [
+        ((0, 1), (4, -1)),  # a vertex past the matrix
+        ((-1, 1), (0, -1)),  # a negative vertex
+        ((1, 1), (0, -1)),  # descending
+        ((0, 1), (0, -1)),  # a repeated vertex
+    ],
+)
+def test_distance_checks_reject_a_support_off_the_matrix_or_out_of_order(square, check, y):
+    d = dr.distance_matrix(square, [[1, 0], [0, 1]])
+    with pytest.raises(dr.WrongSize):
+        check(d, y)
 
 
 def test_distance_checks_check_their_matrix():
     # a non-square or asymmetric matrix is bad input, not a matrix with its extra column dropped
     with pytest.raises(dr.WrongSize):
-        dr.check_dist_system([[0, 1, 5], [1, 0, 7]], [1, -1])
+        dr.check_dist_system([[0, 1, 5], [1, 0, 7]], ((0, 1), (1, -1)))
     with pytest.raises(dr.WrongSize):
-        dr.check_negative_type([[0, 1, 5], [1, 0, 7]], [1, -1])
+        dr.check_negative_type([[0, 1, 5], [1, 0, 7]], ((0, 1), (1, -1)))
     with pytest.raises(dr.InputError):
-        dr.check_dist_system([[0, 1], [2, 0]], [1, -1])
+        dr.check_dist_system([[0, 1], [2, 0]], ((0, 1), (1, -1)))
     with pytest.raises(dr.InputError):
-        dr.check_negative_type([[0, 1], [2, 0]], [1, -1])
+        dr.check_negative_type([[0, 1], [2, 0]], ((0, 1), (1, -1)))
 
 
 def test_dependencies_satisfy_distance_checks_under_family_forms():
     for name, p, g in gram_corpus():
         d = dr.distance_matrix(p, g)
-        for y in vertex_vectors(p, dr.dependency_module(p)):
-            assert dr.check_dist_system(d, list(y)), name
-            assert dr.check_negative_type(d, list(y)), name
+        for y in dr.dependency_module(p):
+            assert dr.check_dist_system(d, y), name
+            assert dr.check_negative_type(d, y), name
 
 
 @settings(max_examples=25)

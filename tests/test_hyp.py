@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact, hyp
+from delrank.rank import sym_columns
 from tests.helpers import (
     all_face_rows,
     count_calls,
@@ -159,6 +160,38 @@ def test_restricted_face_dimension(square):
         dr.restricted_face_dimension(square, [0, 1, 9])
     with pytest.raises(dr.TooFewVertices):
         dr.restricted_face_dimension(square, [0, 1])
+
+
+def _assert_face_rows_pull_back_to_minus_the_rank_rows(p):
+    """Each face_system row, with d{i, j} = G_ii + G_jj - 2 G_ij and d{i, dim} = G_ii over the basis positions (the
+    last basis vertex at the origin), equals minus the rank_of row of the same dependency, entry for entry."""
+    n = p.dim
+    column = {ij: k for k, ij in enumerate(sym_columns(n))}
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]  # face_system's columns, in lex order
+    pulled = []
+    for _, row in dr.face_system(p):
+        g = {}
+        for col, x in row.items():
+            i, j = pairs[col]
+            for ij, f in [((i, i), 1)] if j == n else [((i, i), 1), ((j, j), 1), ((i, j), -2)]:
+                g[column[ij]] = g.get(column[ij], 0) + f * x
+        pulled.append({k: x for k, x in g.items() if x})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, exact, "sparse_rank")
+        dr.rank_of(p)
+    [(rank_rows,)] = calls
+    assert [{k: -x for k, x in row.items()} for row in rank_rows] == pulled
+
+
+def test_face_rows_pull_back_to_minus_the_rank_rows_on_the_families():
+    for _, p in family_corpus():
+        _assert_face_rows_pull_back_to_minus_the_rank_rows(p)
+
+
+@given(st.integers(0, 10_000))
+def test_face_rows_pull_back_to_minus_the_rank_rows_on_half_integer_configs(seed):
+    # half-integer vertices give dependencies whose coefficient at their own vertex is not 1
+    _assert_face_rows_pull_back_to_minus_the_rank_rows(random_half_integer_polytope(random.Random(seed)))
 
 
 @settings(max_examples=30)

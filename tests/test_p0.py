@@ -8,9 +8,8 @@ import pytest
 from fractions import Fraction
 
 import delrank as dr
-from tests.helpers import vertex_vectors
 
-EXPECTED_DEP = (3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)
+EXPECTED_DEP = tuple(enumerate((3, 3, 3, -3, -3, -3, -2, -2, -2, -2, 2, 2, 2, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -19,19 +18,19 @@ def data():
 
 
 def test_dependency_vector(data):
-    mod = vertex_vectors(data.polytope, dr.dependency_module(data.polytope))
+    mod = dr.dependency_module(data.polytope)
     assert len(mod) == 1
     vec = mod[0]
-    assert vec == EXPECTED_DEP or vec == tuple(-c for c in EXPECTED_DEP)
+    assert vec == EXPECTED_DEP or vec == tuple((v, -c) for v, c in EXPECTED_DEP)
     assert data.dependency == EXPECTED_DEP
 
 
 def test_dependency_is_valid(data):
     p = data.polytope
-    assert sum(EXPECTED_DEP) == 0
+    assert sum(c for _, c in EXPECTED_DEP) == 0
     n = p.dim
     for k in range(n):
-        assert sum(y * p.vertices[i][k] for i, y in enumerate(EXPECTED_DEP)) == 0
+        assert sum(c * p.vertices[v][k] for v, c in EXPECTED_DEP) == 0
 
 
 def test_rank_both_routes(data):
@@ -66,10 +65,10 @@ def test_classify_basicity(data):
 def test_lattice_index_matches_dependency_weights(data):
     p = data.polytope
     counts = {}
-    for w in range(14):
+    for w, c in EXPECTED_DEP:
         keep = [i for i in range(14) if i != w]
         idx = dr.lattice_index(p, keep)
-        assert idx == abs(EXPECTED_DEP[w])
+        assert idx == abs(c)
         counts[idx] = counts.get(idx, 0) + 1
     assert counts == {3: 6, 2: 8}
 
@@ -90,8 +89,8 @@ def test_empty_sphere_window_zero(data):
 
 def test_distance_system_on_frozen_dependency(data):
     d = [list(row) for row in data.distances]
-    assert dr.check_dist_system(d, list(EXPECTED_DEP))
-    assert dr.check_negative_type(d, list(EXPECTED_DEP))
+    assert dr.check_dist_system(d, EXPECTED_DEP)
+    assert dr.check_negative_type(d, EXPECTED_DEP)
 
 
 def test_gram_positive_definite(data):
