@@ -5,7 +5,9 @@ are fractions.Fraction, integer entries plain int.  The rational routines
 share one fraction-free elimination, _echelon, which reduces each row in
 turn against the pivot row at its leftmost column; no pivot is chosen by a
 magnitude heuristic.  rref is canonical even so, because a reduced echelon
-form depends only on the row space.  hermite_normal_form is the one
+form depends only on the row space.  _extend keeps a reduced form across
+calls and grows it by one row with the same step, so a caller that reads the
+form between rows runs no rref per row.  hermite_normal_form is the one
 elimination over Z.  Rational input enters through over_common_denominator
 as integers over one denominator, and rref hands its result back in the
 same format; nullspace and solve divide by that denominator.
@@ -129,10 +131,40 @@ def rref(m) -> tuple[IntMat, list[int], int]:
         g = gcd(*r.values())
         if g > 1:
             echelon[pivots[i]] = {k: v // g for k, v in r.items()}
-    d = lcm(*(echelon[c][c] for c in pivots))
+    return _scaled(echelon, ncols)
+
+
+def _extend(form: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Extend a reduced echelon form, its primitive pivot rows by leading column, by one integer {column: entry} row.
+
+    A copy of the row is reduced by _step at every pivot column it meets, which brings back no other pivot column.
+    What is left, if anything, becomes the primitive pivot row at its leftmost column, and the other rows are cleared
+    at that column and made primitive again.  _scaled(form, ncols) is then rref of the rows added so far, since a
+    reduced echelon form depends only on the row space.  form is changed in place; the row is not.
+    """
+    r = {c: v for c, v in row.items() if v}
+    for c, p in form.items():
+        if c in r:
+            _step(r, p, c)
+    if not r:
+        return
+    c = min(r)
+    g = gcd(*r.values())
+    form[c] = r = {k: v // g for k, v in r.items()} if g > 1 else r
+    for k, q in form.items():
+        if k != c and c in q:
+            _step(q, r, c)
+            g = gcd(*q.values())
+            form[k] = {j: v // g for j, v in q.items()} if g > 1 else q
+
+
+def _scaled(form: dict[int, dict[int, int]], ncols: int) -> tuple[IntMat, list[int], int]:
+    """(R, pivots, d) as rref returns them, from a reduced echelon form of primitive pivot rows by leading column."""
+    pivots = sorted(form)
+    d = lcm(*(form[c][c] for c in pivots))
     red = []
     for c in pivots:
-        r = echelon[c]
+        r = form[c]
         f = d // r[c]
         red.append([r[j] * f if j in r else 0 for j in range(ncols)])
     return red, pivots, d

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import SumNotOne, WrongSize
-from .model import Polytope, _distance_matrix, _from_integers, _validate_distance_matrix, circumcenter
+from .model import Polytope, _distance_matrix, _from_integers, _validate_distance_matrix, _validate_gram_shape, circumcenter
 
 
 def eval_hypermetric(dm, b) -> Fraction:
@@ -73,8 +73,9 @@ def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
     empty and carries no other lattice points; cosphericity is checked on
     the way in (distance data comes from the Gram form), emptiness is not.
     """
-    circumcenter(p, gram)  # checks the form, and raises NotCospherical on bad input
-    num, scale = _distance_matrix(p, *exact.over_common_denominator(gram))
+    form = _validate_gram_shape(p, gram)  # a checked _Form passes as it is
+    circumcenter(p, form)  # raises NotCospherical on bad input
+    num, scale = _distance_matrix(p, *form)
     val = eval_hypermetric(num, b) / scale
     pt, isv = representation_point(p, b)
     return LemmaHyReport(

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -355,11 +355,14 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     R is reduced from the pivot rows T alone: row j is taken, in order, when
     its Schur diagonal A[j][j] - A[j, T] A[T, T]^-1 A[T, j] is nonzero, that is
     d A[j][j] - sum_i A[j][C_i] R[i][j] over d for the R, C and d of the rows
-    taken so far; a row in their span reads 0.  A is semidefinite exactly when
-    the distances are Euclidean (Schoenberg), as a passing re-check proves.
-    Then C = T, and a zero diagonal of the semidefinite Schur complement zeroes
-    its row, so every skipped row is in the span of T: R, C and d are A's own.
-    A failure after the definite check of A[T, T] is classified by the rank of
+    taken so far; a row in their span reads 0.  The rows taken grow one reduced
+    form (exact._extend) of primitive rows q_i: d is the lcm of the q_i[C_i],
+    R[i][j] = q_i[j] d / q_i[C_i], and R, C and d are read off it once, at the
+    end, as exact.rref of the rows taken.  A is semidefinite exactly when the
+    distances are Euclidean (Schoenberg), as a passing re-check proves.  Then
+    C = T, and a zero diagonal of the semidefinite Schur complement zeroes its
+    row, so every skipped row is in the span of T: R, C and d are A's own.  A
+    failure after the definite check of A[T, T] is classified by the rank of
     A.  If it is |T|, R is A's reduced form; A[T, T] = R[:, T]^T A[C, C]
     R[:, T] makes A[C, C] definite (Sylvester's law of inertia), A is then
     semidefinite, and the failure is an InternalError.  Otherwise a skipped row
@@ -376,12 +379,15 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
         return [x[0] + y[0] - xy for y, xy in zip(e, x)]
 
     # vertex 0 has a zero row and column: it is never taken, and its coordinates in R are 0
-    taken, red, chosen, den = [], [], [], 1  # the reduced form of no rows
+    taken, form, terms, den = [], {}, [], 1  # the reduced form of no rows
     for j, x in enumerate(e):
-        # den times the Schur diagonal of row j, whose diagonal entry is 2 e[j][0]
-        if den * 2 * x[0] != sum((x[0] + e[c][0] - x[c]) * r[j] for c, r in zip(chosen, red)):
+        # den times the Schur diagonal of row j, whose diagonal entry is 2 e[j][0]; R[i][j] = q[j] den / q[c]
+        if den * 2 * x[0] != sum((x[0] + e[c][0] - x[c]) * q[j] * f for c, q, f in terms if j in q):
             taken.append(j)
-            red, chosen, den = exact.rref([*red, gram_row(x)])  # R spans the rows taken before
+            exact._extend(form, dict(enumerate(gram_row(x))))
+            den = lcm(*(q[c] for c, q in form.items()))
+            terms = [(c, q, den // q[c]) for c, q in form.items()]
+    red, chosen, den = exact._scaled(form, m)  # exact.rref of the rows taken
     n = len(taken)
     sub = [[e[r][0] + e[c][0] - e[r][c] for c in taken] for r in taken]  # 2 t times the Gram form
     if not exact.is_positive_definite(sub):

@@ -151,13 +151,14 @@ def _step_users(source, module):
 
 
 def test_step_runs_only_in_the_echelon_loop():
-    # one elimination loop: _echelon reduces the rows and rref clears its pivot rows back
+    # one elimination loop: _echelon reduces the rows, rref clears its pivot rows back, and _extend grows a reduced
+    # form by one row with the same step
     found = {
         user
         for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
         for user in _step_users(path.read_text(), path.stem)
     }
-    assert found == {"exact._echelon", "exact.rref"}
+    assert found == {"exact._echelon", "exact.rref", "exact._extend"}
 
 
 def test_step_scan_sees_calls_and_aliases():
@@ -193,6 +194,8 @@ INTEGER_EDGES = (
     "exact._echelon",
     "exact._int_rows",
     "exact.rref",
+    "exact._extend",
+    "exact._scaled",
     "model.from_coords",
     "model._from_integers",
     "model._norm",

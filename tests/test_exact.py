@@ -183,6 +183,39 @@ def test_elimination_matches_the_fraction_rref(m, data):
         assert exact.solve(m, b) == x
 
 
+@st.composite
+def grown_rows(draw):
+    """Integer rows of one length to feed one at a time: random ones, zero rows, repeats and negated multiples."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "negated"]) if rows else st.just("random"))
+        if kind == "random":
+            rows.append(draw(st.lists(ints, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            row = draw(st.sampled_from(rows))
+            f = 1 if kind == "repeat" else -draw(st.integers(1, 3))
+            rows.append([f * x for x in row])
+    return ncols, rows
+
+
+@given(grown_rows())
+@example((2, [[-2, 4], [0, 0], [-2, 4], [3, -1], [0, -5]]))
+def test_extended_form_is_the_rref_of_the_rows_so_far(case):
+    ncols, rows = case
+    form = {}
+    for i, row in enumerate(rows):
+        given_row = {j: v for j, v in enumerate(row) if v or j % 2}  # some explicit zeros
+        before = dict(given_row)
+        exact._extend(form, given_row)
+        assert given_row == before and not any(p is given_row for p in form.values())
+        for c, p in form.items():
+            assert min(p) == c and gcd(*p.values()) == 1 and not any(k in p for k in form if k != c)
+        assert exact._scaled(form, ncols) == exact.rref(rows[: i + 1])
+
+
 @given(int_matrices())
 def test_rank_plus_nullity(m):
     cols = len(m[0])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact, hyp
+from delrank import exact, hyp, model
 from delrank.rank import sym_columns
 from tests.helpers import (
     all_face_rows,
@@ -83,6 +83,14 @@ def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
     with pytest.raises(dr.NotPositiveDefinite):
         dr.check_lemma_hy(square, [[1, 2], [2, 1]], [1, 0, 0, 0])
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["square", "p0"])
+def test_check_lemma_hy_takes_a_checked_form(name, square, p0data):
+    p, gram = (square, IDENT2) if name == "square" else (p0data.polytope, [list(r) for r in p0data.gram])
+    form = model._validate_gram_shape(p, gram)
+    for b in ([1] + [0] * (p.nvertices - 1), [2, -1] + [0] * (p.nvertices - 2)):
+        assert dr.check_lemma_hy(p, form, b) == dr.check_lemma_hy(p, gram, b)
 
 
 def test_face_system_square(square):

@@ -658,6 +658,27 @@ def test_from_distances_reduces_only_the_pivot_rows(monkeypatch):
     assert calls and max(len(args[0]) for args in calls) <= 8
 
 
+@pytest.mark.parametrize("name", ["p0", "halfcube7"])
+def test_from_distances_calls_rref_once_for_the_frame(name, monkeypatch):
+    # the pivot search grows one reduced form row by row; only the frame of the rebuilt polytope calls rref
+    p = dr.p0().polytope if name == "p0" else dr.half_cube(7)
+    g = dr.p0().gram if name == "p0" else dr.canonical_gram("halfcube", 7)
+    d = _relabeled_matrix(dr.distance_matrix(p, g), random.Random(1))
+    calls = count_calls(monkeypatch, exact, "rref")
+    q, _ = dr.from_distances(d)
+    assert (q.dim, q.nvertices) == (p.dim, p.nvertices)
+    assert len(calls) == 1 and len(calls[0][0]) == p.dim + 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["p0", "cross8"])
+def test_relabeled_large_matrices_match_both_oracles(name, seed):
+    d = dr.p0().distances if name == "p0" else dr.distance_matrix(dr.cross_polytope(8), dr.canonical_gram("cross", 8))
+    dm = _relabeled_matrix([list(row) for row in d], random.Random(seed))
+    assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)
+    assert dr.from_distances(dm) == greedy_from_distances(dm)
+
+
 @given(st.integers(0, 10_000), st.sampled_from(("family", "p0", "form", "integers")))
 def test_pivot_search_matches_the_full_rref(seed, source):
     rng = random.Random(seed)
