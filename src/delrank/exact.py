@@ -2,15 +2,17 @@
 
 Matrices are plain lists of lists, vectors plain lists.  Rational entries
 are fractions.Fraction, integer entries plain int.  The rational routines
-share one fraction-free elimination, _echelon, which reduces each row in
-turn against the pivot row at its leftmost column; no pivot is chosen by a
-magnitude heuristic.  rref is canonical even so, because a reduced echelon
-form depends only on the row space.  _extend keeps a reduced form across
-calls and grows it by one row with the same step, so a caller that reads the
-form between rows runs no rref per row.  hermite_normal_form is the one
-elimination over Z.  Rational input enters through over_common_denominator
-as integers over one denominator, and rref hands its result back in the
-same format; nullspace and solve divide by that denominator.
+share one fraction-free elimination step, _step, which cancels a row at a
+pivot row's leading column; no pivot is chosen by a magnitude heuristic.
+_echelon reduces each row in turn against the pivot row at its leftmost
+column, and _extend grows a reduced echelon form by one row.  rref is that
+form of its rows, canonical because a reduced echelon form depends only on
+the row space; a caller that reads the form between rows keeps it across
+_extend calls instead of running rref per row.  hermite_normal_form is the
+one elimination over Z.  Rational input enters through
+over_common_denominator as integers over one denominator, and rref hands
+its result back in the same format; nullspace and solve divide by that
+denominator.
 """
 
 from __future__ import annotations
@@ -115,23 +117,15 @@ def rref(m) -> tuple[IntMat, list[int], int]:
 
     R holds the nonzero rows of the reduced echelon form times d, where
     d > 0 is the lcm of their pivots, so R[i][pivots[i]] == d and every
-    entry is an integer.  The rows are brought to echelon form by
-    _echelon; then each pivot row, last first, is cleared in place at the
-    later pivots and made primitive.  The nonzero rows of a reduced echelon
-    form depend only on the row space, so R and d are canonical.
+    entry is an integer.  The rows are added one at a time to a reduced
+    form by _extend.  The nonzero rows of a reduced echelon form depend
+    only on the row space, so R and d are canonical.
     """
     rows, ncols = _int_rows(m)
-    echelon = _echelon(rows)
-    pivots = sorted(echelon)
-    for i in reversed(range(len(pivots))):
-        r = echelon[pivots[i]]
-        for c in pivots[i + 1:]:
-            if c in r:
-                _step(r, echelon[c], c)
-        g = gcd(*r.values())
-        if g > 1:
-            echelon[pivots[i]] = {k: v // g for k, v in r.items()}
-    return _scaled(echelon, ncols)
+    form: dict[int, dict[int, int]] = {}
+    for r in rows:
+        _extend(form, r)
+    return _scaled(form, ncols)
 
 
 def _extend(form: dict[int, dict[int, int]], row: dict[int, int]) -> None:

@@ -151,14 +151,13 @@ def _step_users(source, module):
 
 
 def test_step_runs_only_in_the_echelon_loop():
-    # one elimination loop: _echelon reduces the rows, rref clears its pivot rows back, and _extend grows a reduced
-    # form by one row with the same step
+    # one elimination loop: _echelon reduces the rows, and _extend grows a reduced form by one row (rref's only path)
     found = {
         user
         for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
         for user in _step_users(path.read_text(), path.stem)
     }
-    assert found == {"exact._echelon", "exact.rref", "exact._extend"}
+    assert found == {"exact._echelon", "exact._extend"}
 
 
 def test_step_scan_sees_calls_and_aliases():

@@ -382,16 +382,23 @@ def random_form(n, rng):
     return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-@given(st.integers(0, 10_000))
-def test_from_distances_matches_greedy_minor_scan(seed):
+def _large_distances(name):
+    """The distance matrix of p0 or of cross(8) under its canonical form."""
+    if name == "p0":
+        return [list(row) for row in dr.p0().distances]
+    return dr.distance_matrix(dr.cross_polytope(8), dr.canonical_gram("cross", 8))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(("form", "p0", "cross8")))
+def test_from_distances_matches_greedy_minor_scan(seed, source):
     rng = random.Random(seed)
-    p = random_polytope(rng, max_dim=4)
-    g = random_form(p.dim, rng)
-    assert dr.is_positive_definite(g)
-    perm = list(range(p.nvertices))
-    rng.shuffle(perm)
-    d0 = dr.distance_matrix(p, g)
-    d = [[d0[i][j] for j in perm] for i in perm]
+    if source == "form":
+        p = random_polytope(rng, max_dim=4)
+        g = random_form(p.dim, rng)
+        assert dr.is_positive_definite(g)
+        d = _relabeled_matrix(dr.distance_matrix(p, g), rng)
+    else:
+        d = _relabeled_matrix(_large_distances(source), rng)
     assert dr.from_distances(d) == greedy_from_distances(d)
     # pull vertices 1 and 2 apart until their 2x2 Gram minor is negative
     a11, a22 = d[1][0], d[2][0]
@@ -649,44 +656,23 @@ def test_non_semidefinite_distance_file_exits_two(tmp_path, capsys):
 
 
 def test_from_distances_reduces_only_the_pivot_rows(monkeypatch):
-    p = dr.half_cube(7)
-    d = _relabeled_matrix(dr.distance_matrix(p, dr.canonical_gram("halfcube", 7)), random.Random(1))
+    # the pivot search grows one reduced form row by row; the one rref is the frame's, on the n + 1 lifted rows
     calls = count_calls(monkeypatch, exact, "rref")
-    q, _ = dr.from_distances(d)
-    assert q.nvertices == 64 and q.dim == 7
-    # the largest is the frame's, the n + 1 = 8 lifted rows; the whole Gram matrix has 63
-    assert calls and max(len(args[0]) for args in calls) <= 8
+    for p, g in [(dr.half_cube(7), dr.canonical_gram("halfcube", 7)), (dr.p0().polytope, dr.p0().gram)]:
+        calls.clear()
+        q, _ = dr.from_distances(_relabeled_matrix(dr.distance_matrix(p, g), random.Random(1)))
+        assert (q.dim, q.nvertices) == (p.dim, p.nvertices)
+        assert len(calls) == 1 and len(calls[0][0]) == p.dim + 1
 
 
-@pytest.mark.parametrize("name", ["p0", "halfcube7"])
-def test_from_distances_calls_rref_once_for_the_frame(name, monkeypatch):
-    # the pivot search grows one reduced form row by row; only the frame of the rebuilt polytope calls rref
-    p = dr.p0().polytope if name == "p0" else dr.half_cube(7)
-    g = dr.p0().gram if name == "p0" else dr.canonical_gram("halfcube", 7)
-    d = _relabeled_matrix(dr.distance_matrix(p, g), random.Random(1))
-    calls = count_calls(monkeypatch, exact, "rref")
-    q, _ = dr.from_distances(d)
-    assert (q.dim, q.nvertices) == (p.dim, p.nvertices)
-    assert len(calls) == 1 and len(calls[0][0]) == p.dim + 1
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("name", ["p0", "cross8"])
-def test_relabeled_large_matrices_match_both_oracles(name, seed):
-    d = dr.p0().distances if name == "p0" else dr.distance_matrix(dr.cross_polytope(8), dr.canonical_gram("cross", 8))
-    dm = _relabeled_matrix([list(row) for row in d], random.Random(seed))
-    assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)
-    assert dr.from_distances(dm) == greedy_from_distances(dm)
-
-
-@given(st.integers(0, 10_000), st.sampled_from(("family", "p0", "form", "integers")))
+@given(st.integers(0, 10_000), st.sampled_from(("family", "p0", "cross8", "form", "integers")))
 def test_pivot_search_matches_the_full_rref(seed, source):
     rng = random.Random(seed)
     if source == "family":
         _, p, g = rng.choice(GRAMS)
         dm = _relabeled_matrix(dr.distance_matrix(p, g), rng)
-    elif source == "p0":
-        dm = _relabeled_matrix(dr.p0().distances, rng)
+    elif source in ("p0", "cross8"):
+        dm = _relabeled_matrix(_large_distances(source), rng)
     elif source == "form":
         p = random_polytope(rng, max_dim=4)
         dm = _relabeled_matrix(dr.distance_matrix(p, random_form(p.dim, rng)), rng)
