@@ -41,10 +41,10 @@ def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
     if ring not in ("Q", "Z"):
         raise InputError("ring must be 'Q' or 'Z'")
     idx = list(subset)
+    if any(not isinstance(i, int) or not 0 <= i < p.nvertices for i in idx):
+        raise WrongSize("subset index out of range")
     if len(idx) != p.dim + 1 or len(set(idx)) != len(idx):
         raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
-    if any(not 0 <= i < p.nvertices for i in idx):
-        raise WrongSize("subset index out of range")
     others = [] if ring == "Q" else [w for w in range(p.nvertices) if w not in idx]
     red, pivots, d = exact.rref(_lifted(p, idx + others))
     k = len(idx)

@@ -13,8 +13,8 @@ distances.
 from __future__ import annotations
 
 from . import exact
-from .errors import InternalError, SumNotZero, WrongSize
-from .model import Polytope, _lifted, _validate_distance_matrix
+from .errors import InternalError, SumNotZero
+from .model import Polytope, _check_support, _lifted, _validate_distance_matrix
 
 
 def dependency_module(p: Polytope) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -40,24 +40,17 @@ def dependency_module(p: Polytope) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((v, c) for v, c in enumerate(k) if c) for k in kernel)
 
 
-def _check_support(d: list[list[int]], y) -> None:
-    """WrongSize unless the support's vertices index d's rows in strictly ascending order."""
-    vs = [v for v, _ in y]
-    if any(not 0 <= v < len(d) for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
-        raise WrongSize("support vertices must be matrix indices in strictly ascending order")
-
-
 def check_dist_system(dm, y) -> bool:
     """Whether sum_v y(v) d(u, v) = 0 holds for every probe vertex u, for y a support as dependency_module gives."""
     d, _ = _validate_distance_matrix(dm)
-    _check_support(d, y)
+    _check_support(len(d), y)
     return all(sum(c * row[v] for v, c in y) == 0 for row in d)
 
 
 def check_negative_type(dm, y) -> bool:
     """Whether sum_{u,v} y(u) y(v) d(u, v) = 0, for y a support.  Requires sum(y) = 0."""
     d, _ = _validate_distance_matrix(dm)
-    _check_support(d, y)
+    _check_support(len(d), y)
     if sum(c for _, c in y) != 0:
         raise SumNotZero("dependency coefficients must sum to zero")
     return sum(a * sum(b * d[u][v] for v, b in y) for u, a in y) == 0

@@ -14,6 +14,10 @@ origin, the row of y here pulled back through d{i, j} = G_ii + G_jj - 2 G_ij
 and d{i, last} = G_ii is exactly minus rank_of's row of y, as the
 coefficients of y sum to 0.  So the cross-check guards the two row
 builders, while both routes share the frame and the kernel.
+
+The Lemma HY functions take b as a support, as p.frame.dependencies are
+stored, with coefficients summing to one; eval_hypermetric evaluates the
+pair sum on distances, check_lemma_hy reads it off the circumsphere.
 """
 
 from __future__ import annotations
@@ -23,37 +27,28 @@ from fractions import Fraction
 
 from . import exact
 from .errors import SumNotOne, WrongSize
-from .model import Polytope, _distance_matrix, _from_integers, _validate_distance_matrix, _validate_gram_shape, circumcenter
+from .model import Polytope, _check_support, _from_integers, _norm, _validate_distance_matrix, _validate_gram_shape, circumcenter
+
+
+def _check_representation(n: int, b) -> None:
+    """WrongSize unless b is a support over n vertices, SumNotOne unless its coefficients sum to one."""
+    _check_support(n, b)
+    if sum(c for _, c in b) != 1:
+        raise SumNotOne("representation coefficients must sum to one")
 
 
 def eval_hypermetric(dm, b) -> Fraction:
-    """sum over unordered pairs of b(u) b(v) d(u, v).  Requires sum(b) = 1."""
+    """sum over unordered pairs of b(u) b(v) d(u, v), for b a support.  Requires sum(b) = 1."""
     d, t = _validate_distance_matrix(dm)
-    if len(b) != len(d):
-        raise WrongSize("coefficient count does not match matrix size")
-    if sum(b) != 1:
-        raise SumNotOne("representation coefficients must sum to one")
-    total = 0
-    for i, bi in enumerate(b):
-        if bi:
-            row = d[i]
-            for j in range(i + 1, len(d)):
-                if b[j]:
-                    total += bi * b[j] * row[j]
-    return Fraction(total) / t
+    _check_representation(len(d), b)
+    return Fraction(sum(bu * bv * d[u][v] for k, (u, bu) in enumerate(b) for v, bv in b[k + 1:])) / t
 
 
 def representation_point(p: Polytope, b) -> tuple[tuple[Fraction, ...], bool]:
-    """Affine combination sum b(v) v and whether it is a vertex of p."""
-    if len(b) != p.nvertices:
-        raise WrongSize("coefficient count does not match vertex count")
-    if sum(b) != 1:
-        raise SumNotOne("representation coefficients must sum to one")
-    pt = tuple(
-        sum((Fraction(bv) * v[k] for bv, v in zip(b, p.vertices)), Fraction(0))
-        for k in range(p.dim)
-    )
-    return pt, pt in set(p.vertices)
+    """Affine combination sum b(v) v, for b a support, and whether it is a vertex of p."""
+    _check_representation(p.nvertices, b)
+    num = tuple(sum(c * p.numerators[v][i] for v, c in b) for i in range(p.dim))  # k times the point
+    return tuple(Fraction(a) / p.denominator for a in num), num in p.numerators
 
 
 @dataclass(frozen=True)
@@ -67,17 +62,26 @@ class LemmaHyReport:
 
 
 def check_lemma_hy(p: Polytope, gram, b) -> LemmaHyReport:
-    """Compare hypermetric equality against vertexhood of the combination point.
+    """Compare hypermetric equality against vertexhood of the combination point, for b a support.
 
     The two sides agree exactly when the sphere through the vertices is
     empty and carries no other lattice points; cosphericity is checked on
     the way in (distance data comes from the Gram form), emptiness is not.
+
+    The value is read off the circumsphere, with no distance matrix.  Let
+    x = sum_u b(u) x_u with sum_u b(u) = 1, and |x_u - c|^2 = r^2 at every
+    vertex under the form.  Then sum_u b(u) (x_u - x) = 0, so
+    r^2 = sum_u b(u) |x_u - c|^2 = sum_u b(u) |x_u - x|^2 + |x - c|^2, the
+    cross term vanishing.  And
+    sum_{u<v} b(u) b(v) d(u, v) = 1/2 sum_{u,v} b(u) b(v) |x_u - x_v|^2
+    = sum_u b(u) |x_u|^2 - |x|^2 = sum_u b(u) |x_u - x|^2.  Hence the pair
+    sum, eval_hypermetric on the distance matrix, is r^2 - |x - c|^2.
     """
-    form = _validate_gram_shape(p, gram)  # a checked _Form passes as it is
-    circumcenter(p, form)  # raises NotCospherical on bad input
-    num, scale = _distance_matrix(p, *form)
-    val = eval_hypermetric(num, b) / scale
+    w, s = form = _validate_gram_shape(p, gram)  # a checked _Form passes as it is
+    sphere = circumcenter(p, form)  # raises NotCospherical on bad input
     pt, isv = representation_point(p, b)
+    (u,), e = exact.over_common_denominator([[a - c for a, c in zip(pt, sphere.center)]])
+    val = sphere.radius_sq - Fraction(_norm(w, u), s * e * e)
     return LemmaHyReport(
         value=val,
         equality_holds=(val == 0),
@@ -143,8 +147,8 @@ def restricted_face_dimension(p: Polytope, subset) -> int:
 
     The subset must still affinely span the full dimension.
     """
-    idx = sorted(set(subset))
-    if any(not 0 <= i < p.nvertices for i in idx):
+    idx = list(subset)
+    if any(not isinstance(i, int) or not 0 <= i < p.nvertices for i in idx):
         raise WrongSize("subset index out of range")
-    sub = _from_integers(p.dim, [p.numerators[i] for i in idx], p.denominator)
+    sub = _from_integers(p.dim, [p.numerators[i] for i in sorted(set(idx))], p.denominator)
     return face_dimension(sub)

@@ -199,6 +199,13 @@ def _validate_distance_matrix(dm) -> tuple[list[list[int]], int]:
     return d, t
 
 
+def _check_support(n: int, y) -> None:
+    """WrongSize unless y is (vertex, coefficient) pairs whose vertices are ints in range(n), strictly ascending."""
+    vs = [t[0] if isinstance(t, (tuple, list)) and len(t) == 2 else None for t in y]
+    if any(not isinstance(v, int) or not 0 <= v < n for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
+        raise WrongSize("a support is (vertex, coefficient) pairs, its vertices indices in strictly ascending order")
+
+
 def differences(p: Polytope, base: int, others) -> list[list[int]]:
     """Vectors from vertex base to each vertex in others, times the polytope's denominator k: integer rows."""
     xs = p.numerators

@@ -81,15 +81,10 @@ def rank_of(p: Polytope) -> int:
 
 def bspace_basis(p: Polytope) -> list[list[list[Fraction]]]:
     """Basis of the compatible-form space, as full symmetric matrices."""
-    rows = bspace_constraints(p)
     cols = sym_columns(p.dim)
-    if rows:
-        vecs = exact.nullspace([list(r) for r in rows])
-    else:
-        m = len(cols)
-        vecs = [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
     out = []
-    for vec in vecs:
+    # with no dependencies the all-zero row leaves every column free: the unit forms, in column order
+    for vec in exact.nullspace([list(r) for r in bspace_constraints(p)] or [[0] * len(cols)]):
         b = [[Fraction(0)] * p.dim for _ in range(p.dim)]
         for (i, j), val in zip(cols, vec):
             b[i][j] = val

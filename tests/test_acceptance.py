@@ -188,11 +188,12 @@ def test_criterion_08_hypermetric_equality_iff_vertex():
         sample = witnesses if len(witnesses) <= 50 else rng.sample(witnesses, 50)
         dmat = dr.distance_matrix(p, gram)
         for b in sample:
-            report = dr.check_lemma_hy(p, gram, list(b))
+            b = [(v, c) for v, c in enumerate(b) if c]
+            report = dr.check_lemma_hy(p, gram, b)
             assert report.consistent, (name, b)
-            assert report.value == dr.eval_hypermetric(dmat, list(b))
+            assert report.value == dr.eval_hypermetric(dmat, b)
             assert report.equality_holds == (report.value == 0)
-            _, is_vertex = dr.representation_point(p, list(b))
+            _, is_vertex = dr.representation_point(p, b)
             assert report.point_is_vertex == is_vertex
 
 

@@ -22,6 +22,9 @@ def test_is_affine_basis_square(square):
         dr.is_affine_basis(square, [0, 1])
     with pytest.raises(dr.WrongSize):
         dr.is_affine_basis(square, [0, 1, 9])
+    for subset in ([0, 1, 2, 4.0], [0, 1, 2, [4]]):  # an index that is not an int, hashable or not
+        with pytest.raises(dr.WrongSize):
+            dr.is_affine_basis(dr.cube(3), subset)
 
 
 def test_is_affine_basis_dependent_subset():

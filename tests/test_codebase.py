@@ -202,7 +202,7 @@ INTEGER_EDGES = (
     "model._distance_matrix",
     "model._validate_gram_shape",
     "model._validate_distance_matrix",
-    "deps._check_support",
+    "model._check_support",
     "deps.check_dist_system",
     "deps.check_negative_type",
     "basis.is_affine_basis",

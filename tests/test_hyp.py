@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from tests.helpers import (
     dict_sparse_rank,
     family_corpus,
     fraction_rref,
+    gram_corpus,
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
@@ -36,52 +38,58 @@ def test_vertex_pairs():
 
 def test_eval_hypermetric_square(square):
     d = dr.distance_matrix(square, IDENT2)
-    assert dr.eval_hypermetric(d, [1, 1, -1, 0]) == -2
-    assert dr.eval_hypermetric(d, [0, 1, 1, -1]) == 0
-    assert dr.eval_hypermetric(d, [1, 0, 0, 0]) == 0
+    assert dr.eval_hypermetric(d, [(0, 1), (1, 1), (2, -1)]) == -2
+    assert dr.eval_hypermetric(d, [(1, 1), (2, 1), (3, -1)]) == 0
+    assert dr.eval_hypermetric(d, [(0, 1)]) == 0
     with pytest.raises(dr.SumNotOne):
-        dr.eval_hypermetric(d, [1, 1, 0, 0])
+        dr.eval_hypermetric(d, [(0, 1), (1, 1)])
     with pytest.raises(dr.WrongSize):
-        dr.eval_hypermetric(d, [1, 0, 0])
+        dr.eval_hypermetric(d, [(4, 1)])
+    with pytest.raises(dr.WrongSize):  # a dense vector is no support
+        dr.eval_hypermetric(d, [1, 0, 0, 0])
 
 
 def test_eval_hypermetric_checks_its_matrix():
     # a non-square or asymmetric matrix is bad input, not a matrix with its extra column dropped
     with pytest.raises(dr.WrongSize):
-        dr.eval_hypermetric([[0, 1, 5], [1, 0, 7]], [2, -1])
+        dr.eval_hypermetric([[0, 1, 5], [1, 0, 7]], [(0, 2), (1, -1)])
     with pytest.raises(dr.InputError):
-        dr.eval_hypermetric([[0, 1], [2, 0]], [2, -1])
+        dr.eval_hypermetric([[0, 1], [2, 0]], [(0, 2), (1, -1)])
 
 
 def test_representation_point(square):
-    pt, isv = dr.representation_point(square, [0, 1, 1, -1])
+    pt, isv = dr.representation_point(square, [(1, 1), (2, 1), (3, -1)])
     assert pt == (Fraction(0), Fraction(0)) and isv
-    pt, isv = dr.representation_point(square, [1, 1, -1, 0])
+    pt, isv = dr.representation_point(square, [(0, 1), (1, 1), (2, -1)])
     assert pt == (Fraction(1), Fraction(-1)) and not isv
+    pt, isv = dr.representation_point(square, [(0, Fraction(1, 2)), (3, Fraction(1, 2))])
+    assert pt == (Fraction(1, 2), Fraction(1, 2)) and not isv
     with pytest.raises(dr.SumNotOne):
-        dr.representation_point(square, [2, 0, 0, 0])
+        dr.representation_point(square, [(0, 2)])
+    with pytest.raises(dr.WrongSize):
+        dr.representation_point(square, [(1, 2), (0, -1)])
 
 
 def test_check_lemma_hy_square(square):
-    r = dr.check_lemma_hy(square, IDENT2, [2, -1, 0, 0])
+    r = dr.check_lemma_hy(square, IDENT2, [(0, 2), (1, -1)])
     assert r.value == -2
     assert not r.equality_holds and not r.point_is_vertex and r.consistent
-    r = dr.check_lemma_hy(square, IDENT2, [1, 0, 0, 0])
+    r = dr.check_lemma_hy(square, IDENT2, [(0, 1)])
     assert r.equality_holds and r.point_is_vertex and r.consistent
     assert "bounded-window" in r.caveat
     with pytest.raises(dr.NotCospherical):
-        dr.check_lemma_hy(square, [[2, 1], [1, 2]], [1, 0, 0, 0])
+        dr.check_lemma_hy(square, [[2, 1], [1, 2]], [(0, 1)])
 
 
 def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
     calls = count_calls(monkeypatch, exact, "is_positive_definite")
-    dr.check_lemma_hy(square, IDENT2, [2, -1, 0, 0])
+    dr.check_lemma_hy(square, IDENT2, [(0, 2), (1, -1)])
     assert len(calls) == 1
     p, gram = p0data.polytope, [list(r) for r in p0data.gram]
-    dr.check_lemma_hy(p, gram, [1] + [0] * (p.nvertices - 1))
+    dr.check_lemma_hy(p, gram, [(0, 1)])
     assert len(calls) == 2
     with pytest.raises(dr.NotPositiveDefinite):
-        dr.check_lemma_hy(square, [[1, 2], [2, 1]], [1, 0, 0, 0])
+        dr.check_lemma_hy(square, [[1, 2], [2, 1]], [(0, 1)])
     assert len(calls) == 3
 
 
@@ -89,8 +97,45 @@ def test_check_lemma_hy_checks_the_form_once(monkeypatch, square, p0data):
 def test_check_lemma_hy_takes_a_checked_form(name, square, p0data):
     p, gram = (square, IDENT2) if name == "square" else (p0data.polytope, [list(r) for r in p0data.gram])
     form = model._validate_gram_shape(p, gram)
-    for b in ([1] + [0] * (p.nvertices - 1), [2, -1] + [0] * (p.nvertices - 2)):
+    for b in ([(0, 1)], [(0, 2), (1, -1)]):
         assert dr.check_lemma_hy(p, form, b) == dr.check_lemma_hy(p, gram, b)
+
+
+GRAMS = gram_corpus()
+
+
+def _affine_support(rng, n):
+    """A support over n vertices on up to six of them, integer or rational coefficients summing to one."""
+    vs = sorted(rng.sample(range(n), rng.randint(1, min(n, 6))))
+    den = rng.choice((1, 2, 3, 6))
+    cs = [rng.randint(-3, 3) if den == 1 else Fraction(rng.randint(-3 * den, 3 * den), den) for _ in vs[1:]]
+    return list(zip(vs, [1 - sum(cs), *cs]))
+
+
+@given(st.integers(0, 10_000), st.booleans())
+def test_lemma_hy_value_off_the_circumsphere_is_the_pair_sum(seed, relabel):
+    """r^2 - |x - c|^2 equals eval_hypermetric on the distance matrix, and vertexhood equals representation_point's."""
+    rng = random.Random(seed)
+    _, p, g = rng.choice(GRAMS)
+    if relabel:
+        p = _relabeled(p, rng)
+    b = _affine_support(rng, p.nvertices)
+    r = dr.check_lemma_hy(p, g, b)
+    assert r.value == dr.eval_hypermetric(dr.distance_matrix(p, g), b)
+    assert (r.point, r.point_is_vertex) == dr.representation_point(p, b)
+
+
+def test_check_lemma_hy_builds_no_distance_matrix():
+    # the 1,024 x 1,024 distance matrix of cube(10) alone takes about 16 MiB
+    p, g = dr.cube(10), dr.canonical_gram("cube", 10)
+    tracemalloc.start()
+    try:
+        r = dr.check_lemma_hy(p, g, [(0, 2), (1, -1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.value == -2 and not r.point_is_vertex
+    assert peak < 2 * 2**20
 
 
 def test_face_system_square(square):
@@ -166,6 +211,9 @@ def test_restricted_face_dimension(square):
     assert dr.restricted_face_dimension(square, [0, 1, 2, 3]) == 2
     with pytest.raises(dr.WrongSize):
         dr.restricted_face_dimension(square, [0, 1, 9])
+    for subset in ([0, 1, 2, 4, 7.0], [0, 1, 2, 4, "7"]):  # an index that is not an int, comparable or not
+        with pytest.raises(dr.WrongSize):
+            dr.restricted_face_dimension(dr.cube(3), subset)
     with pytest.raises(dr.TooFewVertices):
         dr.restricted_face_dimension(square, [0, 1])
 

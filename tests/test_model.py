@@ -171,7 +171,7 @@ def test_forms_that_are_not_positive_definite_are_rejected(square, gram):
         lambda: dr.circumcenter(square, gram),
         lambda: dr.distance_matrix(square, gram),
         lambda: dr.verify_empty_sphere(square, gram),
-        lambda: dr.check_lemma_hy(square, gram, [1, 0, 0, 0]),
+        lambda: dr.check_lemma_hy(square, gram, [(0, 1)]),
         lambda: dr.check_symmetric_reduction(square, gram),
     ):
         with pytest.raises(dr.NotPositiveDefinite):
