@@ -61,6 +61,8 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     A completed search with no witness certifies Q_BASIC_ONLY; running out
     of budget leaves the question UNDECIDED.
     """
+    if not isinstance(budget, int):
+        raise InputError("budget must be an integer")
     if budget < 1:
         raise InputError("budget must be >= 1")
     n, size = p.nvertices, p.dim + 1

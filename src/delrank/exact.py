@@ -1,13 +1,14 @@
 """Exact linear algebra over rationals and integers.
 
 Matrices are plain lists of lists, vectors plain lists.  Rational entries
-are fractions.Fraction, integer entries plain int.  The rational routines
-share one fraction-free elimination step, _step, which cancels a row at a
-pivot row's leading column; no pivot is chosen by a magnitude heuristic.
-_echelon reduces each row in turn against the pivot row at its leftmost
-column, and _extend grows a reduced echelon form by one row.  rref is that
-form of its rows, canonical because a reduced echelon form depends only on
-the row space; a caller that reads the form between rows keeps it across
+are fractions.Fraction, integer entries plain int.  All rational
+elimination runs through one loop, _extend, which grows a reduced echelon
+form by one row with one fraction-free step, _step, that cancels a row at
+a pivot row's leading column; no pivot is chosen by a magnitude heuristic.
+_reduced is that form of a list of rows: rank, sparse_rank and
+is_positive_definite read its pivots, and rref scales it to integers over
+one denominator, canonical because a reduced echelon form depends only on
+the row space.  A caller that reads the form between rows keeps it across
 _extend calls instead of running rref per row.  hermite_normal_form is the
 one elimination over Z.  Rational input enters through
 over_common_denominator as integers over one denominator, and rref hands
@@ -89,52 +90,39 @@ def _step(r: dict[int, int], p: dict[int, int], c: int) -> None:
                 r[k] //= g
 
 
-def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Fraction-free echelon form of integer {column: entry} rows: the primitive pivot rows by leading column.
-
-    Each incoming row is copied, then reduced in place by _step against the
-    stored pivot row at its leftmost column until it dies or starts a new
-    pivot.  Every step is a nonzero multiple of a rational Gauss step, so
-    the pivot rows span the row space of the input.  Input rows are never
-    modified, and no pivot row is an input row.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = dict(row) if all(row.values()) else {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                g = gcd(*r.values())
-                pivots[c] = {k: v // g for k, v in r.items()} if g > 1 else r
-                break
-            _step(r, p, c)
-    return pivots
-
-
 def rref(m) -> tuple[IntMat, list[int], int]:
     """Reduced row echelon form in integers; returns (R, pivot column indices, d).
 
     R holds the nonzero rows of the reduced echelon form times d, where
     d > 0 is the lcm of their pivots, so R[i][pivots[i]] == d and every
-    entry is an integer.  The rows are added one at a time to a reduced
-    form by _extend.  The nonzero rows of a reduced echelon form depend
-    only on the row space, so R and d are canonical.
+    entry is an integer.  The form is _reduced of the rows.  The nonzero
+    rows of a reduced echelon form depend only on the row space, so R and
+    d are canonical.
     """
     rows, ncols = _int_rows(m)
+    return _scaled(_reduced(rows), ncols)
+
+
+def _reduced(rows) -> dict[int, dict[int, int]]:
+    """The reduced echelon form of integer {column: entry} rows, adding them in order by _extend.
+
+    Its pivot columns are keyed in the order the rows created them.  No input row is modified or stored as a pivot row.
+    """
     form: dict[int, dict[int, int]] = {}
     for r in rows:
         _extend(form, r)
-    return _scaled(form, ncols)
+    return form
 
 
 def _extend(form: dict[int, dict[int, int]], row: dict[int, int]) -> None:
     """Extend a reduced echelon form, its primitive pivot rows by leading column, by one integer {column: entry} row.
 
-    A copy of the row is reduced by _step at every pivot column it meets, which brings back no other pivot column.
-    What is left, if anything, becomes the primitive pivot row at its leftmost column, and the other rows are cleared
-    at that column and made primitive again.  _scaled(form, ncols) is then rref of the rows added so far, since a
-    reduced echelon form depends only on the row space.  form is changed in place; the row is not.
+    This is the library's one rational elimination loop.  A copy of the row is reduced by _step at every pivot column
+    it meets, which brings back no other pivot column, since a reduced pivot row holds only its own pivot and free
+    columns.  What is left, if anything, becomes the primitive pivot row at its leftmost column, keyed after the
+    others, and the other rows are cleared at that column and made primitive again.  _scaled(form, ncols) is then
+    rref of the rows added so far, since a reduced echelon form depends only on the row space.  form is changed in
+    place; the row is not.
     """
     r = {c: v for c, v in row.items() if v}
     for c, p in form.items():
@@ -165,7 +153,7 @@ def _scaled(form: dict[int, dict[int, int]], ncols: int) -> tuple[IntMat, list[i
 
 
 def rank(m) -> int:
-    return len(_echelon(_int_rows(m)[0]))
+    return len(_reduced(_int_rows(m)[0]))
 
 
 def nullspace(m) -> list[Vec]:
@@ -205,20 +193,22 @@ def solve(a, b) -> Vec | None:
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester's criterion, read off the pivots of one _echelon pass.
+    """Sylvester's criterion, read off the pivots of the _reduced form of the rows.
 
-    The form is positive definite exactly when row c starts the pivot of
-    column c, for c = 0..n-1 in row order, and every pivot entry is
-    positive.  Row c is then reduced without row swaps against the pivots
-    of columns 0..c-1 in turn; while those are positive, each step scales
-    the row by a positive factor, so its entry at c keeps the sign of the
-    ratio of successive leading minors.
+    The test: row c creates the pivot of column c, for c = 0..n-1 in row order, and every final pivot entry is
+    positive.  While the pivots of columns 0..c-1 are positive, reducing row c scales it by positive factors only, so
+    its entry at c has the sign of the ratio of the leading minors of orders c+1 and c, and clearing the other rows at
+    c scales them by a factor of that sign.  So when every leading minor is positive, every pivot is created positive
+    and never scaled by a negative factor, and the test passes.  Otherwise let c be the first order whose leading minor
+    is not positive.  If it is zero, row c dies or pivots at a later column.  If it is negative, row c creates a
+    negative pivot, and the last pivot created negative is never scaled by a negative factor again, since every later
+    pivot is created positive: it stays negative.  Either way the test fails.
     """
     rows, n = _int_rows(g)
     if len(rows) != n:
         raise WrongSize("non-square form")
-    pivots = _echelon(rows)
-    return list(pivots) == list(range(n)) and all(pivots[c][c] > 0 for c in range(n))
+    form = _reduced(rows)
+    return list(form) == list(range(n)) and all(form[c][c] > 0 for c in range(n))
 
 
 def _as_int_matrix(m) -> IntMat:
@@ -303,5 +293,5 @@ def integral_kernel(m) -> list[IntVec]:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a sparse integer matrix given as {column: entry} dicts; input rows are never modified."""
-    return len(_echelon(rows))
+    """Rank of a sparse integer matrix given as {column: entry} dicts, the pivot count of their _reduced form."""
+    return len(_reduced(rows))

@@ -304,6 +304,8 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     vertices are reported separately.  This bounded scan is a heuristic
     check only; it can never prove global emptiness.
     """
+    if not isinstance(window, int):
+        raise InputError("window must be an integer")
     if window < 0:
         raise InputError("window must be >= 0")
     w, t = form = _validate_gram_shape(p, gram)

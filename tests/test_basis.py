@@ -64,8 +64,10 @@ def test_classify_basicity_budget_exhaustion():
     assert not cls.exhaustive
     assert cls.tested == 2
     assert "budget" in cls.note
-    with pytest.raises(dr.InputError):
-        dr.classify_basicity(p, budget=0)
+    # the count of tested subsets never equals a non-integer budget, so p0's search would run to its end
+    for q, budget in ((p, 0), (dr.p0().polytope, 2.5)):
+        with pytest.raises(dr.InputError):
+            dr.classify_basicity(q, budget=budget)
 
 
 def test_classify_basicity_skips_dependent_subsets():

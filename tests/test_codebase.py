@@ -151,13 +151,13 @@ def _step_users(source, module):
 
 
 def test_step_runs_only_in_the_echelon_loop():
-    # one elimination loop: _echelon reduces the rows, and _extend grows a reduced form by one row (rref's only path)
+    # one elimination loop: _extend grows a reduced form by one row, and every rational elimination goes through it
     found = {
         user
         for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
         for user in _step_users(path.read_text(), path.stem)
     }
-    assert found == {"exact._echelon", "exact._extend"}
+    assert found == {"exact._extend"}
 
 
 def test_step_scan_sees_calls_and_aliases():
@@ -190,7 +190,7 @@ def _functions_naming(source, module, name):
 # the layers hand each other integers over one denominator; Fractions are made
 # only where a public function returns rationals
 INTEGER_EDGES = (
-    "exact._echelon",
+    "exact._reduced",
     "exact._int_rows",
     "exact.rref",
     "exact._extend",

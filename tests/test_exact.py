@@ -96,6 +96,9 @@ def test_is_positive_definite():
     assert exact.is_positive_definite([[1, 0], [0, 1]])
     assert not exact.is_positive_definite([[1, 2], [2, 1]])
     assert not exact.is_positive_definite([[0, 0], [0, 1]])
+    # clearing at the negative second pivot flips the sign of the first row
+    assert not exact.is_positive_definite([[1, 1], [1, -1]])
+    assert not exact.is_positive_definite([[-1, 1], [1, -2]])
     assert exact.is_positive_definite([[3, 2, -1], [2, 3, -1], [-1, -1, 2]])
 
 
@@ -406,10 +409,10 @@ def test_kernel_leaves_its_inputs_unchanged_and_shares_no_row(m, data):
     exact.is_positive_definite(gram)
     for rows in (dicts, zeros):
         exact.sparse_rank(rows)
-        pivots = exact._echelon(rows)
+        pivots = exact._reduced(rows)
         assert not any(p is row for p in pivots.values() for row in rows)
     # the reduction in place also leaves the stored pivots alone: a second pass over them keeps them
-    pivots = exact._echelon(dicts)
+    pivots = exact._reduced(dicts)
     again = copy.deepcopy(pivots)
-    assert exact._echelon(list(pivots.values())) == again and pivots == again
+    assert exact._reduced(list(pivots.values())) == again and pivots == again
     assert inputs == before

@@ -281,8 +281,9 @@ def test_verify_empty_sphere_window_zero(square):
     assert rep.box == ((0, 1), (0, 1))
     assert rep.points_checked == 4
     assert rep.ok()
-    with pytest.raises(dr.InputError):
-        dr.verify_empty_sphere(square, [[1, 0], [0, 1]], window=-1)
+    for p, gram, window in ((square, [[1, 0], [0, 1]], -1), (dr.cube(3), dr.canonical_gram("cube", 3), 0.5)):
+        with pytest.raises(dr.InputError):
+            dr.verify_empty_sphere(p, gram, window=window)
 
 
 def test_verify_flags_sublattice():
