@@ -24,7 +24,6 @@ from math import gcd, lcm
 from .errors import InputError, WrongSize
 
 Vec = list[Fraction]
-IntVec = list[int]
 IntMat = list[list[int]]
 
 
@@ -273,23 +272,6 @@ def covolume(rows) -> Fraction:
         # some h[i][i] is 0 or row i is missing
         d *= h[i][i] if i < len(h) else 0
     return d / Fraction(scale) ** n
-
-
-def integral_kernel(m) -> list[IntVec]:
-    """Z-basis of the integer kernel {y : m y = 0}, in Hermite-canonical form.
-
-    The returned vectors span every integer solution over Z, not merely the
-    rational kernel.  Rational rows are scaled to integers, which keeps the
-    kernel.  The Hermite form of [m^T | I] is [H | U] with U unimodular and
-    U m^T = H, so the U-parts of the rows where H is zero are a Z-basis of
-    the kernel; as the bottom rows of a Hermite form they are already in
-    Hermite form.  Each vector comes out primitive with positive leading
-    entry.
-    """
-    a, _ = over_common_denominator(m)
-    ncols = len(a[0]) if a else 0
-    h = hermite_normal_form([[*col, *(int(i == j) for j in range(ncols))] for i, col in enumerate(zip(*a))])
-    return [row[len(a):] for row in h if not any(row[: len(a)])]
 
 
 def sparse_rank(rows) -> int:

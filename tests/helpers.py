@@ -195,12 +195,22 @@ def vertex_vectors(p, supports):
     return tuple(out)
 
 
+def integral_kernel(m):
+    """Z-basis of the integer kernel {y : m y = 0}, in Hermite-canonical form: the dense oracle for dependency_module.
+
+    Rational rows are scaled to integers, which keeps the kernel.  The Hermite form of [m^T | I] is [H | U] with U
+    unimodular and U m^T = H, so the U-parts of the rows where H is zero are a Z-basis of the kernel; as the bottom
+    rows of a Hermite form they are already in Hermite form, each primitive with positive leading entry.
+    """
+    a, _ = exact.over_common_denominator(m)
+    ncols = len(a[0]) if a else 0
+    h = exact.hermite_normal_form([[*col, *(int(i == j) for j in range(ncols))] for i, col in enumerate(zip(*a))])
+    return [row[len(a):] for row in h if not any(row[: len(a)])]
+
+
 def dense_dependency_module(p):
-    """Dense oracle for dependency_module: the frame's dependencies spread to int tuples indexed by vertex, or the Hermite kernel."""
-    ys = p.frame.dependencies
-    if all(y[0][1] == 1 for y in ys):
-        return vertex_vectors(p, ys)
-    kernel = exact.integral_kernel(model._lifted(p, range(p.nvertices)))
+    """Dense oracle for dependency_module: the Hermite kernel of the lifted vertices, as int tuples indexed by vertex."""
+    kernel = integral_kernel(model._lifted(p, range(p.nvertices)))
     assert len(kernel) == p.nvertices - p.dim - 1
     return tuple(tuple(v) for v in kernel)
 

@@ -204,16 +204,15 @@ def test_invalid_files_exit_two(doc, tmp_path, capsys):
 
 
 def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
-    # a kernel that loses a vector breaks the dependency-count invariant; the
-    # first vertex has affine coordinates 1/2, 1/2 over the others, so the
-    # module comes from the Hermite pass and not from the frame
+    # a Hermite form that loses its last row, the one pivoting at w's column, leaves no relation row at w; the
+    # first vertex has affine coordinates 1/2, 1/2 over the others, so the module walk takes a Hermite form there
     path = write_json(tmp_path, "halves.json", {"dim": 2, "vertices": [["1", "1"], ["0", "0"], ["2", "0"], ["0", "2"]]})
-    real = exact.integral_kernel
-    monkeypatch.setattr(exact, "integral_kernel", lambda m: real(m)[:-1])
+    real = exact.hermite_normal_form
+    monkeypatch.setattr(exact, "hermite_normal_form", lambda m: real(m)[:-1])
     code, out, err = run(["deps", path], capsys)
     assert code == 4
     assert out == ""
-    assert err.startswith("internal error:")
+    assert err == "internal error: 0 relation rows at vertex 0, expected 1\n"
     assert not issubclass(InternalError, DelrankError)
 
 
@@ -577,7 +576,7 @@ def test_report_builds_the_dependency_module_once(tmp_path, capsys, monkeypatch)
 def test_rank_both_builds_no_hermite_module(tmp_path, capsys, monkeypatch):
     target = str(tmp_path / "hc5.json")
     assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
-    calls = count_calls(monkeypatch, exact, "integral_kernel")
+    calls = count_calls(monkeypatch, exact, "hermite_normal_form")
     code, out, err = run(["rank", target, "--method", "both"], capsys)
     assert code == 0
     assert json.loads(out)["methods_agree"] is True

@@ -203,6 +203,7 @@ INTEGER_EDGES = (
     "model._validate_gram_shape",
     "model._validate_distance_matrix",
     "model._check_support",
+    "deps.dependency_module",
     "deps.check_dist_system",
     "deps.check_negative_type",
     "basis.is_affine_basis",

@@ -1,10 +1,10 @@
 """Integral dependency module and per-vertex dependencies."""
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
@@ -128,17 +128,20 @@ def test_dependencies_over_the_last_basis_lead_at_their_vertex(seed, name):
         assert all(v in basis and v > w for v in support[1:]), name
 
 
-def _hermite_module(p):
-    rows = [[v[k] for v in p.vertices] for k in range(p.dim)] + [[1] * p.nvertices]
-    return tuple(tuple(v) for v in exact.integral_kernel(rows))
-
-
 MODULE_INSTANCES = {
     **LEAD_INSTANCES,
     "halfcube5-T": lambda rng: transform_basis(dr.half_cube(5), random_unimodular(5, rng)),
     "cube4-T": lambda rng: transform_basis(dr.cube(4), random_unimodular(4, rng)),
     "cross5-T": lambda rng: transform_basis(dr.cross_polytope(5), random_unimodular(5, rng)),
+    "cube6": lambda rng: dr.cube(6),
+    "halfcube6": lambda rng: dr.half_cube(6),
 }
+
+
+def _relabeled(p, seed):
+    order = list(range(p.nvertices))
+    random.Random(seed).shuffle(order)
+    return dr.from_coords(p.dim, [p.vertices[i] for i in order])
 
 
 def _assert_module_spreads_to_the_oracle(p, name):
@@ -150,16 +153,21 @@ def _assert_module_spreads_to_the_oracle(p, name):
 
 
 @given(st.integers(0, 10_000), st.sampled_from(sorted(MODULE_INSTANCES)))
+# inputs whose frame has a coefficient y_w(w) > 1, so the module is not the frame's tuple
+@example(0, "p0")
+@example(1, "p0")
+@example(2, "p0")
+@example(0, "half_integer")
+@example(3, "half_integer")
+@example(4, "half_integer")
+@example(5, "half_integer")
+@example(3, "cube6")
+@example(3, "halfcube6")
 def test_dependency_module_matches_the_hermite_kernel(seed, name):
-    """Frame shortcut or Hermite pass, relabeled or in another lattice basis, the module is the Hermite basis of the
-    integer kernel, and its supports are the nonzeros of the dense oracle."""
-    rng = random.Random(seed)
-    p = MODULE_INSTANCES[name](rng)
-    verts = list(p.vertices)
-    rng.shuffle(verts)
-    p = dr.from_coords(p.dim, verts)
+    """Relabeled or in another lattice basis, the module equals the Hermite basis of the integer kernel, and its
+    supports are the nonzeros of the dense oracle."""
+    p = _relabeled(MODULE_INSTANCES[name](random.Random(seed)), seed)
     _assert_module_spreads_to_the_oracle(p, name)
-    assert vertex_vectors(p, dr.dependency_module(p)) == _hermite_module(p), name
 
 
 def test_dependency_module_spreads_to_the_dense_oracle_on_families():
@@ -168,14 +176,25 @@ def test_dependency_module_spreads_to_the_dense_oracle_on_families():
 
 
 def test_dependency_module_takes_the_frame_only_when_it_is_integral(monkeypatch):
-    calls = count_calls(monkeypatch, exact, "integral_kernel")
+    calls = count_calls(monkeypatch, exact, "hermite_normal_form")
     hc = dr.half_cube(5)
-    assert dr.dependency_module(hc) is hc.frame.dependencies
+    assert dr.dependency_module(hc) == hc.frame.dependencies
     assert calls == []
     halves = dr.from_coords(2, [[1, 1], [0, 0], [2, 0], [0, 2]])
     assert halves.frame.dependencies == (((0, 2), (2, -1), (3, -1)),)
     assert dr.dependency_module(halves) == (((0, 2), (2, -1), (3, -1)),)
     assert len(calls) == 1
+
+
+def test_dependency_module_hermite_forms_stay_small(monkeypatch):
+    """On relabeled cube(8) the frame has D = 2, and no Hermite form the walk takes has more than
+    (dim + 1)(1 + floor(log2 D)) + 1 rows, whatever the number of dependencies."""
+    p = _relabeled(dr.cube(8), 1)
+    ys = p.frame.dependencies
+    assert (lcm(*(y[0][1] for y in ys)), len(ys)) == (2, 247)
+    calls = count_calls(monkeypatch, exact, "hermite_normal_form")
+    assert len(dr.dependency_module(p)) == 247
+    assert calls and max(len(m) for m, in calls) <= 9 * (1 + 1) + 1
 
 
 SQUARE_DEPENDENCY = ((0, 1), (1, -1), (2, -1), (3, 1))
