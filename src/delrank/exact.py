@@ -3,17 +3,18 @@
 Matrices are plain lists of lists, vectors plain lists.  Rational entries
 are fractions.Fraction, integer entries plain int.  All rational
 elimination runs through one loop, _extend, which grows a reduced echelon
-form by one row with one fraction-free step, _step, that cancels a row at
-a pivot row's leading column; no pivot is chosen by a magnitude heuristic.
-_reduced is that form of a list of rows: rank, sparse_rank and
-is_positive_definite read its pivots, and rref scales it to integers over
-one denominator, canonical because a reduced echelon form depends only on
-the row space.  A caller that reads the form between rows keeps it across
-_extend calls instead of running rref per row.  hermite_normal_form is the
-one elimination over Z.  Rational input enters through
-over_common_denominator as integers over one denominator, and rref hands
-its result back in the same format; nullspace and solve divide by that
-denominator.
+form by one row; no pivot is chosen by a magnitude heuristic.  Its pivot
+rows are zero at each other's leading columns, so _cancel reduces a row
+against all of them in one fraction-free pass: one scale, and one
+subtraction per pivot row met.  _reduced is that form of a list of rows:
+rank, sparse_rank and is_positive_definite read its pivots, and rref
+scales it to integers over one denominator, canonical because a reduced
+echelon form depends only on the row space.  A caller that reads the form
+between rows keeps it across _extend calls instead of running rref per
+row.  hermite_normal_form is the one elimination over Z.  Rational input
+enters through over_common_denominator as integers over one denominator,
+and rref hands its result back in the same format; nullspace and solve
+divide by that denominator.
 """
 
 from __future__ import annotations
@@ -59,34 +60,33 @@ def _int_rows(m) -> tuple[list[dict[int, int]], int]:
     return [{j: x for j, x in enumerate(row) if x} for row in a], len(a[0]) if a else 0
 
 
-def _step(r: dict[int, int], p: dict[int, int], c: int) -> None:
-    """Cancel column c of row r against pivot row p, in place.
+def _cancel(r: dict[int, int], pivots) -> None:
+    """Cancel row r, in place, at the leading column c of every (c, p) in pivots that it meets.
 
-    The two multipliers are divided by their gcd, so r is scaled only when
-    the pivot's multiplier is not 1, and only by a positive factor when
-    p[c] > 0.  Entries are deleted as they reach zero.  A scaled row is
-    divided by its content; an unscaled one may keep a content, which the
-    callers divide out when they store it.  p is not modified.
+    The pivot rows are zero at each other's leading columns, so subtracting one leaves r's entries at the others as
+    they are, and every multiplier is fixed by r's own entries.  So r is scaled once, by the least f > 0 that makes
+    f r[c] a multiple of p[c] at every c met, and each met pivot row is subtracted once, f r[c] / p[c] times.
+    Entries are deleted as they reach zero.  r may keep a content, which the caller divides out.  No p is modified.
     """
-    a, b = r[c], p[c]
-    g = gcd(a, b)
-    a //= g
-    b //= g
-    if b != 1:
+    f = 1
+    for c, p in pivots:
+        if c in r:
+            b = p[c]
+            if f % b:
+                f = lcm(f, b // gcd(r[c], b))
+    if f != 1:
         for k in r:
-            r[k] *= b
+            r[k] *= f
     get = r.get
-    for k, v in p.items():
-        x = get(k, 0) - a * v
-        if x:
-            r[k] = x
-        else:
-            del r[k]
-    if b != 1:
-        g = gcd(*r.values())
-        if g > 1:
-            for k in r:
-                r[k] //= g
+    for c, p in pivots:
+        if c in r:
+            a = r[c] // p[c]
+            for k, v in p.items():
+                x = get(k, 0) - a * v
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
 
 
 def rref(m) -> tuple[IntMat, list[int], int]:
@@ -116,17 +116,17 @@ def _reduced(rows) -> dict[int, dict[int, int]]:
 def _extend(form: dict[int, dict[int, int]], row: dict[int, int]) -> None:
     """Extend a reduced echelon form, its primitive pivot rows by leading column, by one integer {column: entry} row.
 
-    This is the library's one rational elimination loop.  A copy of the row is reduced by _step at every pivot column
-    it meets, which brings back no other pivot column, since a reduced pivot row holds only its own pivot and free
-    columns.  What is left, if anything, becomes the primitive pivot row at its leftmost column, keyed after the
-    others, and the other rows are cleared at that column and made primitive again.  _scaled(form, ncols) is then
-    rref of the rows added so far, since a reduced echelon form depends only on the row space.  form is changed in
+    This is the library's one rational elimination loop.  A copy of the row is cancelled by _cancel at every pivot
+    column it meets, in one pass: a reduced pivot row holds only its own pivot and free columns, so subtracting it
+    leaves the row's entries at the other pivot columns as they were, and the multipliers are fixed before any
+    subtraction.  What is left, if anything, is divided by its content and becomes the pivot row at its leftmost
+    column, keyed after the others; each other row that meets that column is cancelled at it the same way and made
+    primitive again.  Every row is scaled by positive factors only, so no pivot changes sign.  _scaled(form, ncols) is
+    then rref of the rows added so far, since a reduced echelon form depends only on the row space.  form is changed in
     place; the row is not.
     """
     r = {c: v for c, v in row.items() if v}
-    for c, p in form.items():
-        if c in r:
-            _step(r, p, c)
+    _cancel(r, form.items())
     if not r:
         return
     c = min(r)
@@ -134,7 +134,7 @@ def _extend(form: dict[int, dict[int, int]], row: dict[int, int]) -> None:
     form[c] = r = {k: v // g for k, v in r.items()} if g > 1 else r
     for k, q in form.items():
         if k != c and c in q:
-            _step(q, r, c)
+            _cancel(q, ((c, r),))
             g = gcd(*q.values())
             form[k] = {j: v // g for j, v in q.items()} if g > 1 else q
 
@@ -195,13 +195,11 @@ def is_positive_definite(g) -> bool:
     """Sylvester's criterion, read off the pivots of the _reduced form of the rows.
 
     The test: row c creates the pivot of column c, for c = 0..n-1 in row order, and every final pivot entry is
-    positive.  While the pivots of columns 0..c-1 are positive, reducing row c scales it by positive factors only, so
-    its entry at c has the sign of the ratio of the leading minors of orders c+1 and c, and clearing the other rows at
-    c scales them by a factor of that sign.  So when every leading minor is positive, every pivot is created positive
-    and never scaled by a negative factor, and the test passes.  Otherwise let c be the first order whose leading minor
-    is not positive.  If it is zero, row c dies or pivots at a later column.  If it is negative, row c creates a
-    negative pivot, and the last pivot created negative is never scaled by a negative factor again, since every later
-    pivot is created positive: it stays negative.  Either way the test fails.
+    positive.  _extend scales rows by positive factors only, so every pivot keeps the sign it was created with.  While
+    the leading minors of orders 1..c are nonzero, rows 0..c-1 have created the pivots of columns 0..c-1, and reducing
+    row c leaves a positive multiple of the Schur complement entry, the ratio of the leading minors of orders c+1 and
+    c.  So the test passes exactly when every leading minor is positive: the first order c+1 whose minor is not
+    positive makes row c die or pivot at a later column if it is zero, and create a negative pivot if it is negative.
     """
     rows, n = _int_rows(g)
     if len(rows) != n:

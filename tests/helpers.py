@@ -269,6 +269,54 @@ def dict_sparse_rank(rows):
     return rk
 
 
+def _step(r, p, c):
+    """Cancel column c of row r against pivot row p, in place: scale by p[c] over the gcd, subtract, and divide a
+    scaled row by its content."""
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for k in r:
+            r[k] *= b
+    for k, v in p.items():
+        x = r.get(k, 0) - a * v
+        if x:
+            r[k] = x
+        else:
+            del r[k]
+    if b != 1:
+        g = gcd(*r.values())
+        if g > 1:
+            for k in r:
+                r[k] //= g
+
+
+def stepwise_reduced(rows):
+    """The reduced echelon form of integer {column: entry} rows, one _step per pivot column a row meets.
+
+    This is exact._reduced as it was before it cancelled a row at all of its pivots in one pass: the same primitive
+    pivot rows by leading column, up to sign, keyed in the same order.
+    """
+    form = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for c, p in form.items():
+            if c in r:
+                _step(r, p, c)
+        if not r:
+            continue
+        c = min(r)
+        g = gcd(*r.values())
+        form[c] = r = {k: v // g for k, v in r.items()} if g > 1 else r
+        for k, q in form.items():
+            if k != c and c in q:
+                _step(q, r, c)
+                g = gcd(*q.values())
+                form[k] = {j: v // g for j, v in q.items()} if g > 1 else q
+    return form
+
+
 def fraction_bspace_rows(p, dependencies):
     """Constraint rows accumulated entry by entry in Fractions, one row per dependency."""
     cols = sym_columns(p.dim)

@@ -134,8 +134,8 @@ def test_unused_import_scan_sees_plain_and_marked_imports():
     assert _unused_imports(source) == ["gcd:2", "os:1"]
 
 
-def _step_users(source, module):
-    """module.function for every function that names _step, innermost first; <module> outside any function."""
+def _cancel_users(source, module):
+    """module.function for every function that names _cancel, innermost first; <module> outside any function."""
     tree = ast.parse(source)
     owner = {}
     # ast.walk is breadth first, so a nested function overwrites its outer one
@@ -146,23 +146,24 @@ def _step_users(source, module):
     return sorted(
         f"{module}.{owner.get(node, '<module>')}"
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "_step") or (isinstance(node, ast.Attribute) and node.attr == "_step")
+        if (isinstance(node, ast.Name) and node.id == "_cancel")
+        or (isinstance(node, ast.Attribute) and node.attr == "_cancel")
     )
 
 
-def test_step_runs_only_in_the_echelon_loop():
+def test_cancel_runs_only_in_the_echelon_loop():
     # one elimination loop: _extend grows a reduced form by one row, and every rational elimination goes through it
     found = {
         user
         for path in sorted((ROOT / "src" / "delrank").glob("*.py"))
-        for user in _step_users(path.read_text(), path.stem)
+        for user in _cancel_users(path.read_text(), path.stem)
     }
     assert found == {"exact._extend"}
 
 
-def test_step_scan_sees_calls_and_aliases():
-    source = "def f(r):\n    return _step(r, r, 0)\n\ndef g():\n    h = exact._step\n    return lambda r: _step(r, r, 0)\n"
-    assert _step_users(source, "m") == ["m.<lambda>", "m.f", "m.g"]
+def test_cancel_scan_sees_calls_and_aliases():
+    source = "def f(r):\n    return _cancel(r, ())\n\ndef g():\n    h = exact._cancel\n    return lambda r: _cancel(r, ())\n"
+    assert _cancel_users(source, "m") == ["m.<lambda>", "m.f", "m.g"]
 
 
 def _functions_naming(source, module, name):
@@ -194,6 +195,7 @@ INTEGER_EDGES = (
     "exact._int_rows",
     "exact.rref",
     "exact._extend",
+    "exact._cancel",
     "exact._scaled",
     "model.from_coords",
     "model._from_integers",

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: rank, solve, HNF; and the integral-kernel oracle of the tests."""
 
 import copy
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,14 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
-from delrank import exact
+from delrank import exact, hyp, model
 from tests.helpers import (
+    count_calls,
     dict_sparse_rank,
     fraction_det,
     fraction_rref,
     integral_kernel,
     mat_mul,
     primitivize,
+    stepwise_reduced,
     sylvester_positive_definite,
     transpose,
 )
@@ -97,7 +100,7 @@ def test_is_positive_definite():
     assert exact.is_positive_definite([[1, 0], [0, 1]])
     assert not exact.is_positive_definite([[1, 2], [2, 1]])
     assert not exact.is_positive_definite([[0, 0], [0, 1]])
-    # clearing at the negative second pivot flips the sign of the first row
+    # the second pivot is created negative and keeps its sign; clearing scales the first row by a positive factor
     assert not exact.is_positive_definite([[1, 1], [1, -1]])
     assert not exact.is_positive_definite([[-1, 1], [1, -2]])
     assert exact.is_positive_definite([[3, 2, -1], [2, 3, -1], [-1, -1, 2]])
@@ -109,6 +112,9 @@ square_matrices = st.integers(1, 5).flatmap(
 
 
 @given(square_matrices)
+@example([[1, 0, 0], [0, -1, 0], [0, 0, -1]])  # pivots +, -, -: the last leading minor is positive again
+@example([[1, 0, 0], [0, -1, 0], [0, 0, 1]])  # leading minors +, -, -
+@example([[1, 1, 1], [1, 1, 0], [0, 1, 0]])  # leading minors +, 0, +: row 1 pivots at column 2
 def test_is_positive_definite_matches_leading_minors(m):
     sym = [[x + y for x, y in zip(row, col)] for row, col in zip(m, transpose(m))]
     gram = mat_mul(transpose(m), m)
@@ -218,6 +224,60 @@ def test_extended_form_is_the_rref_of_the_rows_so_far(case):
         for c, p in form.items():
             assert min(p) == c and gcd(*p.values()) == 1 and not any(k in p for k in form if k != c)
         assert exact._scaled(form, ncols) == exact.rref(rows[: i + 1])
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Sparse integer rows of one length: entries of both signs up to 9, so pivot entries are often negative and not
+    1, with repeated rows and integer combinations of earlier rows, so the rank is often deficient."""
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(-9, 9).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "repeat", "combination"]) if rows else st.just("random"))
+        if kind == "random":
+            rows.append(draw(st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)))
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            a, b, s, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(ints), draw(ints)
+            combined = {k: s * a.get(k, 0) + t * b.get(k, 0) for k in a.keys() | b.keys()}
+            rows.append({k: v for k, v in combined.items() if v})
+    return ncols, rows
+
+
+def assert_reduced_as_stepwise(rows, ncols):
+    form, oracle = exact._reduced(rows), stepwise_reduced(rows)
+    # the same primitive pivot rows up to sign, keyed in the same order, so the same rref
+    assert list(form) == list(oracle)
+    assert all(form[c] in (q, {k: -v for k, v in q.items()}) for c, q in oracle.items())
+    assert exact._scaled(form, ncols) == exact._scaled(oracle, ncols)
+
+
+@given(sparse_int_rows())
+@example((2, [{0: -2, 1: 4}, {0: 3, 1: -1}, {1: -5}, {0: -2, 1: 4}]))
+@example((3, [{0: 2, 2: 1}, {1: -3, 2: 1}, {0: 1, 1: 1, 2: 1}]))  # the last row needs the lcm of the pivots, 6
+def test_reduced_form_matches_the_stepwise_loop(case):
+    ncols, rows = case
+    assert_reduced_as_stepwise(rows, ncols)
+
+
+@pytest.mark.parametrize("name", ["cube(6) relabeled", "half_cube(6) relabeled", "p0"])
+def test_reduced_form_matches_the_stepwise_loop_on_the_library_rows(name, monkeypatch, p0data):
+    if name == "p0":
+        p = p0data.polytope
+    else:
+        q = dr.cube(6) if name.startswith("cube") else dr.half_cube(6)
+        order = list(range(q.nvertices))
+        random.Random(1).shuffle(order)
+        p = dr.from_coords(q.dim, [q.vertices[i] for i in order])
+    ncols = p.dim * (p.dim + 1) // 2
+    calls = count_calls(monkeypatch, exact, "sparse_rank")
+    dr.rank_of(p)
+    (rank_rows,) = calls[-1]
+    assert_reduced_as_stepwise(rank_rows, ncols)
+    assert_reduced_as_stepwise([row for _, row in hyp.face_system(p)], ncols)
+    assert_reduced_as_stepwise(*exact._int_rows(model._lifted(p, range(p.nvertices - 1, -1, -1))))
 
 
 @given(int_matrices())
