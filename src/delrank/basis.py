@@ -1,9 +1,11 @@
 """Affine bases of the vertex set over Q and over Z.
 
 A polytope is Z-basic when some dim + 1 vertices form an affine basis in
-which every other vertex has integer affine coordinates.  Enumeration is
-lexicographic over index subsets, so results are deterministic and a
-completed search is a certificate.
+which every other vertex has integer affine coordinates, that is when their
+lifted vertices k (v, 1), k the common denominator, generate the lattice of
+all lifted vertices: both have one covolume.  Enumeration is lexicographic
+over index subsets, so results are deterministic and a completed search is
+a certificate.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from . import exact
 from .errors import AffinelyDependent, InputError, InternalError, WrongSize
-from .model import Polytope, _lifted, differences
+from .model import Polytope, _is_vertex_index
 
 Z_BASIC = "Z_BASIC"
 Q_BASIC_ONLY = "Q_BASIC_ONLY"
@@ -28,27 +30,17 @@ class BasicityClass:
     note: str = ""
 
 
-def is_affine_basis(p: Polytope, subset, ring: str = "Q") -> bool:
-    """Whether the subset is an affine basis over the given ring ("Q" or "Z").
+def is_affine_basis(p: Polytope, subset) -> bool:
+    """Whether the subset is an affine basis over Q: dim + 1 vertices whose lifted rows k (v, 1) are independent.
 
-    Over Z the affine coordinates of every vertex with respect to the
-    subset must be integers.  One reduced echelon form of the lifted
-    vertices (v, 1), subset columns first, decides both: the subset is
-    affinely independent when its columns are the first pivots, and over Z
-    every other vertex is a right-hand side, reduced to its affine
-    coordinates in the pivot rows.
+    It is one over Z too when lattice_index(p, subset) == 1.
     """
-    if ring not in ("Q", "Z"):
-        raise InputError("ring must be 'Q' or 'Z'")
     idx = list(subset)
-    if any(not isinstance(i, int) or not 0 <= i < p.nvertices for i in idx):
+    if not all(_is_vertex_index(p.nvertices, i) for i in idx):
         raise WrongSize("subset index out of range")
     if len(idx) != p.dim + 1 or len(set(idx)) != len(idx):
         raise WrongSize(f"subset must contain {p.dim + 1} distinct indices")
-    others = [] if ring == "Q" else [w for w in range(p.nvertices) if w not in idx]
-    red, pivots, d = exact.rref(_lifted(p, idx + others))
-    k = len(idx)
-    return pivots[:k] == list(range(k)) and all(x % d == 0 for row in red[:k] for x in row[k:])
+    return exact.rank([[*p.numerators[i], p.denominator] for i in idx]) == len(idx)
 
 
 def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
@@ -57,7 +49,8 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     Depth first over index prefixes, a prefix whose lifted vertices (v, 1)
     are dependent is dropped with every subset extending it, so independent
     subsets come in the order of a plain scan of all subsets.
-    The budget counts affinely independent subsets actually tested over Z.
+    Each independent subset is tested over Z by one covolume, against that
+    of all lifted vertices, taken once.  The budget counts the subsets tested.
     A completed search with no witness certifies Q_BASIC_ONLY; running out
     of budget leaves the question UNDECIDED.
     """
@@ -68,6 +61,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     n, size = p.nvertices, p.dim + 1
     # k (v, 1) in integers, k the vertices' common denominator: same rank as (v, 1)
     lifted = [[*x, p.denominator] for x in p.numerators]
+    full = exact.covolume(lifted)
 
     def independent(prefix: list[int]):
         for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
@@ -90,7 +84,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
                 note="budget exhausted before the subset enumeration finished",
             )
         tested += 1
-        if is_affine_basis(p, combo, ring="Z"):
+        if exact.covolume([lifted[j] for j in combo]) == full:
             return BasicityClass(
                 kind=Z_BASIC, witness=combo, tested=tested, exhaustive=False
             )
@@ -104,17 +98,17 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
 
 
 def lattice_index(p: Polytope, subset) -> int:
-    """Index of the subset-difference lattice inside the full difference lattice.
+    """Index of the lattice the subset's lifted vertices k (v, 1) generate in the one all of them generate.
 
-    Both lattices are full rank; the index is the ratio of their covolumes (differences scales both
-    by k^dim, which cancels) and is always a positive integer.
+    It is the ratio of the two covolumes, a positive integer, and it is 1 exactly when the subset is an integral affine
+    basis.  It equals the index of the subset-difference lattice in the full difference lattice: both lifted lattices
+    have last coordinates kZ, and k times the two difference lattices as their kernels there.
     """
     idx = list(subset)
     if not is_affine_basis(p, idx):
         raise AffinelyDependent("subset is affinely dependent")
-
-    full = exact.covolume(differences(p, 0, range(1, p.nvertices)))
-    ratio = exact.covolume(differences(p, idx[0], idx[1:])) / full
+    lifted = [[*x, p.denominator] for x in p.numerators]
+    ratio = exact.covolume([lifted[i] for i in idx]) / exact.covolume(lifted)
     if ratio.denominator != 1 or ratio <= 0:
         raise InternalError(f"lattice index {ratio} is not a positive integer")
     return int(ratio)

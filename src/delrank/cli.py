@@ -116,7 +116,7 @@ def load_polytope_file(path: str) -> LoadedInput:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def cmd_rank(args) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import SumNotOne, WrongSize
-from .model import Polytope, _check_support, _from_integers, _norm, _validate_distance_matrix, _validate_gram_shape, circumcenter
+from .model import Polytope, _check_support, _from_integers, _is_vertex_index, _norm, _validate_distance_matrix, _validate_gram_shape, circumcenter
 
 
 def _check_representation(n: int, b) -> None:
@@ -148,7 +148,7 @@ def restricted_face_dimension(p: Polytope, subset) -> int:
     The subset must still affinely span the full dimension.
     """
     idx = list(subset)
-    if any(not isinstance(i, int) or not 0 <= i < p.nvertices for i in idx):
+    if not all(_is_vertex_index(p.nvertices, i) for i in idx):
         raise WrongSize("subset index out of range")
     sub = _from_integers(p.dim, [p.numerators[i] for i in sorted(set(idx))], p.denominator)
     return face_dimension(sub)

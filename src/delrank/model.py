@@ -199,10 +199,15 @@ def _validate_distance_matrix(dm) -> tuple[list[list[int]], int]:
     return d, t
 
 
+def _is_vertex_index(n: int, i) -> bool:
+    """Whether i indexes one of n vertices: an int in range(n), and not a bool."""
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
+
+
 def _check_support(n: int, y) -> None:
-    """WrongSize unless y is (vertex, coefficient) pairs whose vertices are ints in range(n), strictly ascending."""
+    """WrongSize unless y is (vertex, coefficient) pairs whose vertices are vertex indices, strictly ascending."""
     vs = [t[0] if isinstance(t, (tuple, list)) and len(t) == 2 else None for t in y]
-    if any(not isinstance(v, int) or not 0 <= v < n for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
+    if not all(_is_vertex_index(n, v) for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
         raise WrongSize("a support is (vertex, coefficient) pairs, its vertices indices in strictly ascending order")
 
 

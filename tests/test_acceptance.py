@@ -79,8 +79,8 @@ def test_criterion_05_p0_suite():
     for w in range(14):
         keep = [i for i in range(14) if i != w]
         assert dr.restricted_face_dimension(p, keep) == 78
-        assert dr.is_affine_basis(p, keep, ring="Q")
-        assert not dr.is_affine_basis(p, keep, ring="Z")
+        assert dr.is_affine_basis(p, keep)
+        assert dr.lattice_index(p, keep) != 1
 
     cls = dr.classify_basicity(p)
     assert cls.kind == dr.Q_BASIC_ONLY

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,19 +10,25 @@ from hypothesis import strategies as st
 
 import delrank as dr
 from delrank import exact
-from tests.helpers import random_half_integer_polytope, scan_basicity, solve_affine_basis
+from tests.helpers import (
+    random_half_integer_polytope,
+    random_unimodular,
+    scan_basicity,
+    solve_affine_basis,
+    transform_basis,
+)
 
 
 def test_is_affine_basis_square(square):
-    assert dr.is_affine_basis(square, [0, 1, 2], ring="Q")
-    assert dr.is_affine_basis(square, [0, 1, 2], ring="Z")
-    assert dr.is_affine_basis(square, [1, 2, 3], ring="Z")
-    with pytest.raises(dr.InputError):
-        dr.is_affine_basis(square, [0, 1, 2], ring="R")
+    assert dr.is_affine_basis(square, [0, 1, 2])
+    assert dr.lattice_index(square, [0, 1, 2]) == 1
+    assert dr.lattice_index(square, [1, 2, 3]) == 1
     with pytest.raises(dr.WrongSize):
         dr.is_affine_basis(square, [0, 1])
     with pytest.raises(dr.WrongSize):
         dr.is_affine_basis(square, [0, 1, 9])
+    with pytest.raises(dr.WrongSize):  # False and True are not the vertices 0 and 1
+        dr.is_affine_basis(square, [False, True, 2])
     for subset in ([0, 1, 2, 4.0], [0, 1, 2, [4]]):  # an index that is not an int, hashable or not
         with pytest.raises(dr.WrongSize):
             dr.is_affine_basis(dr.cube(3), subset)
@@ -29,14 +36,14 @@ def test_is_affine_basis_square(square):
 
 def test_is_affine_basis_dependent_subset():
     degenerate = dr.from_coords(2, [[0, 0], [1, 0], [2, 0], [0, 1]])
-    assert not dr.is_affine_basis(degenerate, [0, 1, 2], ring="Q")
+    assert not dr.is_affine_basis(degenerate, [0, 1, 2])
 
 
 def test_is_affine_basis_z_vs_q():
     # (1,1) has half-integer affine coordinates over the outer triangle
     p = dr.from_coords(2, [[0, 0], [2, 0], [0, 2], [1, 1]])
-    assert dr.is_affine_basis(p, [0, 1, 2], ring="Q")
-    assert not dr.is_affine_basis(p, [0, 1, 2], ring="Z")
+    assert dr.is_affine_basis(p, [0, 1, 2])
+    assert dr.lattice_index(p, [0, 1, 2]) != 1
 
 
 def test_classify_basicity_square(square):
@@ -100,14 +107,6 @@ def test_lattice_index_errors(square):
         dr.lattice_index(degenerate, [0, 1, 2])
 
 
-def test_z_basis_iff_unit_lattice_index_on_small_families():
-    for p in (dr.cross_polytope(3), dr.half_cube(3), dr.cube(2)):
-        for sub in itertools.combinations(range(p.nvertices), p.dim + 1):
-            if not dr.is_affine_basis(p, sub, ring="Q"):
-                continue
-            assert dr.is_affine_basis(p, sub, ring="Z") == (dr.lattice_index(p, sub) == 1)
-
-
 @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 2000]))
 def test_classify_basicity_matches_combinations_scan(seed, budget):
     p = random_half_integer_polytope(random.Random(seed))
@@ -120,8 +119,54 @@ def test_is_affine_basis_matches_solve_per_vertex(seed):
     p = random_half_integer_polytope(rng)
     for sub in itertools.combinations(range(p.nvertices), p.dim + 1):
         sub = rng.sample(sub, len(sub))
-        for ring in ("Q", "Z"):
-            assert dr.is_affine_basis(p, sub, ring=ring) == solve_affine_basis(p, sub, ring=ring)
+        basis = dr.is_affine_basis(p, sub)
+        assert basis == solve_affine_basis(p, sub)
+        assert (basis and dr.lattice_index(p, sub) == 1) == solve_affine_basis(p, sub, "Z")
+
+
+def _simplex_plus_one_point(rng):
+    """A random rational simplex and an affine combination of two or more of its vertices, in a random order and
+    under a random unimodular basis change."""
+    while True:
+        n = rng.randrange(1, 5)
+        simplex = [tuple(Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3))) for _ in range(n)) for _ in range(n + 1)]
+        support = rng.sample(range(n + 1), rng.randrange(2, n + 2))
+        coefficients = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))) for _ in support[1:]]
+        coefficients.insert(0, 1 - sum(coefficients))
+        if coefficients[0] == 0:
+            continue
+        point = tuple(sum(c * simplex[v][k] for c, v in zip(coefficients, support)) for k in range(n))
+        try:
+            p = dr.from_coords(n, rng.sample([*simplex, point], n + 2))
+        except dr.DelrankError:  # the simplex is flat
+            continue
+        return transform_basis(p, random_unimodular(n, rng))
+
+
+@given(st.integers(0, 10_000))
+def test_one_dependency_fixes_every_lattice_index_and_the_basicity_search(seed):
+    """With nv = dim + 2 and y the one primitive dependency, V minus w has lattice index |y(w)|.
+
+    The (dim + 1)-subsets in lexicographic order are V minus w for w descending, a basis exactly when y(w) != 0, so
+    the search stops at the largest w with |y(w)| = 1, or tests all of supp y and certifies Q_BASIC_ONLY.
+    """
+    p = _simplex_plus_one_point(random.Random(seed))
+    n = p.nvertices
+    (y,) = p.frame.dependencies
+    y = dict(y)
+    for w in range(n):
+        rest = [v for v in range(n) if v != w]
+        if w in y:
+            assert dr.lattice_index(p, rest) == abs(y[w])
+        else:
+            assert not dr.is_affine_basis(p, rest)
+    units = [w for w, c in y.items() if abs(c) == 1]
+    if units:
+        top = max(units)
+        want = dr.BasicityClass(dr.Z_BASIC, tuple(v for v in range(n) if v != top), sum(w >= top for w in y), False)
+    else:
+        want = dr.BasicityClass(dr.Q_BASIC_ONLY, None, len(y), True, "all affinely independent subsets tested")
+    assert dr.classify_basicity(p) == want
 
 
 def test_classify_basicity_prunes_dependent_prefixes(monkeypatch):

@@ -490,13 +490,13 @@ def test_report_square(tmp_path, capsys):
 # sha256 of `delrank report` stdout on `delrank family` files: any change to
 # a report byte, from any layer below the command line, shows up here
 REPORT_DIGESTS = {
-    "simplex4": (["simplex", "4"], [], "6c4015f6be09d1d323dcafca7fbc010e78b01dca31f47b04058704787c1428f1"),
-    "cross4": (["cross", "4"], [], "da48515b8cfb5bdfd4dc69e9cf9023333a8305bdf2b2726f6a2e22d29f37b3f8"),
-    "halfcube5": (["halfcube", "5"], [], "c91f58a04d123e0b34be52a3025a572bf0729d07b4f996ff00e12e965b5ac0da"),
-    "cube4": (["cube", "4"], [], "e65fb9b63a57a6a37fcb1728254101733a004fef66c4412e0837d71c4822e1eb"),
-    "p0": (["p0"], ["--window", "0"], "41dd724bca011002fed62707c6a00fd5a85181421973666726fbc1c3b9b6af3b"),
-    "halfcube6": (["halfcube", "6"], ["--window", "0"], "cd22595ffddd9f821b971968d51c1011355fcc6f94256e1524e052a1fc38b09f"),
-    "cube5": (["cube", "5"], ["--window", "0"], "a60e5d8e961b3e65317d82034e571607e10280e9b8e29f0da23b38849652fa8e"),
+    "simplex4": (["simplex", "4"], [], "e3d45cced550279f42443dd8102e3a3de0e222617a6ef8e3613356a5fe0036a2"),
+    "cross4": (["cross", "4"], [], "6c60085b65ce9a13d19bca010dab81345a63624513b26fab975b4885083afd43"),
+    "halfcube5": (["halfcube", "5"], [], "70b50714482909a6bddd1faf138ff2b1bfe984e55281df06e3072d011d20a553"),
+    "cube4": (["cube", "4"], [], "36088f41f8dafe08e2d54f14f9c32be33bb54f52a1fe7f82cc8da946489f4109"),
+    "p0": (["p0"], ["--window", "0"], "0a216a177b518690f2e6bb925033e775bf192201e7888c3b4d8536f856f6ec54"),
+    "halfcube6": (["halfcube", "6"], ["--window", "0"], "d2b05472a17792e90c057183e0659646788a5d08a6d0540a77117ed40aea811d"),
+    "cube5": (["cube", "5"], ["--window", "0"], "2db45da7f2b46de272b4ea6be6b7b4f26322cd60b668870c5dee434e90d49d8c"),
 }
 
 
@@ -529,14 +529,14 @@ def shuffled_distance_doc(name):
 
 # sha256 of stdout on distance files with the vertices in one fixed shuffled order
 DISTANCE_DIGESTS = {
-    ("halfcube6", "rank"): "e8baad219b4ac5eb421c1e09402f086497e5c532bb13f72c71bdd91f5aebb57d",
-    ("halfcube6", "basicity"): "a253ddde2286aa320bcad55d00a353083ce420afd497fe8ff459fd33084382f9",
-    ("cube5", "rank"): "4d0a0994ab8773e6f14971f4e90896d7b0c83d3e64151f648fcb5c0d81265c13",
-    ("cube5", "basicity"): "c75ebe709b65dcdd40f61d6544e88ee6a5c969ce8298e69a40e0959424f49e14",
-    ("cross8", "rank"): "d8d739527db6528f861ecef3c6375576126ea7943356fe16dc7eb18037050c63",
-    ("cross8", "basicity"): "a6211e2e3359f6a21f186c86afe2f8fdb429f583fd1b992c7a3cfefb49e23d2e",
-    ("p0", "rank"): "7b5a5578863c9121cb1b2555733aced93ec5607a4caf049d65144336c3f1d7ab",
-    ("p0", "basicity"): "33131720fcad8e66d98430da5f53b01864e174079bcce4ee486230da4d58c426",
+    ("halfcube6", "rank"): "36afd98800863e2cc4f274bac5715f6c8a217e66b540b9c9729514fb5b31ec0a",
+    ("halfcube6", "basicity"): "d27fe927b60905eeb5ebebde8e54a0451d8b4bce0897decf36e8e0f3ab277b16",
+    ("cube5", "rank"): "c43bc3b86c4e64fbd4937333225f1fb957965308fd0751f65ea142572ac853af",
+    ("cube5", "basicity"): "91132dfc50580dea05157722eda8de8243b786d60256ee8ae222fc1b4659857b",
+    ("cross8", "rank"): "feb224330d50f0eca929537de6a40e09727a1b6a763a770e7957f5c09765b72c",
+    ("cross8", "basicity"): "d29ae7950981629180c0d64be47f911635f66255410b84782ecd68d47c9a952f",
+    ("p0", "rank"): "cd22dabb50c6441aa28c8901701acc20591040a1366a26b18f5be357056694fa",
+    ("p0", "basicity"): "4990b44ca5cdc3d77e188bbaeeceb03d685bda7a65300f8b898c7d3424b8733d",
 }
 
 
@@ -596,13 +596,18 @@ def test_rank_both_reduces_the_lifted_vertices_once(tmp_path, capsys, monkeypatc
     assert (len(lifted), len(sparse), len(ranks)) == (1, 2, 0)
 
 
-def test_report_reduces_the_lifted_vertices_once_plus_once_per_tested_subset(tmp_path, capsys, monkeypatch):
+def test_report_takes_one_covolume_of_all_lifted_vertices_plus_one_per_tested_subset(tmp_path, capsys, monkeypatch):
     target = str(tmp_path / "hc5.json")
     assert run(["family", "halfcube", "5", "--output", target], capsys)[0] == 0
     lifted = count_calls(monkeypatch, model, "_lifted")
+    covolumes = count_calls(monkeypatch, exact, "covolume")
     code, out, err = run(["report", target], capsys)
     assert code == 0
-    assert len(lifted) == 1 + json.loads(out)["basicity"]["tested"]
+    doc = json.loads(out)
+    # the lifted rows k (v, 1) are dim + 1 wide; the sphere check's vertex differences are dim wide
+    on_lifted = [len(rows) for (rows,) in covolumes if len(rows[0]) == doc["dim"] + 1]
+    assert len(lifted) == 1
+    assert on_lifted == [doc["nvertices"]] + [doc["dim"] + 1] * doc["basicity"]["tested"]
 
 
 def test_report_without_gram_skips_verify(square_file, capsys):

@@ -204,6 +204,7 @@ INTEGER_EDGES = (
     "model._distance_matrix",
     "model._validate_gram_shape",
     "model._validate_distance_matrix",
+    "model._is_vertex_index",
     "model._check_support",
     "deps.dependency_module",
     "deps.check_dist_system",

@@ -225,6 +225,7 @@ def test_check_negative_type_square(square):
         ((0, 1), (0, -1)),  # a repeated vertex
         ((0, 1), (1.0, -1)),  # a vertex that is not an int
         (1, -1),  # items that are not pairs: a dense vector
+        ((False, 1), (True, -1)),  # vertices that are bools
     ],
 )
 def test_distance_checks_reject_a_support_off_the_matrix_or_out_of_order(square, check, y):

@@ -211,6 +211,8 @@ def test_restricted_face_dimension(square):
     assert dr.restricted_face_dimension(square, [0, 1, 2, 3]) == 2
     with pytest.raises(dr.WrongSize):
         dr.restricted_face_dimension(square, [0, 1, 9])
+    with pytest.raises(dr.WrongSize):  # True is not the vertex 1
+        dr.restricted_face_dimension(square, [0, True, 2])
     for subset in ([0, 1, 2, 4, 7.0], [0, 1, 2, 4, "7"]):  # an index that is not an int, comparable or not
         with pytest.raises(dr.WrongSize):
             dr.restricted_face_dimension(dr.cube(3), subset)

@@ -50,8 +50,8 @@ def test_no_z_basis_but_all_q_bases(data):
     p = data.polytope
     for w in range(14):
         keep = [i for i in range(14) if i != w]
-        assert dr.is_affine_basis(p, keep, ring="Q")
-        assert not dr.is_affine_basis(p, keep, ring="Z")
+        assert dr.is_affine_basis(p, keep)
+        assert dr.lattice_index(p, keep) != 1
 
 
 def test_classify_basicity(data):
