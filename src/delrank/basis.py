@@ -48,13 +48,14 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
 
     Depth first over index prefixes, a prefix whose lifted vertices (v, 1)
     are dependent is dropped with every subset extending it, so independent
-    subsets come in the order of a plain scan of all subsets.
-    Each independent subset is tested over Z by one covolume, against that
-    of all lifted vertices, taken once.  The budget counts the subsets tested.
+    subsets come in the order of a plain scan of all subsets.  One covolume
+    of each (dim + 1)-subset reached decides it: 0 when it is dependent, that
+    of all lifted vertices, taken once, when it is an integral affine basis.
+    The budget counts the independent subsets tested.
     A completed search with no witness certifies Q_BASIC_ONLY; running out
     of budget leaves the question UNDECIDED.
     """
-    if not isinstance(budget, int):
+    if not isinstance(budget, int) or isinstance(budget, bool):
         raise InputError("budget must be an integer")
     if budget < 1:
         raise InputError("budget must be >= 1")
@@ -63,18 +64,19 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
     lifted = [[*x, p.denominator] for x in p.numerators]
     full = exact.covolume(lifted)
 
-    def independent(prefix: list[int]):
+    def subsets(prefix: list[int]):
         for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
             sub = prefix + [i]
-            if exact.rank([lifted[j] for j in sub]) < len(sub):
-                continue
             if len(sub) == size:
                 yield tuple(sub)
-            else:
-                yield from independent(sub)
+            elif exact.rank([lifted[j] for j in sub]) == len(sub):
+                yield from subsets(sub)
 
     tested = 0
-    for combo in independent([]):
+    for combo in subsets([]):
+        covolume = exact.covolume([lifted[j] for j in combo])
+        if not covolume:  # dependent
+            continue
         if tested == budget:
             return BasicityClass(
                 kind=UNDECIDED,
@@ -84,7 +86,7 @@ def classify_basicity(p: Polytope, budget: int = 2000) -> BasicityClass:
                 note="budget exhausted before the subset enumeration finished",
             )
         tested += 1
-        if exact.covolume([lifted[j] for j in combo]) == full:
+        if covolume == full:
             return BasicityClass(
                 kind=Z_BASIC, witness=combo, tested=tested, exhaustive=False
             )

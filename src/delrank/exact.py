@@ -20,7 +20,7 @@ divide by that denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InputError, WrongSize
 
@@ -264,12 +264,8 @@ def covolume(rows) -> Fraction:
     a, scale = over_common_denominator(rows)
     n = len(a[0]) if a else 0
     h = hermite_normal_form(a)
-    d = Fraction(1)
-    for i in range(n):
-        # a full-rank Hermite form has its pivots on the diagonal; otherwise
-        # some h[i][i] is 0 or row i is missing
-        d *= h[i][i] if i < len(h) else 0
-    return d / Fraction(scale) ** n
+    # a full-rank Hermite form has its pivots on the diagonal; otherwise some h[i][i] is 0 or row i is missing
+    return Fraction(prod(h[i][i] for i in range(n)) if len(h) >= n else 0, scale**n)
 
 
 def sparse_rank(rows) -> int:

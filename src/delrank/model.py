@@ -309,7 +309,7 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
     vertices are reported separately.  This bounded scan is a heuristic
     check only; it can never prove global emptiness.
     """
-    if not isinstance(window, int):
+    if not isinstance(window, int) or isinstance(window, bool):
         raise InputError("window must be an integer")
     if window < 0:
         raise InputError("window must be >= 0")
@@ -357,32 +357,36 @@ def verify_empty_sphere(p: Polytope, gram, window: int = 1) -> EmptySphereReport
 def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     """Reconstruct (polytope, Gram form) from an exact squared-distance matrix.
 
-    Vertex 0 becomes the origin.  The reduced row echelon form R of the
-    vertex Gram matrix A, A[i][j] = <v_i - v_0, v_j - v_0>, gives
-    everything: its pivot columns C become unit coordinate vectors, A[C, C]
-    is the Gram form, and column k of R holds the coordinates of vertex k.
-    As A is symmetric and the columns C span it, A = R^T A[C, C] R; so when
-    A[C, C] is definite the coordinates reproduce A and every distance
-    A[i][i] + A[j][j] - 2 A[i][j], the positive distances make the vertices
-    distinct, and the origin and the unit vectors span the dimension.
+    Vertex 0 becomes the origin.  The reduced row echelon form R of the vertex Gram matrix A,
+    A[i][j] = <v_i - v_0, v_j - v_0>, gives everything: its pivot columns C become unit coordinate vectors, A[C, C] is
+    the Gram form, and column k of R holds the coordinates of vertex k.  As A is symmetric and the columns C span it,
+    A = R^T A[C, C] R; so when A[C, C] is definite the coordinates reproduce A and every distance
+    A[i][i] + A[j][j] - 2 A[i][j], the positive distances make the vertices distinct, and the origin and the unit
+    vectors span the dimension.
 
-    R is reduced from the pivot rows T alone: row j is taken, in order, when
-    its Schur diagonal A[j][j] - A[j, T] A[T, T]^-1 A[T, j] is nonzero, that is
-    d A[j][j] - sum_i A[j][C_i] R[i][j] over d for the R, C and d of the rows
-    taken so far; a row in their span reads 0.  The rows taken grow one reduced
-    form (exact._extend) of primitive rows q_i: d is the lcm of the q_i[C_i],
-    R[i][j] = q_i[j] d / q_i[C_i], and R, C and d are read off it once, at the
-    end, as exact.rref of the rows taken.  A is semidefinite exactly when the
-    distances are Euclidean (Schoenberg), as a passing re-check proves.  Then
-    C = T, and a zero diagonal of the semidefinite Schur complement zeroes its
-    row, so every skipped row is in the span of T: R, C and d are A's own.  A
-    failure after the definite check of A[T, T] is classified by the rank of
-    A.  If it is |T|, R is A's reduced form; A[T, T] = R[:, T]^T A[C, C]
-    R[:, T] makes A[C, C] definite (Sylvester's law of inertia), A is then
-    semidefinite, and the failure is an InternalError.  Otherwise a skipped row
-    is outside the span of T, A is not semidefinite, and A[C, C] of A's reduced
-    form would fail the definite check: NotPositiveDefinite.
+    R is reduced from the rows T alone: row j is taken, in order, when its Schur diagonal over the rows taken so far,
+    S_jj = A[j][j] - A[j, T] A[T, T]^-1 A[T, j], is nonzero, that is d A[j][j] - sum_i A[j][C_i] R[i][j] over d for
+    their R, C and d; a row in their span reads 0.  The rows taken grow one reduced form (exact._extend) of primitive
+    rows q_i: d is the lcm of the q_i[C_i], R[i][j] = q_i[j] d / q_i[C_i], and R, C and d are read off it once, at the
+    end, as exact.rref of the rows taken.  Definiteness is read off the same numbers.  While C is the rows taken, the
+    k-th reads d det A[T<=k] / det A[T<k] with d > 0, so the form is refused, NotPositiveDefinite, when a taken row
+    reads negative or C != T at the end, as a definite check of A[T, T] would refuse it.  (i) If C = T, both tests are
+    Sylvester's criterion.  (ii) If C != T, the first taken row j that does not pivot at j pivots at a column c < j
+    outside the rows T' taken before it, a skipped row, where its Schur row over T' is nonzero.  Were A semidefinite,
+    S_cc = 0 at c's step would put row c in the span of the rows taken before it, and S_jc = S_cj = 0 over T'.  So A is
+    not semidefinite, and the definite check fails, or it passes and a later failure is NotPositiveDefinite (below).
+    A is semidefinite exactly when the distances are Euclidean (Schoenberg), as a passing re-check proves.  Then
+    C = T, and a zero diagonal of the semidefinite Schur complement zeroes its row, so every skipped row is in the span
+    of T: R, C and d are A's own.  A failure after the check is classified by the rank of A.  If it is |T|, R is A's
+    reduced form, A = R^T A[T, T] R with A[T, T] definite is semidefinite, and the failure is an InternalError.
+    Otherwise a skipped row is outside the span of T, A is not semidefinite, and the failure is NotPositiveDefinite.
     """
+    p, (w, s) = _from_distances(dm)
+    return p, [[Fraction(x, s) for x in row] for row in w]
+
+
+def _from_distances(dm) -> tuple[Polytope, _Form]:
+    """from_distances with its form as the checked _Form 2t A[C, C] over 2t, t the distances' denominator."""
     e, t = _validate_distance_matrix(dm)
     m = len(e)
     if m < 2:
@@ -396,16 +400,19 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     taken, form, terms, den = [], {}, [], 1  # the reduced form of no rows
     for j, x in enumerate(e):
         # den times the Schur diagonal of row j, whose diagonal entry is 2 e[j][0]; R[i][j] = q[j] den / q[c]
-        if den * 2 * x[0] != sum((x[0] + e[c][0] - x[c]) * q[j] * f for c, q, f in terms if j in q):
+        schur = den * 2 * x[0] - sum((x[0] + e[c][0] - x[c]) * q[j] * f for c, q, f in terms if j in q)
+        if schur < 0:
+            break
+        if schur:
             taken.append(j)
             exact._extend(form, dict(enumerate(gram_row(x))))
             den = lcm(*(q[c] for c, q in form.items()))
             terms = [(c, q, den // q[c]) for c, q in form.items()]
+    if schur < 0 or list(form) != taken:
+        raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
     red, chosen, den = exact._scaled(form, m)  # exact.rref of the rows taken
     n = len(taken)
     sub = [[e[r][0] + e[c][0] - e[r][c] for c in taken] for r in taken]  # 2 t times the Gram form
-    if not exact.is_positive_definite(sub):
-        raise NotPositiveDefinite("reconstructed Gram form is not positive definite")
 
     def failure(message: str) -> Exception:
         if exact.rank([gram_row(x) for x in e]) != n:
@@ -421,4 +428,4 @@ def from_distances(dm) -> tuple[Polytope, list[list[Fraction]]]:
     f = scale // t
     if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
         raise failure("reconstructed coordinates do not reproduce the distance matrix")
-    return p, [[Fraction(x, 2 * t) for x in row] for row in sub]
+    return p, _Form(sub, 2 * t)

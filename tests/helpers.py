@@ -48,6 +48,13 @@ def random_polytope(rng, max_dim=4):
             continue
 
 
+def relabeled(p, rng):
+    """p with its vertices in a random order."""
+    verts = list(p.vertices)
+    rng.shuffle(verts)
+    return dr.from_coords(p.dim, verts)
+
+
 def random_half_integer_polytope(rng, max_dim=3):
     """Random vertex set, some coordinates half-integers, in a random vertex order."""
     while True:
@@ -646,6 +653,74 @@ def rref_from_distances(dm):
     if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
         raise dr.InternalError("reconstructed coordinates do not reproduce the distance matrix")
     return p, [[Fraction(x, 2 * t) for x in row] for row in sub]
+
+
+def definite_check_from_distances(dm):
+    """from_distances as the library made it with a separate definite check of the form on the rows taken, after the
+    pivot search, instead of reading it off the search's Schur diagonals."""
+    e, t = model._validate_distance_matrix(dm)
+    m = len(e)
+    if m < 2:
+        raise dr.TooFewVertices("need at least 2 vertices")
+
+    def gram_row(x):
+        return [x[0] + y[0] - xy for y, xy in zip(e, x)]
+
+    taken, form, terms, den = [], {}, [], 1
+    for j, x in enumerate(e):
+        if den * 2 * x[0] != sum((x[0] + e[c][0] - x[c]) * q[j] * f for c, q, f in terms if j in q):
+            taken.append(j)
+            exact._extend(form, dict(enumerate(gram_row(x))))
+            den = lcm(*(q[c] for c, q in form.items()))
+            terms = [(c, q, den // q[c]) for c, q in form.items()]
+    red, chosen, den = exact._scaled(form, m)
+    n = len(taken)
+    sub = [[e[r][0] + e[c][0] - e[r][c] for c in taken] for r in taken]
+    if not exact.is_positive_definite(sub):
+        raise dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
+
+    def failure(message):
+        if exact.rank([gram_row(x) for x in e]) != n:
+            return dr.NotPositiveDefinite("reconstructed Gram form is not positive definite")
+        return dr.InternalError(message)
+
+    try:
+        p = model._from_integers(n, list(zip(*red)), den)
+    except dr.DelrankError as err:
+        raise failure(f"reconstructed coordinates are rejected: {err}") from err
+    num, scale = model._distance_matrix(p, sub, 2 * t)
+    f = scale // t
+    if any(xrow != [y * f for y in yrow] for xrow, yrow in zip(num, e)):
+        raise failure("reconstructed coordinates do not reproduce the distance matrix")
+    return p, [[Fraction(x, 2 * t) for x in row] for row in sub]
+
+
+def rank_leaf_basicity(p, budget=2000):
+    """classify_basicity as the library made it with an exact.rank of every subset, each (dim + 1)-subset included,
+    before its covolume."""
+    n, size = p.nvertices, p.dim + 1
+    lifted = [[*x, p.denominator] for x in p.numerators]
+    full = exact.covolume(lifted)
+
+    def independent(prefix):
+        for i in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
+            sub = prefix + [i]
+            if exact.rank([lifted[j] for j in sub]) < len(sub):
+                continue
+            if len(sub) == size:
+                yield tuple(sub)
+            else:
+                yield from independent(sub)
+
+    tested = 0
+    for combo in independent([]):
+        if tested == budget:
+            return dr.BasicityClass(dr.UNDECIDED, None, tested, False,
+                                    "budget exhausted before the subset enumeration finished")
+        tested += 1
+        if exact.covolume([lifted[j] for j in combo]) == full:
+            return dr.BasicityClass(dr.Z_BASIC, combo, tested, False)
+    return dr.BasicityClass(dr.Q_BASIC_ONLY, None, tested, True, "all affinely independent subsets tested")
 
 
 def transform_basis(p, u):

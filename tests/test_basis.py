@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 import delrank as dr
 from delrank import exact
 from tests.helpers import (
+    count_calls,
     random_half_integer_polytope,
     random_unimodular,
+    rank_leaf_basicity,
+    relabeled,
     scan_basicity,
     solve_affine_basis,
     transform_basis,
@@ -75,6 +78,12 @@ def test_classify_basicity_budget_exhaustion():
     for q, budget in ((p, 0), (dr.p0().polytope, 2.5)):
         with pytest.raises(dr.InputError):
             dr.classify_basicity(q, budget=budget)
+
+
+def test_classify_basicity_refuses_a_bool_budget():
+    # True is no budget of 1, as it is no vertex index
+    with pytest.raises(dr.InputError, match="budget must be an integer"):
+        dr.classify_basicity(dr.cube(3), budget=True)
 
 
 def test_classify_basicity_skips_dependent_subsets():
@@ -177,3 +186,24 @@ def test_classify_basicity_prunes_dependent_prefixes(monkeypatch):
     cls = dr.classify_basicity(dr.half_cube(7))
     assert (cls.kind, cls.tested) == (dr.Z_BASIC, 1)
     assert len(calls) <= 64
+
+
+BASICITY_SOURCES = {
+    "cube6": lambda rng: relabeled(dr.cube(6), rng),
+    "cube7": lambda rng: relabeled(dr.cube(7), rng),
+    "half_cube": lambda rng: relabeled(dr.half_cube(rng.randrange(3, 7)), rng),
+    "p0": lambda rng: relabeled(dr.p0().polytope, rng),
+    "random": random_half_integer_polytope,
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(BASICITY_SOURCES)), st.sampled_from([1, 3, 2000]))
+def test_classify_basicity_decides_each_subset_by_one_covolume(seed, source, budget):
+    p = BASICITY_SOURCES[source](random.Random(seed))
+    want = rank_leaf_basicity(p, budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        ranks = count_calls(mp, exact, "rank")
+        got = dr.classify_basicity(p, budget=budget)
+    assert got == want
+    # the prefixes are ranked; a (dim + 1)-subset is decided by its covolume alone
+    assert all(len(rows) < p.dim + 1 for (rows,) in ranks)

@@ -605,9 +605,12 @@ def test_report_takes_one_covolume_of_all_lifted_vertices_plus_one_per_tested_su
     assert code == 0
     doc = json.loads(out)
     # the lifted rows k (v, 1) are dim + 1 wide; the sphere check's vertex differences are dim wide
-    on_lifted = [len(rows) for (rows,) in covolumes if len(rows[0]) == doc["dim"] + 1]
+    on_lifted = [rows for (rows,) in covolumes if len(rows[0]) == doc["dim"] + 1]
     assert len(lifted) == 1
-    assert on_lifted == [doc["nvertices"]] + [doc["dim"] + 1] * doc["basicity"]["tested"]
+    # one covolume per (dim + 1)-subset reached: half_cube(5) reaches 3 dependent subsets before its witness
+    assert [len(rows) for rows in on_lifted] == [doc["nvertices"]] + [doc["dim"] + 1] * 4
+    assert [exact.rank(rows) for rows in on_lifted[1:]] == [doc["dim"]] * 3 + [doc["dim"] + 1]
+    assert (doc["basicity"]["kind"], doc["basicity"]["tested"]) == ("Z_BASIC", 1)
 
 
 def test_report_without_gram_skips_verify(square_file, capsys):

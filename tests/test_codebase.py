@@ -202,6 +202,7 @@ INTEGER_EDGES = (
     "model._norm",
     "model._frame",
     "model._distance_matrix",
+    "model._from_distances",
     "model._validate_gram_shape",
     "model._validate_distance_matrix",
     "model._is_vertex_index",

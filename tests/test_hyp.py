@@ -23,6 +23,7 @@ from tests.helpers import (
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
+    relabeled,
     transform_basis,
     vertex_pairs,
     vertex_vectors,
@@ -118,7 +119,7 @@ def test_lemma_hy_value_off_the_circumsphere_is_the_pair_sum(seed, relabel):
     rng = random.Random(seed)
     _, p, g = rng.choice(GRAMS)
     if relabel:
-        p = _relabeled(p, rng)
+        p = relabeled(p, rng)
     b = _affine_support(rng, p.nvertices)
     r = dr.check_lemma_hy(p, g, b)
     assert r.value == dr.eval_hypermetric(dr.distance_matrix(p, g), b)
@@ -296,17 +297,11 @@ def _full_rank(p):
     return dict_sparse_rank([row for _, row in all_face_rows(p, vertex_vectors(p, dr.dependency_module(p)))])
 
 
-def _relabeled(p, rng):
-    verts = list(p.vertices)
-    rng.shuffle(verts)
-    return dr.from_coords(p.dim, verts)
-
-
 @given(st.integers(0, 10_000), st.sampled_from(sorted(PAIR_SYSTEM_INSTANCES)))
 def test_face_dimension_matches_the_full_pair_system(seed, name):
     """face_dimension is the solution dimension of every (y, u) row over the saturated dependency module."""
     rng = random.Random(seed)
-    p = _relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
+    p = relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
     nv = p.nvertices
     assert dr.face_dimension(p) == nv * (nv - 1) // 2 - _full_rank(p)
     # with one vertex left out, when the rest still spans the dimension
@@ -337,7 +332,7 @@ def _spread(p, row):
 def test_face_system_drops_only_redundant_rows(seed, name):
     """Row y_w is -1/2 times y_w(w) row(y_w, w) - sum_b y_w(b) row(y_w, b); the other rows add one to the rank per pair off the basis."""
     rng = random.Random(seed)
-    p = _relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
+    p = relabeled(PAIR_SYSTEM_INSTANCES[name](rng), rng)
     supports = p.frame.dependencies
     full = dict(all_face_rows(p, vertex_vectors(p, supports)))
     rows = dr.face_system(p)

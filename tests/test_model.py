@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delrank as dr
@@ -15,6 +15,7 @@ from delrank import cli, exact, model
 from tests.helpers import (
     circumcenter_symmetry,
     count_calls,
+    definite_check_from_distances,
     family_corpus,
     fraction_circumcenter,
     fraction_distance_matrix,
@@ -28,6 +29,7 @@ from tests.helpers import (
     random_half_integer_polytope,
     random_polytope,
     random_unimodular,
+    relabeled,
     rref_from_distances,
     solve_basis_dependencies,
     transform_basis,
@@ -54,12 +56,6 @@ def test_affine_basis_indices(square):
     # vertex 1 lies on the line through vertices 2 and 3, so the scan from the end skips it
     degenerate_last = dr.from_coords(2, [[0, 1], [0, 0], [1, 0], [2, 0]])
     assert degenerate_last.frame.basis == (0, 2, 3)
-
-
-def _relabeled(p, rng):
-    verts = list(p.vertices)
-    rng.shuffle(verts)
-    return dr.from_coords(p.dim, verts)
 
 
 def _transformed(build, n):
@@ -98,13 +94,13 @@ def _assert_frame_matches_the_oracles(p, name):
 @given(st.integers(0, 10_000), st.sampled_from(sorted(FRAME_INSTANCES)))
 def test_affine_basis_indices_matches_the_incremental_scan(seed, name):
     rng = random.Random(seed)
-    _assert_frame_matches_the_oracles(_relabeled(FRAME_INSTANCES[name](rng), rng), name)
+    _assert_frame_matches_the_oracles(relabeled(FRAME_INSTANCES[name](rng), rng), name)
 
 
 def test_affine_basis_indices_matches_the_incremental_scan_on_the_families():
     rng = random.Random(1)
     for name, p in family_corpus():
-        for q in (p, _relabeled(p, rng)):
+        for q in (p, relabeled(p, rng)):
             _assert_frame_matches_the_oracles(q, name)
 
 
@@ -286,6 +282,12 @@ def test_verify_empty_sphere_window_zero(square):
             dr.verify_empty_sphere(p, gram, window=window)
 
 
+def test_verify_empty_sphere_refuses_a_bool_window():
+    # True is no window of 1, as it is no vertex index
+    with pytest.raises(dr.InputError, match="window must be an integer"):
+        dr.verify_empty_sphere(dr.cube(3), dr.canonical_gram("cube", 3), window=True)
+
+
 def test_verify_flags_sublattice():
     doubled = dr.from_coords(2, [[0, 0], [2, 0], [0, 2], [2, 2]])
     rep = dr.verify_empty_sphere(doubled, [[1, 0], [0, 1]], window=0)
@@ -415,14 +417,13 @@ def test_from_distances_matches_greedy_minor_scan(seed, source):
 
 def test_from_distances_checks_the_form_once(monkeypatch, p0data):
     d = [list(r) for r in p0data.distances]
+    # definiteness is read off the Schur diagonals of the pivot search: no separate definite check
     calls = count_calls(monkeypatch, exact, "is_positive_definite")
     dr.from_distances(d)
-    assert len(calls) == 1
     dr.from_distances(SQUARE_D)
-    assert len(calls) == 2
     with pytest.raises(dr.NotPositiveDefinite, match="reconstructed Gram form is not positive definite"):
         dr.from_distances([[0, 1, 1], [1, 0, 9], [1, 9, 0]])
-    assert len(calls) == 3
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -432,10 +433,11 @@ def test_commands_check_the_form_of_a_file_once(monkeypatch, tmp_path, capsys, c
     d = dr.distance_matrix(dr.half_cube(4), dr.canonical_gram("halfcube", 4))
     distances.write_text(json.dumps({"dim": 4, "distances": [[str(x) for x in row] for row in d]}))
     calls = count_calls(monkeypatch, exact, "is_positive_definite")
-    for path in (vertices, distances):
+    # a file's gram field is checked once; a distance file's form by the loader's own pivot search
+    for path, checks in ((vertices, 1), (distances, 0)):
         calls.clear()
         assert cli.main([command, str(path), "--window", "0"]) == 0
-        assert len(calls) == 1, path.name
+        assert len(calls) == checks, path.name
     capsys.readouterr()
 
 
@@ -639,11 +641,12 @@ def _rebuilt(f, dm):
 
 @pytest.mark.parametrize("dm", NOT_SEMIDEFINITE)
 def test_non_semidefinite_matrices_are_not_positive_definite(dm, monkeypatch):
-    # the pivot rows alone pass the definite check, so the rank of the whole matrix tells bad input from a bug
+    # the pivot rows alone pass the definite check, so the rank of the whole matrix tells bad input from a bug; the
+    # third matrix's last row pivots at a skipped row, which the pivot search refuses before any rank is taken
     calls = count_calls(monkeypatch, exact, "rank")
     with pytest.raises(dr.NotPositiveDefinite, match="^reconstructed Gram form is not positive definite$"):
         dr.from_distances(dm)
-    assert len(calls) == 1
+    assert len(calls) == (dm is not NOT_SEMIDEFINITE[2])
     assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)
 
 
@@ -684,3 +687,53 @@ def test_pivot_search_matches_the_full_rref(seed, source):
             for j in range(i + 1, m):
                 dm[i][j] = dm[j][i] = rng.randrange(1, 7)
     assert _rebuilt(dr.from_distances, dm) == _rebuilt(rref_from_distances, dm)
+
+
+def _pulled_apart(d, rng):
+    """d with two vertices pulled apart: by 1, or by a bump that makes their 2x2 Gram minor negative when neither is
+    vertex 0."""
+    i, j = rng.sample(range(len(d)), 2)
+    a11, a22 = d[i][0], d[j][0]
+    bump = rng.choice((1, 2 * (abs((a11 + a22 - d[i][j]) / 2) + a11 + a22 + 1)))
+    d[i][j] += bump
+    d[j][i] += bump
+    return d
+
+
+def _lorentzian(rng):
+    """The third NOT_SEMIDEFINITE matrix, the distances of 0, e_1, 2e_1 + e_2 + e_3 and e_2 under diag(1, 1, -1), with
+    one to three more points of that space, all at positive distances: rank-deficient indefinite Gram matrices, on
+    which a later row can pivot at a skipped one."""
+    while True:
+        extra = [tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(rng.randrange(1, 4))]
+        xs = [(0, 0, 0), (1, 0, 0), (2, 1, 1), (0, 1, 0), *extra]
+        dm = [[(u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 - (u[2] - v[2]) ** 2 for v in xs] for u in xs]
+        if all(dm[i][j] > 0 for i in range(len(xs)) for j in range(i)):
+            return dm
+
+
+@given(st.integers(0, 10_000), st.sampled_from(("not-semidefinite", "lorentzian", "family", "p0", "integers", "form")))
+@example(8, "lorentzian")  # a row pivots at a skipped one on a matrix of rank |T|: only C != T refuses it
+def test_definiteness_from_the_schur_diagonals_matches_the_definite_check(seed, source):
+    rng = random.Random(seed)
+    if source == "not-semidefinite":
+        dm = [list(row) for row in rng.choice(NOT_SEMIDEFINITE)]
+    elif source == "lorentzian":
+        dm = _lorentzian(rng)
+    elif source == "family":
+        _, p, g = rng.choice(GRAMS)
+        dm = _pulled_apart(_relabeled_matrix(dr.distance_matrix(p, g), rng), rng)
+    elif source == "p0":
+        dm = _pulled_apart(_relabeled_matrix(_large_distances("p0"), rng), rng)
+    elif source == "integers":
+        m = rng.randrange(3, 8)
+        dm = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                dm[i][j] = dm[j][i] = rng.randrange(1, 7)
+    else:
+        p = random_polytope(rng, max_dim=4)
+        dm = _relabeled_matrix(dr.distance_matrix(p, random_form(p.dim, rng)), rng)
+        if rng.random() < 0.5:
+            dm = _pulled_apart(dm, rng)
+    assert _rebuilt(dr.from_distances, dm) == _rebuilt(definite_check_from_distances, dm)
